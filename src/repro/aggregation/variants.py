@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_distribution
 
 from .base import AggregationResult, Aggregator, AnswerMatrix, check_not_empty
 
@@ -70,6 +69,10 @@ class MvBeta(Aggregator):
         self.prior_beta = prior_beta
 
     def fit(self, matrix: AnswerMatrix) -> AggregationResult:
+        # scipy.stats costs ~0.6 s and ~45 MB to import; only this
+        # aggregator needs it, so importing the registry must not.
+        from scipy.stats import beta as beta_distribution
+
         check_not_empty(matrix)
         counts = _binary_vote_counts(matrix)
         positives = counts[:, 1] + self.prior_alpha

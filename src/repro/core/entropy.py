@@ -82,7 +82,7 @@ def binary_entropy(probability: float) -> float:
 
 
 def observation_entropy(belief: BeliefState) -> float:
-    """``H(O)`` of a belief state.
+    """``H(O)`` of a belief state, memoized on the (immutable) state.
 
     Sparse beliefs skip the dense materialization: their support holds
     exactly the positive entries :func:`shannon_entropy` would keep, in
@@ -91,11 +91,16 @@ def observation_entropy(belief: BeliefState) -> float:
     the dense path the result matches up to pairwise-summation grouping
     of the interleaved zeros (last-ulp).
     """
-    from .kernel import SparseBeliefState
+    entropy = belief._entropy_memo
+    if entropy is None:
+        from .kernel import SparseBeliefState
 
-    if isinstance(belief, SparseBeliefState):
-        return belief.entropy_bits()
-    return shannon_entropy(belief.probabilities)
+        if isinstance(belief, SparseBeliefState):
+            entropy = belief.entropy_bits()
+        else:
+            entropy = shannon_entropy(belief.probabilities)
+        belief._entropy_memo = entropy
+    return entropy
 
 
 def quality(belief: BeliefState) -> float:

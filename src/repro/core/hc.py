@@ -114,20 +114,91 @@ def total_quality(belief: FactoredBelief) -> float:
     return sum(entropy_module.quality(group) for group in belief)
 
 
+def _label_counts(
+    state: BeliefState, ground_truth: Mapping[int, bool]
+) -> tuple[int, int]:
+    """``(correct, relevant)``: how many of the group's facts the ground
+    truth covers, and how many of those its MAP label gets right."""
+    labels = state.map_labels()
+    relevant = [fact_id for fact_id in labels if fact_id in ground_truth]
+    correct = sum(
+        1 for fact_id in relevant if labels[fact_id] == ground_truth[fact_id]
+    )
+    return correct, len(relevant)
+
+
+def _accuracy(correct: int, relevant: int) -> float:
+    if not relevant:
+        raise ValueError("ground truth covers none of the belief's facts")
+    return correct / relevant
+
+
 def labeling_accuracy(
     belief: FactoredBelief, ground_truth: Mapping[int, bool]
 ) -> float:
     """Fraction of facts whose MAP label matches the ground truth."""
-    labels = belief.map_labels()
-    relevant = [
-        fact_id for fact_id in labels if fact_id in ground_truth
-    ]
-    if not relevant:
-        raise ValueError("ground truth covers none of the belief's facts")
-    correct = sum(
-        1 for fact_id in relevant if labels[fact_id] == ground_truth[fact_id]
+    counts = [_label_counts(state, ground_truth) for state in belief]
+    return _accuracy(
+        sum(correct for correct, _ in counts),
+        sum(relevant for _, relevant in counts),
     )
-    return correct / len(relevant)
+
+
+class RoundScoreboard:
+    """Per-group terms of a round record's quality and accuracy.
+
+    :func:`total_quality` and :func:`labeling_accuracy` are sums of
+    per-group terms, and a checking round changes only the groups it
+    queried.  The scoreboard keeps each group's quality, correct-label
+    count and relevant-fact count keyed by the identity of the
+    (immutable) state they were computed from, so a record costs
+    entropy and MAP work for the changed groups only.  Quality is
+    summed with the builtin ``sum`` in group order, exactly as
+    :func:`total_quality` sums it, so the bits match; counts are exact
+    integers.  The counts are recomputed whenever the ground truth's
+    size changes (streamed groups bring their truth with them).
+    """
+
+    def __init__(self) -> None:
+        self._states: list[BeliefState | None] = []
+        self._quality: list[float] = []
+        self._correct: list[int] = []
+        self._relevant: list[int] = []
+        self._truth_size: int | None = None
+
+    def score(
+        self,
+        belief: FactoredBelief,
+        ground_truth: Mapping[int, bool] | None,
+    ) -> tuple[float, float | None]:
+        """``(total_quality, labeling_accuracy)`` of ``belief``; the
+        accuracy is ``None`` without a ground truth."""
+        truth_size = None if ground_truth is None else len(ground_truth)
+        if truth_size != self._truth_size:
+            self._truth_size = truth_size
+            self._states, self._quality = [], []
+            self._correct, self._relevant = [], []
+        missing = len(belief) - len(self._states)
+        if missing:
+            self._states.extend([None] * missing)
+            self._quality.extend([0.0] * missing)
+            self._correct.extend([0] * missing)
+            self._relevant.extend([0] * missing)
+        states = self._states
+        for group_index, state in enumerate(belief):
+            if states[group_index] is state:
+                continue
+            states[group_index] = state
+            self._quality[group_index] = entropy_module.quality(state)
+            if ground_truth is not None:
+                (
+                    self._correct[group_index],
+                    self._relevant[group_index],
+                ) = _label_counts(state, ground_truth)
+        quality = sum(self._quality)
+        if ground_truth is None:
+            return quality, None
+        return quality, _accuracy(sum(self._correct), sum(self._relevant))
 
 
 class HierarchicalCrowdsourcing:
@@ -208,9 +279,12 @@ class HierarchicalCrowdsourcing:
         """
         belief = belief.copy()
         tracker = CheckingBudget(budget, cost_model=self.cost_model)
+        scoreboard = RoundScoreboard()
         result = RunResult(belief=belief)
         result.history.append(
-            self._record(-1, (), 0.0, tracker, belief, ground_truth)
+            self._record(
+                -1, (), 0.0, tracker, belief, ground_truth, scoreboard
+            )
         )
         round_index = 0
         while max_rounds is None or round_index < max_rounds:
@@ -235,6 +309,7 @@ class HierarchicalCrowdsourcing:
                 tracker,
                 belief,
                 ground_truth,
+                scoreboard,
             )
             result.history.append(record)
             if on_round is not None:
@@ -288,18 +363,16 @@ class HierarchicalCrowdsourcing:
         tracker: CheckingBudget,
         belief: FactoredBelief,
         ground_truth: Mapping[int, bool] | None,
+        scoreboard: RoundScoreboard,
     ) -> RoundRecord:
+        quality, accuracy = scoreboard.score(belief, ground_truth)
         return RoundRecord(
             round_index=round_index,
             query_fact_ids=query_fact_ids,
             cost=cost,
             budget_spent=tracker.spent,
-            quality=total_quality(belief),
-            accuracy=(
-                labeling_accuracy(belief, ground_truth)
-                if ground_truth is not None
-                else None
-            ),
+            quality=quality,
+            accuracy=accuracy,
         )
 
 

@@ -79,7 +79,18 @@ class BeliefState:
     Instances are cheap value objects: update operations return new
     belief states instead of mutating in place, so selection algorithms
     can branch on hypothetical answers safely.
+
+    Because a state never changes, its ``H(O)`` (filled by
+    :func:`~repro.core.entropy.observation_entropy`) and its MAP labels
+    are memoized on first use.  The memos default to ``None`` at class
+    level, so reading them never reaches a subclass ``__getattr__``;
+    nothing is computed in ``__init__`` (``from_normalized`` swaps the
+    probabilities afterwards); and ``__getstate__`` leaves them out of
+    pickles, so a state pickles to the same bytes memoized or not.
     """
+
+    _entropy_memo: float | None = None
+    _labels_memo: dict[int, bool] | None = None
 
     def __init__(self, facts: FactSet, probabilities: np.ndarray):
         probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -240,12 +251,16 @@ class BeliefState:
         return truth_table(self.num_facts)[self.map_observation()].copy()
 
     def map_labels(self) -> dict[int, bool]:
-        """Finalized labels ``{fact_id: truth}`` from the MAP observation."""
-        assignment = self.map_assignment()
-        return {
-            fact.fact_id: bool(assignment[position])
-            for position, fact in enumerate(self._facts)
-        }
+        """Finalized labels ``{fact_id: truth}`` from the MAP observation
+        (memoized; every call returns a fresh dict)."""
+        labels = self._labels_memo
+        if labels is None:
+            assignment = self.map_assignment()
+            labels = self._labels_memo = {
+                fact.fact_id: bool(assignment[position])
+                for position, fact in enumerate(self._facts)
+            }
+        return dict(labels)
 
     # ------------------------------------------------------------------
     # operations
@@ -296,6 +311,16 @@ class BeliefState:
         return BeliefState.from_normalized(
             self._facts, np.exp(log_posterior - log_norm)
         )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_entropy_memo" in state or "_labels_memo" in state:
+            state = {
+                key: value
+                for key, value in state.items()
+                if key not in ("_entropy_memo", "_labels_memo")
+            }
+        return state
 
     def __repr__(self) -> str:
         return (

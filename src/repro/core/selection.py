@@ -47,7 +47,6 @@ from .answers import FamilySpaceTooLarge
 from .entropy import (
     binary_entropy,
     conditional_entropy,
-    first_step_gains,
     first_step_gains_many,
     observation_entropy,
 )
@@ -369,12 +368,14 @@ class LazyGreedySelector(Selector):
       per-fact family enumerations.
 
     The first-step gain vectors are cached per group keyed on belief
-    identity, so across checking rounds only the groups actually updated
-    by the previous round are re-evaluated (``O(changed)`` per round);
-    superseded states are evicted on write, keeping memory bounded by
-    the current belief.  :meth:`invalidate_groups` releases updated
-    groups' entries eagerly — the online sessions call it after every
-    belief update.
+    identity, each beside the group's ready-made heap seed entries, so
+    across checking rounds only the groups actually updated by the
+    previous round are re-evaluated and a round seeds its heap with one
+    ``extend`` per group and a ``heapify`` (``O(changed)`` kernel work
+    per round); superseded states are evicted on write, keeping memory
+    bounded by the current belief.  :meth:`invalidate_groups` releases
+    updated groups' entries eagerly — the online sessions call it after
+    every belief update.
     """
 
     name = "Approx-Lazy"
@@ -386,9 +387,14 @@ class LazyGreedySelector(Selector):
         self.stats = SelectionStats()
         self._cache = _GroupEntropyCache(self.stats)
         # group_index -> (state and crowd computed against, per-fact
-        # gain vector); superseded entries are replaced on write.
+        # gain vector, heap seed entries of its positive gains);
+        # superseded entries are replaced on write.
         self._first_gains: dict[
-            int, tuple[BeliefState, Crowd, np.ndarray]
+            int,
+            tuple[
+                BeliefState, Crowd, np.ndarray,
+                list[tuple[float, int, int, int]],
+            ],
         ] = {}
 
     def invalidate_groups(self, group_indices: Iterable[int]) -> None:
@@ -401,61 +407,60 @@ class LazyGreedySelector(Selector):
     def cache_entries(self) -> int:
         """Total cached values, for memory-bound regression tests."""
         return self._cache.num_entries + sum(
-            entry[-1].size for entry in self._first_gains.values()
+            entry[2].size for entry in self._first_gains.values()
         )
 
-    def _group_first_gains(
-        self, group_index: int, state: BeliefState, experts: Crowd
-    ) -> np.ndarray:
-        cached = self._first_gains.get(group_index)
-        if cached is not None and cached[0] is state and (
-            cached[1] is experts or cached[1] == experts
-        ):
-            return cached[2]
-        gains = first_step_gains(
-            state, experts, prior_entropy=self._cache.prior(group_index, state)
-        )
-        self.stats.batch_evaluations += 1
-        self.stats.batch_facts += gains.size
-        self._first_gains[group_index] = (state, experts, gains)
-        return gains
-
-    def _prime_first_gains(
+    def _seed_heap(
         self, belief: FactoredBelief, experts: Crowd
-    ) -> None:
-        """Fill the first-gain cache for every stale group in one pass.
+    ) -> list[tuple[float, int, int, int]]:
+        """The round's initial CELF heap of first-step gain bounds.
 
-        All groups whose cached gain vector is missing or superseded are
-        evaluated through one stacked
+        Fresh groups contribute their cached seed entries as they are.
+        Every group whose cached gain vector is missing or superseded
+        is evaluated through one stacked
         :func:`~repro.core.entropy.first_step_gains_many` call — a
         single cross-group matmul against the shared crowd response
         tensor — instead of a per-group Python loop.  Bitwise identical
         to evaluating each group separately (see the kernel's docstring);
         the stats counters still tick once per group so work accounting
-        is unchanged.
+        is unchanged.  Heap entries are totally ordered (fact ids are
+        unique), so the pop sequence does not depend on the order the
+        entries were gathered in.
         """
+        heap: list[tuple[float, int, int, int]] = []
         stale: list[tuple[int, BeliefState]] = []
         for group_index, state in enumerate(belief):
             cached = self._first_gains.get(group_index)
             if cached is not None and cached[0] is state and (
                 cached[1] is experts or cached[1] == experts
             ):
-                continue
-            stale.append((group_index, state))
-        if not stale:
-            return
-        priors = [
-            self._cache.prior(group_index, state)
-            for group_index, state in stale
-        ]
-        batched = first_step_gains_many(
-            [state for _index, state in stale], experts,
-            prior_entropies=priors,
-        )
-        for (group_index, state), gains in zip(stale, batched):
-            self.stats.batch_evaluations += 1
-            self.stats.batch_facts += gains.size
-            self._first_gains[group_index] = (state, experts, gains)
+                heap.extend(cached[3])
+            else:
+                stale.append((group_index, state))
+        if stale:
+            priors = [
+                self._cache.prior(group_index, state)
+                for group_index, state in stale
+            ]
+            batched = first_step_gains_many(
+                [state for _index, state in stale], experts,
+                prior_entropies=priors,
+            )
+            tolerance = self.gain_tolerance
+            for (group_index, state), gains in zip(stale, batched):
+                self.stats.batch_evaluations += 1
+                self.stats.batch_facts += gains.size
+                seeds = [
+                    (-float(gain), fact.fact_id, 0, group_index)
+                    for fact, gain in zip(state.facts, gains)
+                    if gain > tolerance
+                ]
+                self._first_gains[group_index] = (
+                    state, experts, gains, seeds
+                )
+                heap.extend(seeds)
+        heapq.heapify(heap)
+        return heap
 
     def select(
         self, belief: FactoredBelief, experts: Crowd, k: int
@@ -481,14 +486,7 @@ class LazyGreedySelector(Selector):
         # matching the eager greedy's deterministic tie-breaking.  The
         # bound_version is the size of the group's query set the gain
         # was computed against: the entry is fresh iff it still matches.
-        heap: list[tuple[float, int, int, int]] = []
-        self._prime_first_gains(belief, experts)
-        for group_index, state in enumerate(belief):
-            gains = self._group_first_gains(group_index, state, experts)
-            for fact, gain in zip(state.facts, gains):
-                if gain > self.gain_tolerance:
-                    heap.append((-float(gain), fact.fact_id, 0, group_index))
-        heapq.heapify(heap)
+        heap = self._seed_heap(belief, experts)
 
         selected: list[tuple[int, float]] = []
         group_queries: dict[int, list[int]] = {}

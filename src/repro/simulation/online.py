@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from ..core.answers import AnswerFamily, AnswerSet, PartialAnswerFamily
 from ..core.budget import CheckingBudget, CostModel
-from ..core.hc import HierarchicalCrowdsourcing, RoundRecord
+from ..core.hc import HierarchicalCrowdsourcing, RoundRecord, RoundScoreboard
 from ..core.incidents import FaultEvent
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import LazyGreedySelector, Selector
@@ -201,6 +201,7 @@ class OnlineCheckingSession:
             experts=experts, selector=self._selector, k=k,
             cost_model=cost_model,
         )
+        self._scoreboard = RoundScoreboard()
         self.history: list[RoundRecord] = [
             self._record(-1, (), 0.0)
         ]
@@ -678,18 +679,15 @@ class OnlineCheckingSession:
         cost: float,
         fault_events: tuple[FaultEvent, ...] = (),
     ) -> RoundRecord:
-        from ..core.hc import labeling_accuracy, total_quality
-
+        quality, accuracy = self._scoreboard.score(
+            self._belief, self._ground_truth
+        )
         return RoundRecord(
             round_index=round_index,
             query_fact_ids=queries,
             cost=cost,
             budget_spent=self._budget.spent,
-            quality=total_quality(self._belief),
-            accuracy=(
-                labeling_accuracy(self._belief, self._ground_truth)
-                if self._ground_truth is not None
-                else None
-            ),
+            quality=quality,
+            accuracy=accuracy,
             fault_events=fault_events,
         )

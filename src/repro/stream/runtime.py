@@ -960,6 +960,7 @@ class StreamingCampaign:
                 "forced_seals": 0,
                 "out_of_band": 0,
             }
+            self._obs_stats = _DictStatsView(self._stats)
             return
         self._at_boundary = bool(extras["boundary"])
         self._cursor = int(extras["cursor"])
@@ -980,6 +981,7 @@ class StreamingCampaign:
         self._stats = {
             key: int(value) for key, value in extras["stats"].items()
         }
+        self._obs_stats = _DictStatsView(self._stats)
         experts = extras.get("experts")
         self._bootstrap_experts = (
             list(crowd_from_dict(experts)) if experts is not None else []

@@ -1,5 +1,10 @@
 """Unit tests for the aggregator registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.aggregation import (
@@ -66,3 +71,26 @@ class TestRegistry:
                 lambda: MajorityVote(smoothing=original.smoothing),
                 overwrite=True,
             )
+
+
+def test_registry_import_leaves_scipy_stats_unloaded():
+    """Belief initialization imports the registry; ``scipy.stats``
+    (~0.6 s, ~45 MB) loads only when MV-Beta actually fits."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "import repro.aggregation.registry, repro.datasets.grouping\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "from repro.aggregation import make_aggregator\n"
+        "from repro.aggregation.base import AnswerMatrix\n"
+        "make_aggregator('MV-Beta').fit(AnswerMatrix([(0, 0, 1)], num_classes=2))\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -5,10 +5,12 @@ change a journal byte.  Each test runs the same campaign twice — once
 with ``OBS`` fully enabled (metrics, trace buffer, trace JSONL), once
 disabled — and asserts the journals are byte-identical and the final
 beliefs bit-identical.  Covered shapes: the serial sharded engine
-(``jobs=1``), the parallel engine (``jobs=4``), and a streamed
-campaign.  Each enabled run also asserts instrumentation actually
-fired, so a regression that silently disables the hooks cannot pass as
-"no perturbation".
+(``jobs=1``), the parallel engine (``jobs=4``), a streamed campaign,
+and a streamed campaign resumed from its journal.  Each enabled run
+also asserts instrumentation actually fired, so a regression that
+silently disables the hooks cannot pass as "no perturbation".  A
+service recovery with OBS on must also leave a reattached streamed
+campaign without fault strikes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.core.trust import TrustPolicy
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
 from repro.engine import run_parallel_hc_session
 from repro.obs import OBS
+from repro.service import CampaignService, CampaignSpec, CampaignStatus
 from repro.simulation import (
     FaultModel,
     FaultyExpertPanel,
@@ -144,3 +147,68 @@ def test_stream_journal_bytes_identical_enabled_vs_disabled(tmp_path):
     assert enabled_bytes == disabled_bytes
     phases = _assert_observed_something(tmp_path)
     assert {"admit", "seal"} <= phases
+
+
+def _stream_inputs():
+    dataset = make_synthetic_dataset(
+        num_groups=3, group_size=3, answers_per_fact=6, seed=1
+    )
+    spec = build_spec()
+    return dataset, spec, events_for(dataset, spec), experts_for(dataset, spec)
+
+
+def test_resumed_stream_steps_with_obs_enabled(tmp_path):
+    """A streamed campaign rebuilt by ``resume`` publishes its admit and
+    seal counters like a fresh one: with OBS on it steps to completion,
+    and its journal matches the OBS-off resume byte for byte."""
+    _dataset, spec, events, experts = _stream_inputs()
+
+    def crash_then_resume(path):
+        first = StreamingCampaign(
+            events, experts, BUDGET, spec=spec, journal_path=path
+        )
+        first.run(max_events=len(events) // 2)
+        resumed = StreamingCampaign.resume(path, events, experts=experts)
+        resumed.run()
+        assert resumed.finished
+        return path.read_bytes()
+
+    disabled_bytes = crash_then_resume(tmp_path / "disabled.jsonl")
+
+    OBS.reset()
+    OBS.enable(trace_path=tmp_path / "enabled.trace.jsonl")
+    enabled_bytes = crash_then_resume(tmp_path / "enabled.jsonl")
+
+    assert enabled_bytes == disabled_bytes
+    _assert_observed_something(tmp_path)
+
+
+def test_recovered_streamed_campaigns_take_no_strikes(tmp_path):
+    """``CampaignService.recover`` with OBS on reattaches a streamed
+    campaign that then steps without a fault strike."""
+    dataset, spec, _events, _experts = _stream_inputs()
+    campaign = CampaignSpec(
+        tenant="acme",
+        name="live",
+        dataset=dataset,
+        config=SessionConfig(budget=30.0, k=1, seed=0),
+        stream=spec,
+    )
+    root = tmp_path / "svc"
+    service = CampaignService(100.0, journal_root=root)
+    handle = service.submit(campaign)
+    for _ in range(3):
+        service.step()
+    assert handle.status is CampaignStatus.ACTIVE
+    service.close()  # a crash leaves the journal directory behind
+
+    OBS.enable()
+    with CampaignService(100.0, journal_root=root) as service:
+        report = service.recover(specs=[campaign])
+        assert [c.campaign_id for c in report.reattached] == [
+            campaign.campaign_id
+        ]
+        service.run_until_idle()
+        handle = service.handle(campaign.campaign_id)
+        assert handle.strikes == 0
+        assert handle.status is CampaignStatus.COMPLETED
