@@ -2,8 +2,10 @@
 
 These time the inner loops every experiment is built from: conditional
 entropy evaluation, one greedy selection round, and one Bayesian belief
-update.  Useful for tracking performance regressions; no paper claims
-attached.
+update.  The 5-fact cases run the truth-table kernels of the paper's
+groups; the 18-fact cases (Table III's group size) run the tensor
+contractions of groups past ``TRUTH_TABLE_MAX_FACTS``.  Useful for
+tracking performance regressions; no paper claims attached.
 """
 
 import numpy as np
@@ -27,6 +29,13 @@ def belief_5_facts():
     rng = np.random.default_rng(0)
     facts = FactSet.from_ids(range(5))
     return BeliefState(facts, rng.dirichlet(np.ones(32)))
+
+
+@pytest.fixture(scope="module")
+def belief_18_facts():
+    rng = np.random.default_rng(0)
+    facts = FactSet.from_ids(range(18))
+    return BeliefState(facts, rng.dirichlet(np.ones(1 << 18)))
 
 
 @pytest.fixture(scope="module")
@@ -78,4 +87,32 @@ def test_bench_belief_update(benchmark, belief_5_facts, experts):
         )
     )
     posterior = benchmark(update_with_family, belief_5_facts, family)
+    assert posterior.probabilities.sum() == pytest.approx(1.0)
+
+
+def test_bench_marginals_18_facts(benchmark, belief_18_facts):
+    marginals = benchmark(belief_18_facts.marginals)
+    assert marginals.shape == (18,)
+
+
+def test_bench_conditional_entropy_18_facts(
+    benchmark, belief_18_facts, experts
+):
+    value = benchmark(
+        conditional_entropy, belief_18_facts, [13, 2, 9, 5], experts
+    )
+    assert 0.0 <= value <= 18.0
+
+
+def test_bench_belief_update_18_facts(benchmark, belief_18_facts, experts):
+    family = AnswerFamily(
+        answer_sets=tuple(
+            AnswerSet(
+                worker=worker,
+                answers={13: True, 2: False, 9: True, 5: False},
+            )
+            for worker in experts
+        )
+    )
+    posterior = benchmark(update_with_family, belief_18_facts, family)
     assert posterior.probabilities.sum() == pytest.approx(1.0)

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .observations import BeliefState, truth_table
+from .observations import TRUTH_TABLE_MAX_FACTS, BeliefState, truth_table
 from .workers import Crowd, Worker
 
 #: Default cap on the answer-family space: ``|T| * |CE|`` answer bits.
@@ -280,14 +280,11 @@ def answer_set_likelihood(
     observation ``s``.
     """
     accuracy = answer_set.worker.accuracy
-    query_fact_ids = answer_set.query_fact_ids
-    if not query_fact_ids:
+    if not answer_set.answers:
         return np.ones(belief.num_observations)
-    positions = [belief.facts.position_of(fact_id) for fact_id in query_fact_ids]
-    observation_bits = truth_table(belief.num_facts)[:, positions]
-    answer_bits = answer_set.bits(query_fact_ids)
-    matches = observation_bits == answer_bits
-    return np.where(matches, accuracy, 1.0 - accuracy).prod(axis=1)
+    return _per_observation(
+        belief, answer_set, accuracy, 1.0 - accuracy, np.multiply
+    )
 
 
 def log_answer_set_likelihood(
@@ -303,17 +300,59 @@ def log_answer_set_likelihood(
     floor, but sums of logs cannot underflow.
     """
     accuracy = answer_set.worker.accuracy
-    query_fact_ids = answer_set.query_fact_ids
-    if not query_fact_ids:
+    if not answer_set.answers:
         return np.zeros(belief.num_observations)
-    positions = [belief.facts.position_of(fact_id) for fact_id in query_fact_ids]
-    observation_bits = truth_table(belief.num_facts)[:, positions]
-    answer_bits = answer_set.bits(query_fact_ids)
-    matches = observation_bits == answer_bits
     with np.errstate(divide="ignore"):
         log_hit = np.log(accuracy)
         log_miss = np.log(1.0 - accuracy)
-    return np.where(matches, log_hit, log_miss).sum(axis=1)
+    return _per_observation(belief, answer_set, log_hit, log_miss, np.add)
+
+
+def _per_observation(
+    belief: BeliefState,
+    answer_set: AnswerSet,
+    hit: float,
+    miss: float,
+    combine: np.ufunc,
+) -> np.ndarray:
+    """``combine`` over the queried facts, in query order, of ``hit``
+    where an observation agrees with the answer and ``miss`` where not.
+
+    Up to :data:`TRUTH_TABLE_MAX_FACTS` facts the rows combined are the
+    observations themselves (truth-table columns).  Above, they are the
+    ``2**|T|`` truth patterns of the queried facts — row ``r`` gives the
+    ``k``-th lowest queried position bit ``k`` of ``r``, the order those
+    facts' axes take in the probability tensor — and the per-pattern
+    table is spread over the unqueried axes by doubling, lowest position
+    first.  Both gather their bit columns by fancy indexing, whose
+    column-major result numpy reduces column by column, so each row
+    combines the same factors in the same order either way and the two
+    agree bit for bit.
+    """
+    query_fact_ids = answer_set.query_fact_ids
+    positions = [belief.facts.position_of(fact_id) for fact_id in query_fact_ids]
+    answer_bits = answer_set.bits(query_fact_ids)
+    num_facts = belief.num_facts
+    if num_facts <= TRUTH_TABLE_MAX_FACTS:
+        matches = truth_table(num_facts)[:, positions] == answer_bits
+        return combine.reduce(np.where(matches, hit, miss), axis=1)
+    ascending = sorted(positions)
+    ranks = [ascending.index(position) for position in positions]
+    pattern_bits = (
+        np.arange(1 << len(positions))[:, None] >> np.arange(len(positions))
+    ) & 1
+    matches = pattern_bits[:, ranks] == answer_bits
+    table = combine.reduce(np.where(matches, hit, miss), axis=1)
+    # (rows, 2**p) holds the positions below p in its columns and the
+    # queried positions above in its rows.
+    spread = table.reshape(-1, 1)
+    queried = set(positions)
+    for position in range(num_facts):
+        if position in queried:
+            spread = spread.reshape(spread.shape[0] // 2, -1)
+        else:
+            spread = np.concatenate([spread, spread], axis=1)
+    return spread.reshape(-1)
 
 
 def log_family_likelihood(
@@ -396,10 +435,16 @@ def pattern_marginal(
 
     Collapses the observation distribution onto the ``2**|T|`` possible
     truth patterns of the query set; this is the only aspect of the
-    belief the answer distribution depends on.  Sparse beliefs collapse
+    belief the answer distribution depends on.  Bit ``j`` of pattern
+    ``v`` is the truth of ``query_fact_ids[j]``.  Sparse beliefs collapse
     their support only, via packed-state bit gathers instead of truth
-    table columns.
+    table columns.  Dense groups above :data:`TRUTH_TABLE_MAX_FACTS`
+    facts sum out the unqueried bit axes of the probability tensor,
+    highest position first, in contiguous half-array adds; the sums
+    associate differently from the table's ``bincount`` (equal to within
+    float round-off).
     """
+    _require_distinct(query_fact_ids)
     positions = [belief.facts.position_of(fact_id) for fact_id in query_fact_ids]
     if not positions:
         return np.ones(1)
@@ -411,12 +456,38 @@ def pattern_marginal(
             weights=belief.sparse_probabilities,
             minlength=1 << len(positions),
         )
-    table = truth_table(belief.num_facts)[:, positions]
-    weights = 1 << np.arange(len(positions), dtype=np.int64)
-    pattern_index = table @ weights
-    return np.bincount(
-        pattern_index, weights=belief.probabilities, minlength=1 << len(positions)
-    )
+    num_facts = belief.num_facts
+    if num_facts <= TRUTH_TABLE_MAX_FACTS:
+        table = truth_table(num_facts)[:, positions]
+        weights = 1 << np.arange(len(positions), dtype=np.int64)
+        pattern_index = table @ weights
+        return np.bincount(
+            pattern_index,
+            weights=belief.probabilities,
+            minlength=1 << len(positions),
+        )
+    # (rows, 2**(p+1)) holds the kept positions above p in its rows and
+    # every position up to p in its columns.
+    kept = belief.probabilities.reshape(1, -1)
+    queried = set(positions)
+    for position in reversed(range(num_facts)):
+        if position in queried:
+            kept = kept.reshape(kept.shape[0] * 2, -1)
+        else:
+            halves = kept.reshape(kept.shape[0], 2, -1)
+            kept = halves[:, 0] + halves[:, 1]
+    # kept's axes are the queried positions, highest first; the result's
+    # are positions[-1], ..., positions[0], so bit j is positions[j].
+    descending = sorted(positions, reverse=True)
+    order = [descending.index(position) for position in reversed(positions)]
+    return kept.reshape((2,) * len(positions)).transpose(order).reshape(-1)
+
+
+def _require_distinct(query_fact_ids: Sequence[int]) -> None:
+    if len(set(query_fact_ids)) != len(query_fact_ids):
+        raise ValueError(
+            f"query set repeats a fact: {list(query_fact_ids)}"
+        )
 
 
 def crowd_single_query_responses(
@@ -466,27 +537,6 @@ def _cached_single_query_responses(accuracies: tuple[float, ...]) -> np.ndarray:
     return tensor
 
 
-def single_fact_family_distributions(
-    belief: BeliefState,
-    experts: Crowd,
-    max_family_bits: int = MAX_FAMILY_BITS,
-) -> np.ndarray:
-    """Family distributions of every singleton query set, batched.
-
-    Row ``i`` is :func:`family_distribution` of querying only the fact
-    at position ``i`` — all ``n`` rows computed with one ``(n, 2) @
-    (2, 2**|CE|)`` matmul against the shared pattern marginal, instead
-    of ``n`` separate enumerations.  A single query's pattern marginal
-    is just the fact's truth marginal ``[1 - P(f), P(f)]``.
-    """
-    responses = crowd_single_query_responses(
-        experts, max_family_bits=max_family_bits
-    )
-    marginals = belief.marginals()
-    pattern = np.stack([1.0 - marginals, marginals], axis=1)
-    return pattern @ responses
-
-
 def family_distribution(
     belief: BeliefState,
     query_fact_ids: Sequence[int],
@@ -507,6 +557,7 @@ def family_distribution(
     FamilySpaceTooLarge
         If ``|T| * |CE| > max_family_bits``.
     """
+    _require_distinct(query_fact_ids)
     num_queries = len(query_fact_ids)
     if len(experts) == 0 or num_queries == 0:
         return np.ones(1)  # single empty family, probability 1
@@ -516,27 +567,45 @@ def family_distribution(
             f"answer family space needs {total_bits} bits "
             f"(> limit {max_family_bits})"
         )
+    if len(experts) > len(_WORKER_AXES):
+        raise FamilySpaceTooLarge(
+            f"more than {len(_WORKER_AXES)} expert workers are not "
+            "supported by exact family enumeration"
+        )
     marginal = pattern_marginal(belief, query_fact_ids)
     responses = [
         worker_response_matrix(num_queries, worker.accuracy)
         for worker in experts
     ]
-    # P(a_1..a_J) = sum_v q(v) prod_j W_j[v, a_j]: one einsum with a
-    # pattern axis 'A' plus one output axis per worker.  einsum's
-    # optimizer turns the two-worker case into a plain matmul, avoiding
-    # the (patterns x families) intermediate a naive loop would build.
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if len(experts) > len(letters):
-        raise FamilySpaceTooLarge(
-            f"more than {len(letters)} expert workers are not supported "
-            "by exact family enumeration"
-        )
-    axes = letters[: len(experts)]
-    subscripts = (
-        "A," + ",".join(f"A{axis}" for axis in axes) + "->" + axes
-    )
-    tensor = np.einsum(subscripts, marginal, *responses, optimize=True)
+    subscripts, path = _family_contraction(num_queries, len(experts))
+    tensor = np.einsum(subscripts, marginal, *responses, optimize=path)
     return tensor.reshape(-1)
+
+
+_WORKER_AXES = "abcdefghijklmnopqrstuvwxyz"
+
+
+@lru_cache(maxsize=64)
+def _family_contraction(num_queries: int, num_workers: int) -> tuple[str, list]:
+    """The einsum of :func:`family_distribution` for one ``(|T|, |CE|)``
+    shape: its subscripts and its greedy contraction path, planned once.
+
+    ``P(a_1..a_J) = sum_v q(v) prod_j W_j[v, a_j]``: a pattern axis
+    ``A`` plus one output axis per worker.  The greedy path turns the
+    two-worker case into a plain matmul, avoiding the (patterns x
+    families) intermediate a naive loop would build; it is the path
+    ``optimize=True`` would plan on every call, so the result is the
+    same bits.  Planning reads only shapes, so it runs on zero-stride
+    stand-ins.
+    """
+    axes = _WORKER_AXES[:num_workers]
+    subscripts = "A," + ",".join(f"A{axis}" for axis in axes) + "->" + axes
+    size = 1 << num_queries
+    operands = [np.broadcast_to(0.0, (size,))] + [
+        np.broadcast_to(0.0, (size, size))
+    ] * num_workers
+    path, _ = np.einsum_path(subscripts, *operands, optimize="greedy")
+    return subscripts, path
 
 
 def enumerate_answer_families(

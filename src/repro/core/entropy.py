@@ -32,7 +32,6 @@ from .answers import (
     enumerate_answer_families,
     family_distribution,
     family_likelihood,
-    single_fact_family_distributions,
 )
 from .observations import BeliefState
 from .workers import Crowd
@@ -188,27 +187,14 @@ def first_step_gains(
 
     Applies the same clamping as :func:`conditional_entropy` (gains lie
     in ``[0, H(O)]``), so the values match the scalar path up to float
-    round-off.
+    round-off.  It is :func:`first_step_gains_many` of one group.
     """
-    if prior_entropy is None:
-        prior_entropy = observation_entropy(belief)
-    if len(experts) == 0:
-        return np.zeros(belief.num_facts)
-    distributions = single_fact_family_distributions(
-        belief, experts, max_family_bits=max_family_bits
-    )
-    # Row-wise shannon_entropy with the same normalize-first convention.
-    totals = distributions.sum(axis=1, keepdims=True)
-    distributions = distributions / totals
-    contributions = np.zeros_like(distributions)
-    positive = distributions > 0.0
-    contributions[positive] = distributions[positive] * np.log2(
-        distributions[positive]
-    )
-    family_entropies = -contributions.sum(axis=1)
-    answer_noise = crowd_answer_noise(experts)
-    gains = family_entropies - answer_noise
-    return np.minimum(np.maximum(gains, 0.0), prior_entropy)
+    return first_step_gains_many(
+        [belief],
+        experts,
+        None if prior_entropy is None else [prior_entropy],
+        max_family_bits=max_family_bits,
+    )[0]
 
 
 def first_step_gains_many(

@@ -34,7 +34,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .facts import FactSet
-from .observations import MAX_FACTS_PER_SPACE, BeliefState, _EPSILON
+from .observations import (
+    MAX_FACTS_PER_SPACE,
+    BeliefState,
+    _EPSILON,
+    check_group_size,
+)
 
 __all__ = [
     "SparseBeliefState",
@@ -245,6 +250,7 @@ class SparseBeliefState(BeliefState):
         probabilities: np.ndarray,
         epsilon: float = 0.0,
     ):
+        check_group_size(len(facts))
         probabilities = np.asarray(probabilities, dtype=np.float64)
         expected = 1 << len(facts)
         if probabilities.shape != (expected,):
@@ -302,6 +308,7 @@ class SparseBeliefState(BeliefState):
         checkpoint restores and shard-commit mirrors so serialization
         round-trips are bitwise exact.
         """
+        check_group_size(len(facts))
         support = np.asarray(support, dtype=np.int64).copy()
         values = np.asarray(values, dtype=np.float64).copy()
         if support.shape != values.shape or support.ndim != 1:
@@ -479,6 +486,7 @@ def sparse_from_marginals(
     mass everywhere) falls back to the exact uniform belief and invokes
     ``on_degenerate``.
     """
+    check_group_size(len(facts))
     marginals = np.asarray(marginals, dtype=np.float64)
     if marginals.shape != (len(facts),):
         raise ValueError("need one marginal per fact")

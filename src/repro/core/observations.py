@@ -10,7 +10,11 @@ Encoding
 --------
 Observation ``s`` (an integer in ``[0, 2**n)``) assigns ``True`` to the
 fact at position ``i`` iff bit ``i`` of ``s`` is set (little-endian).
-``truth_table(n)[s, i]`` materializes that bit matrix.
+``truth_table(n)[s, i]`` materializes that bit matrix.  Equivalently,
+the ``2**n`` probabilities reshaped (C order) to a ``2 x ... x 2``
+tensor put the fact at position ``i`` on axis ``n - 1 - i``; groups
+larger than :data:`TRUTH_TABLE_MAX_FACTS` facts evaluate their
+marginals and likelihoods on that tensor instead of the truth table.
 """
 
 from __future__ import annotations
@@ -31,6 +35,33 @@ _EPSILON = 1e-300
 #: 2**24 float64 already costs ~128 MiB.
 MAX_FACTS_PER_SPACE = 24
 
+#: Groups of at most this many facts (``2**10`` observations, every
+#: group of the paper's setting) evaluate marginals, pattern marginals
+#: and answer-set likelihoods through :func:`truth_table`, bit for bit
+#: as they always have.  Larger groups contract the probability tensor
+#: over its bit axes instead: ``O(2**n)`` work rather than a
+#: ``(2**n, n)`` table cast to float on every call.  Below the cut the
+#: contraction's extra array calls cost more than the table saves.
+TRUTH_TABLE_MAX_FACTS = 10
+
+
+class GroupTooLargeError(ValueError):
+    """Raised when a group's ``2**n`` observation space would not fit the
+    :data:`MAX_FACTS_PER_SPACE` memory cap."""
+
+
+def check_group_size(num_facts: int) -> None:
+    """Refuse, before anything is allocated, a group whose dense belief
+    (``2**n`` float64 probabilities) passes the size cap."""
+    if num_facts > MAX_FACTS_PER_SPACE:
+        raise GroupTooLargeError(
+            f"a group of {num_facts} facts is too large: its belief "
+            f"needs 2**{num_facts} x 8 bytes = "
+            f"{(8 << num_facts) >> 20:,} MiB "
+            f"(limit {MAX_FACTS_PER_SPACE} facts, "
+            f"{(8 << MAX_FACTS_PER_SPACE) >> 20:,} MiB)"
+        )
+
 
 @lru_cache(maxsize=64)
 def truth_table(num_facts: int) -> np.ndarray:
@@ -41,11 +72,7 @@ def truth_table(num_facts: int) -> np.ndarray:
     """
     if num_facts < 0:
         raise ValueError("num_facts must be non-negative")
-    if num_facts > MAX_FACTS_PER_SPACE:
-        raise ValueError(
-            f"observation space for {num_facts} facts is too large "
-            f"(limit {MAX_FACTS_PER_SPACE})"
-        )
+    check_group_size(num_facts)
     states = np.arange(1 << num_facts, dtype=np.int64)
     bits = (states[:, None] >> np.arange(num_facts, dtype=np.int64)) & 1
     table = bits.astype(bool)
@@ -93,6 +120,7 @@ class BeliefState:
     _labels_memo: dict[int, bool] | None = None
 
     def __init__(self, facts: FactSet, probabilities: np.ndarray):
+        check_group_size(len(facts))
         probabilities = np.asarray(probabilities, dtype=np.float64)
         expected = 1 << len(facts)
         if probabilities.shape != (expected,):
@@ -117,6 +145,7 @@ class BeliefState:
     @classmethod
     def uniform(cls, facts: FactSet) -> "BeliefState":
         """The maximum-entropy belief (used by the NO-HC baseline)."""
+        check_group_size(len(facts))
         size = 1 << len(facts)
         return cls(facts, np.full(size, 1.0 / size))
 
@@ -160,6 +189,7 @@ class BeliefState:
         ``on_degenerate`` (when given) is invoked so callers can record
         a ``degenerate_marginals`` incident.
         """
+        check_group_size(len(facts))
         marginals = np.asarray(marginals, dtype=np.float64)
         if marginals.shape != (len(facts),):
             raise ValueError("need one marginal per fact")
@@ -193,6 +223,7 @@ class BeliefState:
         Unlisted observations get probability zero.  Mirrors the paper's
         Table I presentation.
         """
+        check_group_size(len(facts))
         probs = np.zeros(1 << len(facts))
         for assignment, probability in table.items():
             if len(assignment) != len(facts):
@@ -203,6 +234,7 @@ class BeliefState:
     @classmethod
     def point_mass(cls, facts: FactSet, assignment: Sequence[bool]) -> "BeliefState":
         """A certain belief concentrated on one observation."""
+        check_group_size(len(facts))
         probs = np.zeros(1 << len(facts))
         probs[observation_index(assignment)] = 1.0
         return cls(facts, probs)
@@ -239,8 +271,25 @@ class BeliefState:
         return float(self._probs[column].sum())
 
     def marginals(self) -> np.ndarray:
-        """All per-fact marginals ``P(f_i)`` in positional order."""
-        return self._probs @ truth_table(self.num_facts)
+        """All per-fact marginals ``P(f_i)`` in positional order.
+
+        Above :data:`TRUTH_TABLE_MAX_FACTS` facts the highest remaining
+        bit axis is peeled off per step: its upper half (bit set) sums
+        to that fact's marginal, and the two halves add into the
+        distribution of the remaining facts — ``O(2**n)`` contiguous
+        work in all, summed in a different order than the table's
+        matrix product (equal to within float round-off).
+        """
+        num_facts = self.num_facts
+        if num_facts <= TRUTH_TABLE_MAX_FACTS:
+            return self._probs @ truth_table(num_facts)
+        marginals = np.empty(num_facts)
+        rest = self._probs
+        for position in reversed(range(num_facts)):
+            low, high = rest.reshape(2, -1)
+            marginals[position] = high.sum()
+            rest = low + high
+        return marginals
 
     def map_observation(self) -> int:
         """Index of the most probable observation ``o*`` (paper Eq. 20)."""
@@ -252,12 +301,14 @@ class BeliefState:
 
     def map_labels(self) -> dict[int, bool]:
         """Finalized labels ``{fact_id: truth}`` from the MAP observation
-        (memoized; every call returns a fresh dict)."""
+        (memoized; every call returns a fresh dict).  Read off the
+        observation index's bits, so no group size builds a truth table
+        for them."""
         labels = self._labels_memo
         if labels is None:
-            assignment = self.map_assignment()
+            index = self.map_observation()
             labels = self._labels_memo = {
-                fact.fact_id: bool(assignment[position])
+                fact.fact_id: bool((index >> position) & 1)
                 for position, fact in enumerate(self._facts)
             }
         return dict(labels)

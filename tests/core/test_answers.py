@@ -190,8 +190,18 @@ class TestPatternMarginal:
     def test_empty_query(self, table1_belief):
         assert np.allclose(pattern_marginal(table1_belief, []), [1.0])
 
+    def test_repeated_fact_rejected(self, table1_belief):
+        with pytest.raises(ValueError, match="repeats a fact"):
+            pattern_marginal(table1_belief, [2, 2])
+
 
 class TestFamilyDistribution:
+    def test_repeated_fact_rejected(self, table1_belief, two_experts):
+        with pytest.raises(ValueError, match="repeats a fact"):
+            family_distribution(table1_belief, [3, 1, 3], two_experts)
+        with pytest.raises(ValueError, match="repeats a fact"):
+            family_distribution(table1_belief, [3, 3], Crowd([]))
+
     def test_matches_enumeration(self, table1_belief, two_experts):
         """The einsum enumeration must match the definitional one."""
         fast = np.sort(

@@ -107,6 +107,12 @@ class TestConditionalEntropy:
         naive = conditional_entropy_naive(table1_belief, query, two_experts)
         assert fast == pytest.approx(naive, abs=1e-9)
 
+    def test_repeated_fact_rejected(self, table1_belief, two_experts):
+        """No answer set can hold a fact twice, so a query set that
+        repeats one has no Eq. 34 value to score."""
+        with pytest.raises(ValueError, match="repeats a fact"):
+            conditional_entropy(table1_belief, [2, 2], two_experts)
+
     def test_empty_query_returns_prior(self, table1_belief, two_experts):
         assert conditional_entropy(
             table1_belief, [], two_experts

@@ -7,7 +7,10 @@ from repro.core import (
     BeliefState,
     FactSet,
     FactoredBelief,
+    GroupTooLargeError,
+    SparseBeliefState,
     observation_index,
+    sparse_from_marginals,
     truth_table,
 )
 
@@ -41,6 +44,51 @@ class TestTruthTable:
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
+            truth_table(25)
+
+
+class TestGroupSizeCap:
+    """Every state constructor refuses a group past the 24-fact cap
+    before it allocates: a 25-fact dense belief would need 256 MiB."""
+
+    CONSTRUCTORS = {
+        "init": lambda facts: BeliefState(facts, np.ones(2)),
+        "uniform": BeliefState.uniform,
+        "point_mass": lambda facts: BeliefState.point_mass(
+            facts, [True] * len(facts)
+        ),
+        "from_mapping": lambda facts: BeliefState.from_mapping(facts, {}),
+        "from_marginals": lambda facts: BeliefState.from_marginals(
+            facts, [0.5] * len(facts)
+        ),
+        "from_normalized": lambda facts: BeliefState.from_normalized(
+            facts, np.ones(2)
+        ),
+        "sparse_init": lambda facts: SparseBeliefState(
+            facts, np.ones(2), epsilon=0.1
+        ),
+        "from_support": lambda facts: SparseBeliefState.from_support(
+            facts, np.array([0]), np.array([1.0]), 0.1
+        ),
+        "sparse_from_marginals": lambda facts: sparse_from_marginals(
+            facts, [0.5] * len(facts), 0.1
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_25_facts_refused(self, name):
+        facts = FactSet.from_ids(range(100, 125))
+        with pytest.raises(GroupTooLargeError, match="too large") as caught:
+            self.CONSTRUCTORS[name](facts)
+        assert "2**25 x 8 bytes = 256 MiB" in str(caught.value)
+
+    def test_cost_grows_with_the_group(self):
+        with pytest.raises(GroupTooLargeError, match="8,192 MiB"):
+            BeliefState.uniform(FactSet.from_ids(range(30)))
+
+    def test_is_a_value_error(self):
+        assert issubclass(GroupTooLargeError, ValueError)
+        with pytest.raises(GroupTooLargeError):
             truth_table(25)
 
 

@@ -1,0 +1,261 @@
+"""The dense belief kernels against their truth-table reference.
+
+Groups above ``TRUTH_TABLE_MAX_FACTS`` facts contract the probability
+tensor over its bit axes instead of walking ``truth_table(n)``.  The
+contract, checked here against the verbatim formulas in
+``truth_tables.py`` at every group size from 0 to 14 facts, with
+shuffled non-contiguous fact ids and query sets in any order:
+
+* answer-set, log and family likelihoods and ``update_with_family``
+  posteriors are bit-identical (each row multiplies or adds the same
+  factors in the same order);
+* marginals and pattern marginals are bit-identical up to the cut and
+  within ``RTOL``/``ATOL`` above it, where the sums reassociate;
+* sparse states keep their own branch;
+* ``family_distribution``'s memoised einsum plan gives the bits that
+  planning on every call gave.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    AnswerFamily,
+    AnswerSet,
+    BeliefState,
+    Crowd,
+    FactSet,
+    SparseBeliefState,
+    Worker,
+    answer_set_likelihood,
+    family_distribution,
+    family_likelihood,
+    log_answer_set_likelihood,
+    log_family_likelihood,
+    pattern_marginal,
+    update_with_family,
+    worker_response_matrix,
+)
+from repro.core import observations
+from repro.core.observations import TRUTH_TABLE_MAX_FACTS
+
+from . import truth_tables as reference
+
+#: Tolerance for reassociated sums of non-negative probabilities above
+#: the cut, fixed before measuring: the sums are of at most 2**14
+#: terms, so even sequential summation stays within ~2**13 ulps.
+RTOL = 1e-12
+ATOL = 1e-15
+
+MAX_FACTS = 14
+
+
+@st.composite
+def dense_beliefs(draw, min_facts: int = 0):
+    """A dense belief over 0..14 facts with shuffled, non-contiguous ids
+    and a joint that mixes exact zeros with a wide dynamic range; about
+    half the draws fall on each side of the cut."""
+    num_facts = draw(
+        st.one_of(
+            st.integers(min_facts, TRUTH_TABLE_MAX_FACTS),
+            st.integers(TRUTH_TABLE_MAX_FACTS + 1, MAX_FACTS),
+        )
+    )
+    fact_ids = draw(
+        st.lists(
+            st.integers(0, 10_000),
+            min_size=num_facts,
+            max_size=num_facts,
+            unique=True,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << num_facts
+    weights = rng.random(size) ** draw(st.sampled_from([1.0, 8.0, 40.0]))
+    weights[rng.random(size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    weights[rng.integers(size)] += 1.0  # never all zero
+    return BeliefState(FactSet.from_ids(fact_ids), weights)
+
+
+def query_of(draw, belief: BeliefState, min_size: int = 1) -> list[int]:
+    """1..n of the belief's fact ids, in any order."""
+    fact_ids = [fact.fact_id for fact in belief.facts]
+    return draw(
+        st.permutations(fact_ids).flatmap(
+            lambda order: st.integers(min_size, len(order)).map(
+                lambda size: order[:size]
+            )
+        )
+    )
+
+
+@st.composite
+def beliefs_with_families(draw, accuracies=st.floats(0.0, 1.0)):
+    belief = draw(dense_beliefs(min_facts=1))
+    query = query_of(draw, belief)
+    num_workers = draw(st.integers(1, 3))
+    answer_sets = []
+    for index in range(num_workers):
+        worker = Worker(f"w{index}", draw(accuracies))
+        answers = {fact_id: draw(st.booleans()) for fact_id in query}
+        answer_sets.append(AnswerSet(worker=worker, answers=answers))
+    return belief, AnswerFamily(answer_sets=tuple(answer_sets))
+
+
+def assert_sums_match(actual: np.ndarray, expected: np.ndarray, num_facts):
+    if num_facts <= TRUTH_TABLE_MAX_FACTS:
+        assert np.array_equal(actual, expected)
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_beliefs())
+def test_marginals(belief):
+    expected = reference.marginals(belief)
+    actual = belief.marginals()
+    assert actual.shape == expected.shape
+    assert_sums_match(actual, expected, belief.num_facts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pattern_marginal(data):
+    belief = data.draw(dense_beliefs(min_facts=1))
+    query = query_of(data.draw, belief)
+    expected = reference.pattern_marginal(belief, query)
+    actual = pattern_marginal(belief, query)
+    assert actual.shape == expected.shape
+    assert_sums_match(actual, expected, belief.num_facts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(beliefs_with_families())
+def test_likelihoods_bit_identical(case):
+    belief, family = case
+    for answer_set in family:
+        assert np.array_equal(
+            answer_set_likelihood(belief, answer_set),
+            reference.answer_set_likelihood(belief, answer_set),
+        )
+        assert np.array_equal(
+            log_answer_set_likelihood(belief, answer_set),
+            reference.log_answer_set_likelihood(belief, answer_set),
+        )
+    assert np.array_equal(
+        family_likelihood(belief, family),
+        reference.family_likelihood(belief, family),
+    )
+    assert np.array_equal(
+        log_family_likelihood(belief, family),
+        reference.log_family_likelihood(belief, family),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(beliefs_with_families(accuracies=st.floats(0.05, 0.95)))
+def test_posteriors_bit_identical(case):
+    belief, family = case
+    assert np.array_equal(
+        update_with_family(belief, family).probabilities,
+        reference.update_with_family(belief, family).probabilities,
+    )
+
+
+def test_log_fallback_posterior_bit_identical():
+    """A 30-worker panel of near-perfect workers split 16 against 14
+    over all 14 facts underflows the linear product everywhere, so the
+    update takes the log-space branch; both kernels agree there too."""
+    num_facts = 14
+    rng = np.random.default_rng(7)
+    facts = FactSet.from_ids(rng.permutation(np.arange(100, 100 + num_facts)))
+    belief = BeliefState(facts, rng.dirichlet(np.ones(1 << num_facts)))
+    answer_sets = tuple(
+        AnswerSet(
+            worker=Worker(f"w{index}", 0.9999),
+            answers={fact.fact_id: index < 16 for fact in facts},
+        )
+        for index in range(30)
+    )
+    family = AnswerFamily(answer_sets=answer_sets)
+    assert not np.any(reference.family_likelihood(belief, family) > 0.0)
+    assert np.array_equal(
+        update_with_family(belief, family).probabilities,
+        reference.update_with_family(belief, family).probabilities,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_family_distribution_plan(data):
+    belief = data.draw(dense_beliefs(min_facts=1))
+    query = query_of(data.draw, belief)[:4]
+    accuracies = data.draw(
+        st.lists(st.floats(0.5, 1.0), min_size=1, max_size=5)
+    )
+    experts = Crowd.from_accuracies(accuracies, prefix="e")
+    if len(query) * len(experts) > 22:
+        query = query[: 22 // len(experts)]
+    marginal = pattern_marginal(belief, query)
+    responses = [
+        worker_response_matrix(len(query), accuracy) for accuracy in accuracies
+    ]
+    assert np.array_equal(
+        family_distribution(belief, query, experts),
+        reference.family_distribution(marginal, responses),
+    )
+
+
+@pytest.mark.parametrize("num_facts", [5, 12])
+def test_sparse_states_keep_their_branch(num_facts, monkeypatch):
+    """Sparse beliefs never reach the dense table or contraction."""
+    rng = np.random.default_rng(num_facts)
+    facts = FactSet.from_ids(range(num_facts))
+    weights = rng.random(1 << num_facts)
+    weights[weights < 0.5] = 0.0
+    sparse = SparseBeliefState(facts, weights, epsilon=0.0)
+    dense = BeliefState(facts, weights)
+    expected_pattern = pattern_marginal(dense, [3, 0, 4])
+    expected_marginals = dense.marginals()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse belief took the dense branch")
+
+    monkeypatch.setattr(observations, "truth_table", refuse)
+    monkeypatch.setattr("repro.core.answers.truth_table", refuse)
+    np.testing.assert_allclose(
+        pattern_marginal(sparse, [3, 0, 4]), expected_pattern,
+        rtol=RTOL, atol=ATOL,
+    )
+    np.testing.assert_allclose(
+        sparse.marginals(), expected_marginals, rtol=RTOL, atol=ATOL
+    )
+    assert "_probs" not in sparse.__dict__
+
+
+@pytest.mark.parametrize("num_facts", [11, 18])
+def test_large_groups_never_build_the_truth_table(num_facts, monkeypatch):
+    rng = np.random.default_rng(num_facts)
+    facts = FactSet.from_ids(range(num_facts))
+    belief = BeliefState(facts, rng.dirichlet(np.ones(1 << num_facts)))
+    experts = Crowd.from_accuracies([0.92, 0.95], prefix="e")
+    family = AnswerFamily(
+        answer_sets=tuple(
+            AnswerSet(worker=worker, answers={1: True, 7: False, 4: True})
+            for worker in experts
+        )
+    )
+
+    def refuse(size):
+        raise AssertionError(f"truth_table({size}) called")
+
+    monkeypatch.setattr(observations, "truth_table", refuse)
+    monkeypatch.setattr("repro.core.answers.truth_table", refuse)
+    belief.marginals()
+    pattern_marginal(belief, [7, 1, 4])
+    update_with_family(belief, family)
+    belief.map_labels()
