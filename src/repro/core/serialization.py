@@ -97,14 +97,21 @@ def _require(payload: dict, key: str) -> Any:
         raise SerializationError(f"missing field {key!r}") from None
 
 
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer.  ``bool`` subclasses
+    ``int``, but ``true`` is neither a version nor a sequence number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_version(payload: dict) -> int:
     """Validate a payload's ``version`` tag (missing == version 1).
 
     Returns the version; raises :class:`SerializationError` for
-    payloads written by a newer (or unknown) format.
+    payloads written by a newer (or unknown) format, and for versions
+    that are not integers.
     """
     version = payload.get("version", 1) if isinstance(payload, dict) else 1
-    if not isinstance(version, int) or version not in SUPPORTED_VERSIONS:
+    if not _is_int(version) or version not in SUPPORTED_VERSIONS:
         raise SerializationError(
             f"unsupported payload version {version!r} "
             f"(this build reads {sorted(SUPPORTED_VERSIONS)})"
@@ -195,6 +202,83 @@ def factored_belief_to_dict(belief: FactoredBelief) -> dict:
         "version": FORMAT_VERSION,
         "groups": [belief_state_to_dict(group) for group in belief],
     }
+
+
+class EncodedJSON:
+    """JSON text standing in for a member value of a record passed to
+    :func:`encode_record`.  No decoded JSON value is an instance, so it
+    can never be mistaken for record content."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_SEPARATORS = (",", ":")
+
+
+def encode_record(record: dict) -> str:
+    """``record`` as compact JSON text.
+
+    The text is ``json.dumps(record, separators=(",", ":"))``, except
+    that a member whose value is an :class:`EncodedJSON` contributes
+    that text verbatim.  The encoding is compositional (an object is
+    its members' key and value texts joined in order), so a value
+    encoded once and kept stands in exactly for encoding it again.
+    Members are spliced at the top level only; nest by encoding the
+    inner object first.
+    """
+    if not any(type(value) is EncodedJSON for value in record.values()):
+        return json.dumps(record, separators=_SEPARATORS)
+    # Each run of plain members between spliced ones is encoded as one
+    # object, braces dropped: one json.dumps call per run, not per member.
+    members: list[str] = []
+    run: dict = {}
+    for key, value in record.items():
+        if type(value) is not EncodedJSON:
+            run[key] = value
+            continue
+        if run:
+            members.append(json.dumps(run, separators=_SEPARATORS)[1:-1])
+            run = {}
+        members.append(json.dumps(key) + ":" + value.text)
+    if run:
+        members.append(json.dumps(run, separators=_SEPARATORS)[1:-1])
+    return "{" + ",".join(members) + "}"
+
+
+class BeliefTextCache:
+    """The JSON text of a factored belief, kept per group.
+
+    A checkpoint serializes the whole belief, but a checking round
+    replaces only the groups it queried.  Each group's text is kept
+    with the (immutable) state it encodes, keyed by group index, so
+    :meth:`encode` formats only the groups whose state object changed
+    since the last call — the :class:`~repro.core.hc.RoundScoreboard`
+    pattern.  The journaling session owns one; keeping the text on the
+    states themselves instead would pin it to every state anything
+    still references.
+    """
+
+    def __init__(self) -> None:
+        self._states: list[BeliefState | None] = []
+        self._texts: list[str] = []
+
+    def encode(self, belief: FactoredBelief) -> EncodedJSON:
+        """``factored_belief_to_dict(belief)`` as compact JSON text."""
+        states, texts = self._states, self._texts
+        for group_index, state in enumerate(belief):
+            if group_index == len(states):
+                states.append(None)
+                texts.append("")
+            if states[group_index] is not state:
+                states[group_index] = state
+                texts[group_index] = encode_record(belief_state_to_dict(state))
+        groups = EncodedJSON("[" + ",".join(texts) + "]")
+        return EncodedJSON(
+            encode_record({"version": FORMAT_VERSION, "groups": groups})
+        )
 
 
 def factored_belief_from_dict(payload: dict) -> FactoredBelief:
@@ -489,8 +573,8 @@ def load_run_result(path: str | Path) -> RunResult:
 #
 # Since format version 8 every line additionally carries the integrity
 # framing: a ``"_seq"`` field (0 on the header, +1 per record) and a
-# trailing ``"_crc"`` field holding the CRC32 (hex) of the line with
-# the ``"_crc"`` entry removed.  Framing makes interior damage —
+# trailing ``"_crc"`` field holding the CRC32 (hex) of the line's bytes
+# before that field, closed with ``}``.  Framing makes interior damage —
 # bit-flips, dropped lines, duplicated lines — *detectable*;
 # :mod:`repro.storage.integrity` turns detection into recovery.
 # Framed journals are still plain JSONL and :func:`read_journal`
@@ -518,41 +602,55 @@ def invalidate_journal_cache(path: str | Path) -> None:
     _SEQ_CACHE.pop(str(Path(path)), None)
 
 
+#: Start of the fixed ``,"_crc":"xxxxxxxx"}`` tail of a framed line.
+_CRC_PREFIX = b',"_crc":"'
+_CRC_TAIL_LENGTH = len(_CRC_PREFIX) + 8 + len(b'"}')
+
+
 def frame_journal_line(record: dict, seq: int) -> str:
     """``record`` as a v8-framed JSONL line (no trailing newline).
 
-    The CRC is computed over the serialized line *without* the
-    ``"_crc"`` entry, then spliced in as the final key — verification
-    re-serializes the parsed line minus ``"_crc"`` and compares, which
-    round-trips exactly for self-produced lines (``json`` preserves key
-    order and emits canonical shortest-round-trip numbers).
+    The body is the record's compact JSON (:func:`encode_record`, so
+    :class:`EncodedJSON` members splice in) with ``"_seq"`` appended
+    as its last member.  The CRC32 of the body's bytes is then written
+    as 8 lowercase hex digits in a final ``"_crc"`` member, so the
+    line is the body minus its closing ``}`` followed by the fixed
+    ``,"_crc":"xxxxxxxx"}`` tail.  :func:`verify_framed_record` checks
+    exactly those bytes.  ``record`` must have at least one member and
+    no frame fields.
     """
-    body = dict(record)
-    body["_seq"] = int(seq)
-    payload = json.dumps(body, separators=(",", ":"))
+    payload = f'{encode_record(record)[:-1]},"_seq":{int(seq)}}}'
     crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
     return f'{payload[:-1]},"_crc":"{crc:08x}"}}'
 
 
-def verify_framed_record(record: dict) -> str | None:
-    """Check one parsed framed record; ``None`` if intact.
+def verify_framed_record(line: bytes, record: dict) -> str | None:
+    """Check one framed journal line; ``None`` if intact.
 
-    Returns a damage kind (``"unframed"`` / ``"crc_mismatch"``) when
-    the framing is missing or the CRC does not cover the line's
-    current content — the signature of an interior bit-flip.
+    ``line`` is the raw line without its newline and ``record`` what
+    it parsed to.  Returns ``"unframed"`` when the record lacks an
+    integer ``"_seq"`` or a string ``"_crc"``, and ``"crc_mismatch"``
+    when the line does not end in the fixed ``,"_crc":"xxxxxxxx"}``
+    tail (8 lowercase hex digits, ``"_crc"`` last) or those digits are
+    not the CRC32 of the bytes before the tail plus ``}`` — the bytes
+    :func:`frame_journal_line` covered.  The check reads the line's own
+    bytes, never a re-encoding of ``record``, so any changed byte is a
+    mismatch, even one that parses to the same value (``1e-05`` read as
+    ``1E-05``).
     """
-    crc_text = record.get("_crc")
-    if not isinstance(crc_text, str) or not isinstance(
-        record.get("_seq"), int
+    if not isinstance(record.get("_crc"), str) or not _is_int(
+        record.get("_seq")
     ):
         return "unframed"
-    body = {key: value for key, value in record.items() if key != "_crc"}
-    payload = json.dumps(body, separators=(",", ":"))
-    try:
-        expected = int(crc_text, 16)
-    except ValueError:
+    body_end = len(line) - _CRC_TAIL_LENGTH
+    if (
+        body_end < 0
+        or line[body_end : body_end + len(_CRC_PREFIX)] != _CRC_PREFIX
+        or line[-2:] != b'"}'
+    ):
         return "crc_mismatch"
-    if (zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF) != expected:
+    crc = zlib.crc32(b"}", zlib.crc32(memoryview(line)[:body_end]))
+    if line[-10:-2] != b"%08x" % crc:
         return "crc_mismatch"
     return None
 
@@ -614,7 +712,8 @@ def append_journal_record(path: str | Path, record: dict) -> None:
     returning, so at most the final in-flight line can be lost to a
     crash — and a completed append survives power loss, not just a
     process kill.  On v8 journals the line carries the integrity
-    framing (see :func:`frame_journal_line`).
+    framing (see :func:`frame_journal_line`).  Member values may be
+    :class:`EncodedJSON` text (see :func:`encode_record`).
 
     Transient storage faults retry with backoff after rolling the file
     back to its pre-append size; non-transient faults and exhausted
@@ -635,7 +734,7 @@ def append_journal_record(path: str | Path, record: dict) -> None:
     line = (
         frame_journal_line(record, seq)
         if seq is not None
-        else json.dumps(record, separators=(",", ":"))
+        else encode_record(record)
     )
     size = _durable_append(path, (line + "\n").encode("utf-8"))
     _SEQ_CACHE[str(path)] = (size, seq + 1 if seq is not None else None)
@@ -829,13 +928,16 @@ def read_journal(path: str | Path) -> list[dict]:
     records: list[dict] = []
     raw = path.read_bytes()
     try:
-        lines = raw.decode("utf-8").splitlines()
+        raw.decode("utf-8")
     except UnicodeDecodeError as error:
         # A bit-flip in a high bit leaves invalid UTF-8 — corruption,
         # not a programming error.
         raise SerializationError(
             f"corrupt journal {path}: {error}"
         ) from error
+    # Lines are split as bytes, as verify_journal splits them, so each
+    # framed line's CRC is checked over the bytes on disk.
+    lines = raw.splitlines()
     # An unterminated final line is torn even when the cut happened to
     # land right on the record's closing brace — repair_journal and
     # verify_journal drop it, so the reader must agree.
@@ -849,7 +951,7 @@ def read_journal(path: str | Path) -> list[dict]:
             break
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             if index == len(lines) - 1:
                 break  # torn final write from a crash; ignore
             raise SerializationError(
@@ -867,17 +969,21 @@ def read_journal(path: str | Path) -> list[dict]:
             # reject the reserved keys).  A single bit-flip can erase
             # one signal but not both, so header damage reads as
             # corruption instead of quietly demoting the journal to
-            # unverifiable legacy.  Unsupported versions without frame
-            # fields stay unframed so the post-loop version validation
-            # raises the accurate error.
+            # unverifiable legacy.  Unsupported (or non-integer)
+            # versions without frame fields stay unframed so the
+            # post-loop version validation raises the accurate error.
             version = record.get("version", 1)
             framed = (
-                (version in SUPPORTED_VERSIONS and version >= 8)
+                (
+                    _is_int(version)
+                    and version in SUPPORTED_VERSIONS
+                    and version >= 8
+                )
                 or "_seq" in record
                 or "_crc" in record
             )
         if framed:
-            damage = verify_framed_record(record)
+            damage = verify_framed_record(line, record)
             if damage is not None:
                 raise SerializationError(
                     f"corrupt journal line {index + 1}: {damage}"

@@ -577,15 +577,23 @@ class OnlineCheckingSession:
         cost model) are supplied again at restore time — they are code,
         not state.
         """
-        from ..core.serialization import (
-            FORMAT_VERSION,
-            factored_belief_to_dict,
-            round_record_to_dict,
+        from ..core.serialization import factored_belief_to_dict
+
+        return self.checkpoint_with_belief(
+            factored_belief_to_dict(self._belief)
         )
+
+    def checkpoint_with_belief(self, belief) -> dict:
+        """:meth:`to_checkpoint` with ``belief`` as its ``"belief"``
+        value.  A journaling session passes the belief as already
+        encoded text (:class:`~repro.core.serialization.EncodedJSON`)
+        built from per-group fragments, so it formats only the groups
+        a round changed."""
+        from ..core.serialization import FORMAT_VERSION, round_record_to_dict
 
         return {
             "version": FORMAT_VERSION,
-            "belief": factored_belief_to_dict(self._belief),
+            "belief": belief,
             "budget_total": self._budget.total,
             "budget_spent": self._budget.spent,
             "k": self._k,

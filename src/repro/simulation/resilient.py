@@ -49,10 +49,13 @@ from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import Selector
 from ..core.serialization import (
     FORMAT_VERSION,
+    BeliefTextCache,
+    EncodedJSON,
     SerializationError,
     append_journal_record,
     crowd_from_dict,
     crowd_to_dict,
+    encode_record,
     fault_event_from_dict,
     fault_event_to_dict,
     read_journal,
@@ -299,6 +302,7 @@ class ResilientCheckingSession:
         self._round_events: list[FaultEvent] = []
         self._halted = False
         self._pending_source_state: dict | None = None
+        self._belief_text = BeliefTextCache()
         #: Every incident survived so far, in order of occurrence.
         self.incidents: list[FaultEvent] = []
 
@@ -1001,7 +1005,7 @@ class ResilientCheckingSession:
     def _write_checkpoint(self, answer_source) -> None:
         record: dict = {
             "kind": "checkpoint",
-            "session": self._inner.to_checkpoint(),
+            "session": self._session_text(),
             "panel": crowd_to_dict(self._inner.experts),
             "reserve": crowd_to_dict(Crowd(self._reserve)),
             "attempt": self._attempt,
@@ -1021,6 +1025,16 @@ class ResilientCheckingSession:
         if self._checkpoint_extras is not None:
             record["stream"] = self._checkpoint_extras()
         append_journal_record(self._journal_path, record)
+
+    def _session_text(self) -> EncodedJSON:
+        """The inner session's checkpoint as JSON text, its belief
+        assembled from the per-group text cache: a checkpoint formats
+        only the groups changed since the previous one.  The bytes equal
+        those of encoding ``to_checkpoint()``."""
+        payload = self._inner.checkpoint_with_belief(
+            self._belief_text.encode(self._inner.belief)
+        )
+        return EncodedJSON(encode_record(payload))
 
     def rewind_source(self, answer_source) -> None:
         """Apply the journaled answer-source state immediately.

@@ -39,8 +39,9 @@ Damage kinds
     An interior line is not valid JSON (bit-flip in a structural
     character).
 ``crc_mismatch``
-    A framed line parses but its CRC does not cover its content
-    (bit-flip in a value).
+    A framed line parses but its CRC does not cover its bytes
+    (bit-flip in a value, even one that parses to the same value), or
+    its ``"_crc"`` is not the final 8 lowercase hex digits.
 ``seq_gap`` / ``seq_duplicate``
     A framed line's sequence number skips ahead (a dropped line) or
     repeats (a duplicated line).
@@ -63,6 +64,7 @@ from pathlib import Path
 from ..core.serialization import (
     SUPPORTED_VERSIONS,
     _fsync_directory,
+    _is_int,
     invalidate_journal_cache,
     repair_journal,
     strip_frame,
@@ -209,7 +211,7 @@ def verify_journal(path: str | Path) -> JournalDamageReport:
             else:
                 head_version = record.get("version", 1)
                 if (
-                    not isinstance(head_version, int)
+                    not _is_int(head_version)
                     or head_version not in SUPPORTED_VERSIONS
                 ):
                     problem = JournalDamage(
@@ -221,7 +223,7 @@ def verify_journal(path: str | Path) -> JournalDamageReport:
                     version = head_version
                     framed = framed or head_version >= 8
         if problem is None and framed:
-            framing = verify_framed_record(record)
+            framing = verify_framed_record(line.rstrip(b"\r\n"), record)
             if framing is not None:
                 problem = JournalDamage(line_no, "crc_mismatch", framing)
             else:

@@ -333,6 +333,27 @@ class TestJournal:
         with pytest.raises(SerializationError, match="version"):
             read_journal(path)
 
+    @pytest.mark.parametrize("version", ["[8]", '{"v": 8}', "true"])
+    def test_journal_rejects_non_integer_versions(self, tmp_path, version):
+        # regression: a list or object version raised a bare TypeError
+        # (unhashable) from the framing test, and ``true`` read as v1
+        from repro.core import read_journal
+
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            f'{{"kind": "header", "version": {version}}}\n'
+            '{"kind": "checkpoint"}\n'
+        )
+        with pytest.raises(SerializationError, match="version"):
+            read_journal(path)
+
+    def test_check_version_rejects_bool(self):
+        # ``bool`` subclasses ``int``: ``true`` used to pass as version 1
+        from repro.core.serialization import check_version
+
+        with pytest.raises(SerializationError, match="version"):
+            check_version({"version": True})
+
 
 class TestAtomicWriteJson:
     def test_writes_readable_json(self, tmp_path):

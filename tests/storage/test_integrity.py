@@ -6,14 +6,16 @@ verdict and the :func:`~repro.storage.integrity.recover_journal`
 salvage against the contract: framed journals are truncated to the
 longest verified prefix with the original bytes preserved in a
 ``.damaged`` sidecar (torn tails excepted), legacy journals are
-trim-tail-only.  The two header cases at the bottom are regressions
-found by the soak harness: a single bit-flip in the header's own
-``_seq`` or ``version`` key must read as corruption, never demote the
-journal to unverifiable legacy.
+trim-tail-only.  The two header-flip cases are regressions found by
+the soak harness: a single bit-flip in the header's own ``_seq`` or
+``version`` key must read as corruption, never demote the journal to
+unverifiable legacy.  The same-value flips and CRC-tail cases pin that
+the CRC is checked over each line's own bytes.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 
@@ -66,6 +68,14 @@ class TestVerify:
     def test_unsupported_version_is_bad_header(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text('{"kind": "header", "version": 99}\n')
+        report = verify_journal(path)
+        assert [d.kind for d in report.damage] == ["bad_header"]
+        assert report.verified_records == 0
+
+    def test_boolean_version_is_bad_header(self, tmp_path):
+        # regression: ``bool`` subclasses ``int``, so ``true`` read as v1
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"kind": "header", "version": true}\n')
         report = verify_journal(path)
         assert [d.kind for d in report.damage] == ["bad_header"]
         assert report.verified_records == 0
@@ -184,6 +194,115 @@ class TestHeaderFlipRegressions:
         assert not report.clean
         assert report.damage[0].line == 1
         assert report.verified_records == 0
+
+
+def _rewrite_line(path, raw, index, line: bytes) -> None:
+    lines = raw.splitlines(keepends=True)
+    lines[index] = line + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+class TestSameValueFlips:
+    """One flipped bit that leaves the line parsing to the same record.
+
+    Both flips below re-encode to the original bytes, so a CRC over a
+    re-encoding of the parsed record called them clean and the flipped
+    byte stayed in the prefix recovery keeps.  The CRC is now checked
+    over the line's own bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "original, flipped",
+        [(b"1.25e-05", b"1.25E-05"), (b"\\u00e9", b"\\u00E9")],
+        ids=["float-exponent", "escape-hex-digit"],
+    )
+    def test_flip_reads_as_crc_mismatch(self, tmp_path, original, flipped):
+        path = tmp_path / "tenant" / "run.jsonl"
+        records = [
+            {"kind": "header", "version": 8},
+            {"kind": "round", "rate": 1.25e-05, "note": "café"},
+            {"kind": "checkpoint", "index": 2},
+        ]
+        for record in records:
+            append_journal_record(path, record)
+        raw = path.read_bytes()
+        lines = raw.splitlines(keepends=True)
+        assert lines[1].count(original) == 1
+        damaged = raw.replace(original, flipped)
+        changed = [a ^ b for a, b in zip(raw, damaged) if a != b]
+        assert changed == [0x20], "a single flipped bit"
+        assert json.loads(damaged.splitlines()[1]) == json.loads(lines[1])
+        path.write_bytes(damaged)
+        report = verify_journal(path)
+        assert [d.kind for d in report.damage] == [
+            "crc_mismatch",
+            "unverified_suffix",
+        ]
+        assert report.damage[0].line == 2
+        with pytest.raises(SerializationError, match="crc_mismatch"):
+            read_journal(path)
+        recover_journal(path)
+        assert path.read_bytes() == lines[0]
+        assert read_journal(path) == records[:1]
+
+    def test_newline_flipped_to_vertical_tab_is_damage(self, tmp_path):
+        # regression: read_journal split decoded text on every Unicode
+        # line boundary, so "\n" -> "\x0b" still read as two intact
+        # lines while verify_journal reported a parse error
+        path, _, raw = _journal(tmp_path)
+        end_of_line_2 = raw.index(b"\n", raw.index(b"\n") + 1)
+        flipped = bytearray(raw)
+        flipped[end_of_line_2] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(SerializationError, match="line 2"):
+            read_journal(path)
+        assert verify_journal(path).damage[0].line == 2
+
+
+class TestCrcTail:
+    """The CRC must be the line's final member, as exactly 8 lowercase
+    hex digits; each rendering below parses to the right value but is
+    not what the writer produces."""
+
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda crc: "0" + crc,
+            lambda crc: "0x" + crc,
+            lambda crc: " " + crc,
+            str.upper,
+        ],
+        ids=["nine-digits", "hex-prefix", "padded", "uppercase"],
+    )
+    def test_malformed_crc_digits_are_a_mismatch(self, tmp_path, render):
+        path, _, raw = _journal(tmp_path)
+        line = raw.splitlines()[2]
+        crc = json.loads(line)["_crc"]
+        assert render(crc) != crc and int(render(crc), 16) == int(crc, 16)
+        _rewrite_line(
+            path, raw, 2,
+            line.replace(crc.encode(), render(crc).encode()),
+        )
+        report = verify_journal(path)
+        assert report.damage[0].kind == "crc_mismatch"
+        assert report.damage[0].line == 3
+        with pytest.raises(SerializationError, match="crc_mismatch"):
+            read_journal(path)
+
+    def test_crc_that_is_not_the_final_member_is_a_mismatch(self, tmp_path):
+        path, _, raw = _journal(tmp_path)
+        line = raw.splitlines()[2]
+        framed = json.loads(line)
+        moved = {"_crc": framed.pop("_crc"), **framed}
+        _rewrite_line(
+            path, raw, 2,
+            json.dumps(moved, separators=(",", ":")).encode(),
+        )
+        report = verify_journal(path)
+        assert report.damage[0].kind == "crc_mismatch"
+        assert report.damage[0].line == 3
+        with pytest.raises(SerializationError, match="crc_mismatch"):
+            read_journal(path)
 
 
 class TestDurability:

@@ -2,7 +2,8 @@
 
 The deeper counterpart of ``tests/core/test_journal_fuzz.py``: instead
 of crash truncation, these properties plant *storage*-grade damage —
-single bit-flips at arbitrary byte positions, re-framed sequence
+single bit-flips at arbitrary byte positions (even ones that leave the
+line parsing to the same record), re-framed sequence
 numbers with valid CRCs, redelivered (duplicated) line suffixes — and
 hold :func:`~repro.storage.integrity.recover_journal` to its contract:
 
@@ -49,9 +50,20 @@ journal_kinds = st.lists(st.sampled_from(BODY_KINDS), min_size=2, max_size=10)
 
 
 def _write_journal(path: Path, kinds, version: int = 8):
+    # The exponent float and the escaped non-ASCII text carry the flips
+    # that parse to the same record: ``e`` -> ``E`` in ``1.25e-05`` and
+    # the case of a hex digit in an escape (``\u00e9`` -> ``\u00E9``).
     records = [{"kind": "header", "version": version}]
     records += [
-        {"kind": kind, "index": index, "payload": {"value": index * 3}}
+        {
+            "kind": kind,
+            "index": index,
+            "payload": {
+                "value": index * 3,
+                "rate": 1.25e-05 * (index + 1),
+                "note": "café ÿ ꯍ",
+            },
+        }
         for index, kind in enumerate(kinds)
     ]
     for record in records:
