@@ -95,11 +95,28 @@ class Ebcc(Aggregator):
         responsibilities = class_post[:, :, None] * tilt / num_subtypes
         responsibilities /= responsibilities.sum(axis=(1, 2), keepdims=True)
 
+        # The two count updates below add one (class, subtype) cell at a
+        # time: a 1-D ``np.add.at`` per cell is numpy's fast indexed
+        # loop, where one call over mixed fancy indices and slices is
+        # its slowest path.  Each target element still receives the
+        # same operands in the same (answer) order, so every bit is
+        # unchanged; the cells live in (K, M, ...)-major arrays.
+        num_tasks, num_workers = matrix.num_tasks, matrix.num_workers
+        cells = [
+            (klass, subtype)
+            for klass in range(num_classes)
+            for subtype in range(num_subtypes)
+        ]
+        answer_cells = workers * num_classes + labels  # flat (j, label)
+        cell_prior = np.repeat(
+            confusion_prior[:, :, None, :], num_workers, axis=2
+        ).reshape(num_classes, num_subtypes, -1)
+        cell_counts = np.zeros_like(cell_prior)
+        counts = cell_counts.reshape(
+            num_classes, num_subtypes, num_workers, num_classes
+        )
         converged = False
         iteration = 0
-        confusion_counts = np.zeros(
-            (matrix.num_workers, num_classes, num_subtypes, num_classes)
-        )
         for iteration in range(1, self.max_iter + 1):
             class_marginal = responsibilities.sum(axis=2)  # (I, K)
 
@@ -114,23 +131,32 @@ class Ebcc(Aggregator):
             )
 
             # q(nu_j[k, m])
-            confusion_counts[:] = confusion_prior
-            np.add.at(
-                confusion_counts,
-                (workers, slice(None), slice(None), labels),
-                responsibilities[tasks],
-            )
-            expected_log_confusion = digamma(confusion_counts) - digamma(
-                confusion_counts.sum(axis=3, keepdims=True)
-            )
+            cell_counts[:] = cell_prior
+            for klass, subtype in cells:
+                np.add.at(
+                    cell_counts[klass, subtype],
+                    answer_cells,
+                    responsibilities[tasks, klass, subtype],
+                )
+            expected_log_confusion = (
+                digamma(counts) - digamma(counts.sum(axis=3, keepdims=True))
+            ).reshape(num_classes, num_subtypes, -1)
 
             # q(t_i, s_i)
-            log_resp = np.tile(
-                expected_log_rho[:, None] + expected_log_tau,
-                (matrix.num_tasks, 1, 1),
+            log_cells = np.repeat(
+                (expected_log_rho[:, None] + expected_log_tau)[:, :, None],
+                num_tasks,
+                axis=2,
             )
-            contributions = expected_log_confusion[workers, :, :, labels]
-            np.add.at(log_resp, tasks, contributions)
+            for klass, subtype in cells:
+                np.add.at(
+                    log_cells[klass, subtype],
+                    tasks,
+                    expected_log_confusion[klass, subtype][answer_cells],
+                )
+            # Back to (I, K, M) in C order: the axis=(1, 2) sums below
+            # round differently over a transposed view.
+            log_resp = np.ascontiguousarray(log_cells.transpose(2, 0, 1))
             log_resp -= log_resp.max(axis=(1, 2), keepdims=True)
             new_responsibilities = np.exp(log_resp)
             new_responsibilities /= new_responsibilities.sum(
@@ -145,6 +171,7 @@ class Ebcc(Aggregator):
                 converged = True
                 break
 
+        confusion_counts = np.ascontiguousarray(counts.transpose(2, 0, 1, 3))
         posteriors = responsibilities.sum(axis=2)
         posteriors /= posteriors.sum(axis=1, keepdims=True)
         mean_confusion = confusion_counts / confusion_counts.sum(

@@ -15,7 +15,8 @@ reservation/refund semantics:
   against the ledger);
 * :mod:`~repro.engine.partition` — deterministic group partitioning;
 * :mod:`~repro.engine.shards` — the shard worker state machine,
-  process/inline shard transports and :class:`ShardPool`;
+  process/inline shard transports, :class:`ShardPool` and
+  :class:`IdleWorkers` (worker processes kept between campaigns);
 * :mod:`~repro.engine.sharded` — :class:`ShardedSelector` (k-way gain
   merge of per-shard CELF selections) and :class:`ShardedUpdateEngine`
   (two-phase stage/commit belief updates);
@@ -61,6 +62,7 @@ _EXPORTS = {
     "ShardedSelector": "sharded",
     "ShardedUpdateEngine": "sharded",
     "merge_shard_selections": "sharded",
+    "IdleWorkers": "shards",
     "InlineShard": "shards",
     "ProcessShard": "shards",
     "ShardPool": "shards",
@@ -97,6 +99,7 @@ __all__ = [
     "BudgetLedger",
     "ChaosPlan",
     "ChaosTransport",
+    "IdleWorkers",
     "InlineShard",
     "KeyedExpertPanel",
     "LedgerBudget",

@@ -167,7 +167,9 @@ class ChaosTransport:
 
     The wrapper is transparent when no action fires, and the supervisor
     replaces it (not the inner transport) on respawn, feeding
-    ``command_offset`` so the shard's command count survives.
+    ``command_offset`` so the shard's command count survives.  A worker
+    that had a kill, hang or corrupt injected is destroyed on
+    :meth:`close`, so it never goes back to an idle set.
     """
 
     def __init__(self, inner, plan: ChaosPlan, shard_id: int,
@@ -178,6 +180,7 @@ class ChaosTransport:
         self.commands_seen = int(command_offset)
         self._action: str | None = None
         self._delay_until = 0.0
+        self._faulted = False
 
     @property
     def inner(self):
@@ -195,6 +198,7 @@ class ChaosTransport:
         action = self._plan.action_for(self.shard_id, self.commands_seen)
         self.commands_seen += 1
         self._action = action
+        self._faulted |= action in ("kill", "hang", "corrupt")
         if action == "hang":
             # Swallow the command entirely; the shard never sees it.
             return
@@ -272,4 +276,7 @@ class ChaosTransport:
         self._inner.destroy()
 
     def close(self) -> None:
-        self._inner.close()
+        if self._faulted:
+            self._inner.destroy()
+        else:
+            self._inner.close()

@@ -45,7 +45,7 @@ from ..simulation.resilient import ResilientCheckingSession
 from ..simulation.session import SessionConfig
 from .ledger import BudgetLedger, LedgerBudget
 from .sharded import ShardedSelector, ShardedUpdateEngine
-from .shards import ShardPool
+from .shards import IdleWorkers, ShardPool
 from .sources import KeyedExpertPanel, ShardedAnswerSource
 from .supervisor import SupervisionPolicy
 
@@ -86,6 +86,10 @@ class ParallelCampaignRunner:
         Extra metadata records journaled *before* the engine record
         (each needs a ``"kind"`` field).  The campaign service stores
         its ``{"kind": "tenant"}`` identity record here.
+    idle_workers:
+        Optional :class:`~repro.engine.shards.IdleWorkers` set the
+        pool adopts process workers from and releases them back to
+        (the campaign service passes its own).
     """
 
     def __init__(
@@ -103,6 +107,7 @@ class ParallelCampaignRunner:
         policy: SupervisionPolicy | None = None,
         chaos=None,
         extra_journal_records: Sequence[dict] = (),
+        idle_workers: IdleWorkers | None = None,
     ):
         self._dataset = dataset
         self._config = config or SessionConfig()
@@ -116,6 +121,7 @@ class ParallelCampaignRunner:
         self._policy = policy
         self._chaos = chaos
         self._extra_journal_records = list(extra_journal_records)
+        self._idle_workers = idle_workers
         #: Set by :meth:`prepare`: the campaign's budget ledger (inspect
         #: for reservation/commit accounting) and the shard count used.
         self.ledger: BudgetLedger | None = None
@@ -193,6 +199,7 @@ class ParallelCampaignRunner:
             start_method=self._start_method,
             policy=policy,
             chaos=self._chaos,
+            idle_workers=self._idle_workers,
         )
         self.jobs_used = pool.jobs
         try:
@@ -389,6 +396,7 @@ def resume_parallel_session(
     policy: SupervisionPolicy | None = None,
     supervision_overrides: dict | None = None,
     chaos=None,
+    idle_workers: IdleWorkers | None = None,
 ) -> tuple[ResilientCheckingSession, ShardPool]:
     """Restore a killed parallel campaign from its journal.
 
@@ -409,6 +417,10 @@ def resume_parallel_session(
     just failed.  Passing an explicit ``jobs`` discards the journaled
     layout and starts from a fresh balanced partition (equally correct:
     results are partition-independent).
+
+    ``idle_workers`` is an optional
+    :class:`~repro.engine.shards.IdleWorkers` set the pool adopts
+    process workers from and releases them back to.
 
     Returns ``(session, pool)``; call ``session.run(answer_source)`` to
     continue and close the pool afterwards (it is a context manager).
@@ -468,6 +480,7 @@ def resume_parallel_session(
         chaos=chaos,
         partition=partition,
         degraded=degraded,
+        idle_workers=idle_workers,
     )
     tracker = LedgerBudget(
         float(header["budget_total"]), ledger=ledger, cost_model=cost_model

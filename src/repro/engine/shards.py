@@ -20,6 +20,9 @@ a tiny command protocol:
     invalidate exactly the updated groups' selector caches.
 ``replace_experts``, ``sync_groups``, ``stats``, ``close``
     Panel swaps, resume re-sync, work counters, shutdown.
+``release``
+    The end of a campaign on a worker that is kept for the next one
+    (see :class:`IdleWorkers`).
 ``collect`` / ``collect_scatter``
     Sharded answer collection.  ``collect`` answers the shard-owned
     subset of a broadcast query set from the replica's own ask
@@ -37,6 +40,15 @@ no inherited locks or RNG state; everything crosses the pipe pickled).
 :class:`ShardPool` owns one transport per shard and the broadcast /
 gather helpers the coordinator uses.
 
+A process worker outlives its campaign when the pool is given an
+:class:`IdleWorkers` set: a clean close *releases* the worker (it drops
+its :class:`ShardState` and waits for the next init frame) and the next
+pool on the same set adopts it instead of spawning a new interpreter.
+Reuse cannot change a result: every :class:`ShardState` is rebuilt from
+its init frame, and the module-level caches a worker keeps between
+campaigns (truth tables, einsum plans, Hamming matrices, response
+tables) are pure functions of their arguments.
+
 Both transports expose a *supervisable* surface — non-blocking
 ``poll(timeout)`` / raw ``take_reply()`` / ``is_alive()`` /
 ``destroy()`` — in addition to the legacy blocking
@@ -51,6 +63,7 @@ inline execution once the restart budget runs out.
 from __future__ import annotations
 
 import copy
+import gc
 import multiprocessing
 import pickle
 import time
@@ -530,44 +543,160 @@ def _load_shared_payload(ref: tuple):
         segment.close()
 
 
-def _shard_main(connection) -> None:
-    """Child-process entry point: build the state, serve commands.
+#: The frame that ends a campaign on a worker kept for the next one:
+#: the worker drops its :class:`ShardState` and waits for an init frame.
+_RELEASE = "release"
 
-    Module-level so the spawn start method can pickle it; the first
-    frame carries the shared-payload reference plus the shard's own
-    slice, every later frame is ``(command, payload)`` answered with
-    ``("ok", result)`` or ``("error", exception)``.  All frames cross
-    the pipe as ``HIGHEST_PROTOCOL`` pickles via :func:`_send` /
-    :func:`_recv`.
+
+def _shard_main(connection) -> None:
+    """Child-process entry point: serve campaigns until shut down.
+
+    Module-level so the spawn start method can pickle it.  Each campaign
+    starts with an init frame carrying the shared-payload reference plus
+    the shard's own slice; every later frame is ``(command, payload)``
+    answered with ``("ok", result)`` or ``("error", exception)``.  A
+    release frame ends the campaign and the worker waits for the next
+    init frame; the shutdown frame (``None``), or the coordinator's end
+    of the pipe closing, ends the process.  All frames cross the pipe as
+    ``HIGHEST_PROTOCOL`` pickles via :func:`_send` / :func:`_recv`.
     """
     try:
-        kind, shared_ref, shard_payload = _recv(connection)
-        if kind != "init":
-            raise ShardProtocolError(f"expected init, got {kind!r}")
-        experts, source = _load_shared_payload(shared_ref)
-        if shard_payload.get("experts") is not None:
-            experts = shard_payload["experts"]
-        if shard_payload.get("override_source"):
-            source = shard_payload.get("source")
-        state = ShardState(
-            shard_payload["indices"],
-            shard_payload["states"],
-            experts,
-            shard_payload["gain_tolerance"],
-            source,
-        )
-        _send(connection, ("ok", None))
-        while True:
-            message = _recv(connection)
-            if message is None:
+        while (message := _recv(connection)) is not None:
+            if not _serve_campaign(connection, message):
                 break
-            command, payload = message
-            try:
-                _send(connection, ("ok", state.handle(command, payload)))
-            except Exception as error:  # surfaced to the coordinator
-                _send(connection, ("error", error))
+            # The released state's arrays go back to the allocator
+            # while the worker is idle, not during the next campaign.
+            gc.collect()
+    except EOFError:
+        pass  # the coordinator is gone
     finally:
         connection.close()
+
+
+def _serve_campaign(connection, init) -> bool:
+    """Build one campaign's state from its init frame and serve its
+    commands; returns whether the campaign ended in a release."""
+    kind, shared_ref, shard_payload = init
+    if kind != "init":
+        raise ShardProtocolError(f"expected init, got {kind!r}")
+    experts, source = _load_shared_payload(shared_ref)
+    if shard_payload.get("experts") is not None:
+        experts = shard_payload["experts"]
+    if shard_payload.get("override_source"):
+        source = shard_payload.get("source")
+    state = ShardState(
+        shard_payload["indices"],
+        shard_payload["states"],
+        experts,
+        shard_payload["gain_tolerance"],
+        source,
+    )
+    _send(connection, ("ok", None))
+    while True:
+        message = _recv(connection)
+        if message is None or message == _RELEASE:
+            return message is not None
+        command, payload = message
+        try:
+            _send(connection, ("ok", state.handle(command, payload)))
+        except Exception as error:  # surfaced to the coordinator
+            _send(connection, ("error", error))
+
+
+def _stop_worker(process, connection, *, graceful: bool) -> None:
+    """Stop one worker process and release its pipe and handle.
+
+    ``graceful`` sends the shutdown frame (which may fail: dead child,
+    full pipe) and escalates join → terminate → kill, so a wedged child
+    cannot zombie past the 30s worst case.  Otherwise the worker is
+    SIGKILLed before its pipe closes, which keeps a live-but-hung child
+    from tracebacking into the coordinator's stderr mid-recovery.
+    """
+    if graceful:
+        try:
+            _send(connection, None)
+        except OSError:
+            pass
+        try:
+            connection.close()
+        except OSError:
+            pass
+        process.join(timeout=10)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=10)
+    if process.is_alive():
+        process.kill()
+    process.join(timeout=10)
+    try:
+        connection.close()
+    except OSError:
+        pass
+    try:
+        process.close()
+    except ValueError:
+        pass
+
+
+class IdleWorkers:
+    """Shard worker processes parked between the pools of one owner.
+
+    A :class:`ProcessShard` built with an idle set adopts a parked
+    worker of its start method before it spawns one, and parks its
+    worker here when it closes cleanly (see :meth:`ProcessShard.close`);
+    a worker that died, hung, garbled a reply or had a fault injected is
+    destroyed instead.  The set counts the workers its shards hold and
+    never parks more than the peak of that count, so it needs no size
+    setting.  A :class:`~repro.service.service.CampaignService` owns one
+    for its lifetime and reaps it in :meth:`close`.
+    """
+
+    def __init__(self) -> None:
+        self._parked: dict[str, list[tuple]] = {}
+        self._live = 0
+        self._peak = 0
+
+    def __len__(self) -> int:
+        return sum(len(workers) for workers in self._parked.values())
+
+    def pids(self) -> set[int]:
+        """Process ids of the parked workers."""
+        return {
+            process.pid
+            for workers in self._parked.values()
+            for process, _connection in workers
+        }
+
+    def take(self, start_method: str):
+        """Count one more live worker and hand out a parked
+        ``(process, connection)`` of ``start_method``, or ``None`` when
+        the caller must spawn one."""
+        self._live += 1
+        self._peak = max(self._peak, self._live)
+        workers = self._parked.get(start_method)
+        return workers.pop() if workers else None
+
+    def park(self, start_method: str, process, connection) -> bool:
+        """Take back a released live worker; ``False`` when the set is
+        already at its peak and the caller must shut the worker down."""
+        self._live -= 1
+        if len(self) >= self._peak:
+            return False
+        self._parked.setdefault(start_method, []).append(
+            (process, connection)
+        )
+        return True
+
+    def drop(self) -> None:
+        """A live worker was shut down or destroyed instead."""
+        self._live -= 1
+
+    def close(self) -> None:
+        """Shut every parked worker down (idempotent)."""
+        parked, self._parked = self._parked, {}
+        for workers in parked.values():
+            for process, connection in workers:
+                _stop_worker(process, connection, graceful=True)
 
 
 class ProcessShard:
@@ -578,7 +707,8 @@ class ProcessShard:
     owned.  The positional ``experts`` / ``answer_source`` are the
     *current* values: whenever they differ from the shared snapshot
     (panel swap before a respawn, rebuilt source replica) they ride in
-    the per-shard init frame as overrides.
+    the per-shard init frame as overrides.  ``idle_workers`` is an
+    :class:`IdleWorkers` set to adopt the worker from and release it to.
     """
 
     def __init__(
@@ -591,6 +721,7 @@ class ProcessShard:
         start_method: str = "spawn",
         *,
         shared: SharedCampaignPayload | None = None,
+        idle_workers: IdleWorkers | None = None,
     ):
         self._owned_shared: SharedCampaignPayload | None = None
         if shared is None:
@@ -608,27 +739,55 @@ class ProcessShard:
                 else None
             ),
         }
-        context = multiprocessing.get_context(start_method)
-        self._parent, child = context.Pipe()
-        self._process = context.Process(
-            target=_shard_main, args=(child,), daemon=True
-        )
-        self._process.start()
-        child.close()
+        self._start_method = start_method
+        self._idle = idle_workers
+        # Kept until the handshake completes, so a replacement for an
+        # adopted worker that fails it gets the same frame.
+        self._init_frame = _dumps(("init", shared.ref(), shard_payload))
         #: Startup / steady-state pipe byte counters (transport tests
         #: assert init bytes no longer scale with the worker count).
-        self.init_bytes = _send(
-            self._parent, ("init", shared.ref(), shard_payload)
-        )
+        self.init_bytes = len(self._init_frame)
         self.shared_payload_bytes = shared.size
         self.bytes_sent = 0
         self.bytes_received = 0
+        worker = (
+            idle_workers.take(start_method)
+            if idle_workers is not None
+            else None
+        )
+        self._adopted = worker is not None
+        if worker is None:
+            self._spawn()
+        else:
+            self._process, self._parent = worker
+            try:
+                self._parent.send_bytes(self._init_frame)
+            except OSError:
+                self._replace_adopted()
         # The init handshake is awaited in ensure_ready() so a pool can
         # start every child first and let their interpreter/numpy
         # imports overlap across cores.
         self._ready = False
         self._in_flight = False
         self._destroyed = False
+
+    def _spawn(self) -> None:
+        context = multiprocessing.get_context(self._start_method)
+        self._parent, child = context.Pipe()
+        self._process = context.Process(
+            target=_shard_main, args=(child,), daemon=True
+        )
+        self._process.start()
+        child.close()
+        self._parent.send_bytes(self._init_frame)
+
+    def _replace_adopted(self) -> None:
+        """Reap an adopted worker that failed its handshake (it died, or
+        stopped answering, while parked) and spawn a replacement.  That
+        is start-up cost, not a shard failure."""
+        _stop_worker(self._process, self._parent, graceful=False)
+        self._adopted = False
+        self._spawn()
 
     def wait_ready(self) -> None:
         self.ensure_ready(None)
@@ -638,14 +797,25 @@ class ProcessShard:
         respawned worker that cannot come up must not hang recovery)."""
         if self._ready:
             return
-        if timeout is not None and not self._parent.poll(timeout):
+        try:
+            answered = timeout is None or self._parent.poll(timeout)
+            reply = self._recv_frame() if answered else None
+        except (EOFError, OSError):
+            if not self._adopted:
+                raise
+            reply = None
+        if reply is None:
+            if self._adopted:
+                self._replace_adopted()
+                return self.ensure_ready(timeout)
             from .supervisor import ShardRespawnError
 
             raise ShardRespawnError(
                 f"shard worker not ready within {timeout}s"
             )
-        self._check(self._recv_frame())
+        self._check(reply)
         self._ready = True
+        self._init_frame = None
 
     @staticmethod
     def _check(reply):
@@ -719,60 +889,52 @@ class ProcessShard:
         self.submit(command, *payload)
         return self.result()
 
+    def _release(self) -> bool:
+        """Send the release frame if the worker is clean: handshake
+        done, nothing in flight, reply pipe drained, process alive."""
+        if not self._ready or self._in_flight or not self.is_alive():
+            return False
+        try:
+            if self._parent.poll(0.0):
+                return False
+            _send(self._parent, _RELEASE)
+        except OSError:
+            return False
+        return True
+
     def close(self) -> None:
         """Graceful shutdown that can never hang or leak.
 
-        The shutdown sentinel may fail (dead child, full pipe) — the
-        parent pipe end is closed regardless, and the join escalates
-        terminate → kill so a wedged child cannot zombie past the 30s
-        worst case.
+        With an idle set, a clean worker is released and parked there
+        instead (:meth:`_release`); any other worker is shut down (see
+        :func:`_stop_worker`).
         """
         if self._destroyed:
             return
         self._destroyed = True
-        try:
-            _send(self._parent, None)
-        except (BrokenPipeError, OSError):
-            pass
-        finally:
-            try:
-                self._parent.close()
-            except OSError:
-                pass
-        self._process.join(timeout=10)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=10)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join(timeout=10)
-        try:
-            self._process.close()
-        except ValueError:
-            pass
-        if self._owned_shared is not None:
-            self._owned_shared.close()
-            self._owned_shared = None
+        idle, self._idle = self._idle, None
+        if idle is not None:
+            if not self._release():
+                idle.drop()
+            elif idle.park(self._start_method, self._process, self._parent):
+                self._close_owned_shared()
+                return
+        _stop_worker(self._process, self._parent, graceful=True)
+        self._close_owned_shared()
 
     def destroy(self) -> None:
         """Immediate teardown of a failed worker (no sentinel, no
-        grace): SIGKILL, reap, close the pipe.  Killing before the pipe
-        closes keeps a live-but-hung child from tracebacking into the
-        coordinator's stderr mid-recovery.  Idempotent."""
+        grace, never parked).  Idempotent."""
         if self._destroyed:
             return
         self._destroyed = True
-        if self._process.is_alive():
-            self._process.kill()
-        self._process.join(timeout=10)
-        try:
-            self._parent.close()
-        except OSError:
-            pass
-        try:
-            self._process.close()
-        except ValueError:
-            pass
+        idle, self._idle = self._idle, None
+        if idle is not None:
+            idle.drop()
+        _stop_worker(self._process, self._parent, graceful=False)
+        self._close_owned_shared()
+
+    def _close_owned_shared(self) -> None:
         if self._owned_shared is not None:
             self._owned_shared.close()
             self._owned_shared = None
@@ -826,6 +988,10 @@ class ShardPool:
     degraded:
         Per-``partition``-slice flags marking slices that already
         failed over to inline execution (resume restore).
+    idle_workers:
+        Optional :class:`IdleWorkers` set: process shards (initial and
+        respawned) adopt its parked workers before spawning, and
+        :meth:`close` releases clean workers back to it.
     """
 
     def __init__(
@@ -842,6 +1008,7 @@ class ShardPool:
         chaos=None,
         partition: Sequence[Sequence[int]] | None = None,
         degraded: Sequence[bool] = (),
+        idle_workers: IdleWorkers | None = None,
     ):
         from .chaos import ChaosPlan
         from .partition import partition_groups
@@ -877,6 +1044,7 @@ class ShardPool:
         self._experts = experts
         self._gain_tolerance = gain_tolerance
         self._start_method = start_method
+        self._idle_workers = idle_workers
         self._policy = (
             policy if policy is not None else SupervisionPolicy.from_env()
         )
@@ -946,6 +1114,7 @@ class ShardPool:
                 self._gain_tolerance, source,
                 start_method=self._start_method,
                 shared=self._shared_payload,
+                idle_workers=self._idle_workers,
             )
         if self._chaos is not None and not degraded:
             from .chaos import ChaosTransport
@@ -1236,6 +1405,7 @@ class ShardPool:
             OBS.publish_deltas(
                 "repro_supervisor", self.supervisor.stats
             )
+        # Clean workers go back to the idle set, if there is one.
         for shard in self.shards:
             shard.close()
         # After the workers: a respawn can still map the segment while

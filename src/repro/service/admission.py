@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.ledger import BudgetLedger, LedgerError
-from .campaign import CampaignRecord
+from .campaign import CampaignRecord, check_weight
 from .errors import QuotaExceededError, ServiceSaturatedError
 
 #: Float-accumulation tolerance, matching the ledger's own slack.
@@ -55,8 +55,8 @@ class TenantQuota:
         Cap on the summed ``config.budget`` of the tenant's admitted
         campaigns.  ``None`` is unlimited.
     weight:
-        Default scheduling weight for the tenant's campaigns (a spec's
-        explicit ``weight`` wins).
+        Default scheduling weight for the tenant's campaigns, finite
+        and > 0 (a spec's explicit ``weight`` wins).
     """
 
     max_active: int | None = None
@@ -68,8 +68,7 @@ class TenantQuota:
             raise ValueError("max_active must be at least 1")
         if self.max_budget is not None and self.max_budget < 0:
             raise ValueError("max_budget must be non-negative")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        check_weight(self.weight)
 
 
 class AdmissionController:

@@ -11,6 +11,8 @@ re-admits it under the same identity.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -58,14 +60,15 @@ class CampaignSpec:
         ``config.journal_path`` may be left unset — the service derives
         ``journal_root/tenant/name.jsonl``.
     jobs, inline:
-        Shard layout for the campaign's pool.
+        Shard layout for the campaign's pool; ``jobs`` is an int >= 1.
     priority:
-        Admission priority; larger values are more important.  Under
-        saturation, strictly lower-priority *pending* campaigns are
-        shed to make room.
+        Admission priority, an int; larger values are more important.
+        Under saturation, strictly lower-priority *pending* campaigns
+        are shed to make room.
     weight:
-        Scheduling weight (service rate is proportional to it);
-        ``None`` inherits the tenant quota's weight.
+        Scheduling weight, finite and > 0 (service rate is
+        proportional to it); ``None`` inherits the tenant quota's
+        weight.
     chaos, policy:
         Per-campaign fault injection and supervision overrides — chaos
         plans are deliberately per-campaign so one tenant's injected
@@ -103,6 +106,14 @@ class CampaignSpec:
             raise ValueError("tenant must be non-empty and '/'-free")
         if not self.name or "/" in self.name:
             raise ValueError("campaign name must be non-empty and '/'-free")
+        # Checked here, before admission reserves a deposit: a bad
+        # value would otherwise fail only once the campaign launched.
+        if not _is_int(self.jobs) or self.jobs < 1:
+            raise ValueError(f"jobs must be an int >= 1, got {self.jobs!r}")
+        if not _is_int(self.priority):
+            raise ValueError(f"priority must be an int, got {self.priority!r}")
+        if self.weight is not None:
+            check_weight(self.weight)
         if self.stream is not None and not self.inline:
             raise ValueError(
                 "streamed campaigns are inline-only: the streaming "
@@ -120,6 +131,24 @@ class CampaignSpec:
         return SimulatedExpertPanel(
             self.dataset.ground_truth,
             rng=np.random.default_rng(self.config.seed),
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_weight(weight) -> None:
+    """Reject a scheduling weight that is not a finite number > 0 (a
+    NaN stride never compares, an infinite one never advances)."""
+    if (
+        not isinstance(weight, numbers.Real)
+        or isinstance(weight, bool)
+        or not math.isfinite(weight)
+        or weight <= 0
+    ):
+        raise ValueError(
+            f"weight must be a finite number > 0, got {weight!r}"
         )
 
 

@@ -12,10 +12,14 @@ own private round-accounting ledger, stepped one round at a time
 therefore cannot perturb any campaign's selections, budget trajectory,
 beliefs, or journal bytes: every campaign's outcome is byte-identical
 to the same campaign run solo through
-:func:`~repro.engine.runner.run_parallel_hc_session`.  The shared
-:class:`~repro.engine.ledger.BudgetLedger` holds only *deposits* —
-whole-campaign reservations — so cross-tenant accounting never touches
-per-round arithmetic.
+:func:`~repro.engine.runner.run_parallel_hc_session`.  Pools do share
+worker *processes*: a campaign's clean close releases its workers to
+the service's :class:`~repro.engine.shards.IdleWorkers` set and the
+next launch adopts them, but every shard state is rebuilt from its
+init frame, so reuse saves process start-up and changes no byte.  The
+shared :class:`~repro.engine.ledger.BudgetLedger` holds only
+*deposits* — whole-campaign reservations — so cross-tenant accounting
+never touches per-round arithmetic.
 
 **Backpressure.**  Admission is deposit-based and fail-fast (see
 :mod:`~repro.service.admission`): a submission either secures its full
@@ -64,6 +68,7 @@ from pathlib import Path
 from ..core.serialization import SerializationError, read_journal
 from ..engine.ledger import BudgetLedger
 from ..engine.runner import ParallelCampaignRunner, resume_parallel_session
+from ..engine.shards import IdleWorkers
 from ..engine.supervisor import SupervisionPolicy
 from ..obs import OBS, latency_report
 from ..simulation.faults import FaultyExpertPanel
@@ -200,6 +205,9 @@ class CampaignService:
         self._pending: list[CampaignRecord] = []
         self._active: list[CampaignRecord] = []
         self._scheduler = WeightedFairScheduler()
+        # Shard worker processes kept between the campaigns this
+        # service hosts; reaped in close().
+        self._idle_workers = IdleWorkers()
         self._closed = False
         self._steps = 0
         self._completed = 0
@@ -567,6 +575,7 @@ class CampaignService:
             policy=spec.policy or self.policy.supervision,
             chaos=spec.chaos,
             extra_journal_records=[record.identity_record()],
+            idle_workers=self._idle_workers,
         )
         prepared = runner.launch()
         record.runtime = {
@@ -615,6 +624,7 @@ class CampaignService:
             retry_policy=record.config.retry_policy,
             policy=spec.policy or self.policy.supervision,
             chaos=spec.chaos,
+            idle_workers=self._idle_workers,
         )
         source = spec.build_source()
         if record.config.faults is not None:
@@ -786,7 +796,8 @@ class CampaignService:
         Idempotent.  Committed money (completed campaigns, pre-restart
         ``base_spent``) stays committed; every open deposit of a
         non-completed campaign is released so the pool ends with
-        ``open_reservations == 0``.
+        ``open_reservations == 0``.  Every shard worker the service
+        kept between campaigns is shut down.
         """
         if self._closed:
             return
@@ -796,6 +807,7 @@ class CampaignService:
             self._active.remove(record)
             record.status = CampaignStatus.DETACHED
         self._pending.clear()
+        self._idle_workers.close()
         for record in self._records.values():
             if self._admission.has_deposit(record.campaign_id):
                 self._admission.forfeit(record.campaign_id)

@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import BeliefState, Crowd, FactSet, FactoredBelief
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
+
+@pytest.fixture(autouse=True)
+def _no_leaked_worker_processes():
+    """Fail a test that leaves a ``multiprocessing`` child alive which
+    was not alive before it: a shard worker a pool never closed, or an
+    idle worker a campaign service never reaped."""
+    before = {child.pid for child in multiprocessing.active_children()}
+    yield
+    leaked = [
+        child
+        for child in multiprocessing.active_children()
+        if child.pid not in before
+    ]
+    if leaked:
+        for child in leaked:
+            child.kill()
+            child.join(timeout=10)
+        pytest.fail(f"test left worker processes alive: {leaked}")
+
 
 #: The observation distribution of the paper's Table I.
 TABLE1 = {

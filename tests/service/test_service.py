@@ -554,3 +554,60 @@ class TestLifecycle:
         # commit.  The journal keeps the truth for a future attach.
         assert service.ledger.committed == 0.0
         assert running.status is CampaignStatus.DETACHED
+
+
+class TestSpecValidation:
+    """Malformed specs fail at construction, before admission reserves
+    a deposit.  Each case used to be admitted: ``jobs=0`` and a string
+    priority failed every launch until quarantine, ``weight=0`` raised
+    from the scheduler after the runtime launched (leaving ``close()``
+    to die on the unscheduled campaign), and a NaN or infinite weight
+    broke stride ordering."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return make_dataset(seed=97)
+
+    def spec(self, dataset, **fields):
+        return CampaignSpec(
+            tenant="acme", name="job", dataset=dataset,
+            config=make_config(seed=0), **fields,
+        )
+
+    def test_zero_jobs_rejected(self, dataset):
+        with pytest.raises(ValueError, match="jobs"):
+            self.spec(dataset, jobs=0)
+
+    def test_non_integer_jobs_rejected(self, dataset):
+        with pytest.raises(ValueError, match="jobs"):
+            self.spec(dataset, jobs=2.0)
+
+    def test_string_priority_rejected(self, dataset):
+        with pytest.raises(ValueError, match="priority"):
+            self.spec(dataset, priority="high")
+
+    def test_zero_weight_rejected(self, dataset):
+        with pytest.raises(ValueError, match="weight"):
+            self.spec(dataset, weight=0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, dataset, weight):
+        with pytest.raises(ValueError, match="weight"):
+            self.spec(dataset, weight=weight)
+
+    @pytest.mark.parametrize("field", ["jobs", "priority", "weight"])
+    def test_booleans_rejected(self, dataset, field):
+        with pytest.raises(ValueError, match=field):
+            self.spec(dataset, **{field: True})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), True])
+    def test_tenant_quota_weight_must_be_finite_positive(self, weight):
+        with pytest.raises(ValueError, match="weight"):
+            TenantQuota(weight=weight)
+
+    def test_valid_numbers_accepted(self, dataset):
+        import numpy as np
+
+        spec = self.spec(dataset, jobs=np.int64(2), priority=-3, weight=0.5)
+        assert spec.jobs == 2 and spec.weight == 0.5
+        assert TenantQuota(weight=2).weight == 2
