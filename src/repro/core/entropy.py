@@ -11,12 +11,12 @@ Implements, in bits (log base 2):
   the expected quality improvement ``dQ = H(O) - H(O|AS)`` (Theorem 1),
   which equals the mutual information ``I(O; AS)``.
 
-Two implementations of the conditional entropy are provided: a fast one
-using the chain-rule identity ``H(O|AS) = H(O) + H(AS|O) - H(AS)`` with
-the closed form ``H(AS|O) = |T| * sum_cr h(Pr_cr)`` (each answer bit is
-conditionally an independent Bernoulli whose entropy does not depend on
-the observation), and a naive double sum over the family space used to
-cross-validate the fast one in tests.
+The conditional entropy uses the chain-rule identity
+``H(O|AS) = H(O) + H(AS|O) - H(AS)`` with the closed form
+``H(AS|O) = |T| * sum_cr h(Pr_cr)`` (each answer bit is conditionally
+an independent Bernoulli whose entropy does not depend on the
+observation); the tests cross-validate it against the naive double sum
+over the family space in ``tests/reference/conditional_entropy.py``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import numpy as np
 from .answers import (
     MAX_FAMILY_BITS,
     crowd_single_query_responses,
-    enumerate_answer_families,
     family_distribution,
-    family_likelihood,
 )
 from .observations import BeliefState
 from .workers import Crowd
@@ -247,32 +245,6 @@ def first_step_gains_many(
         offset += state.num_facts
         results.append(np.minimum(np.maximum(chunk, 0.0), prior))
     return results
-
-
-def conditional_entropy_naive(
-    belief: BeliefState,
-    query_fact_ids: Sequence[int],
-    experts: Crowd,
-) -> float:
-    """``H(O | AS_CE^T)`` by the direct double sum of Eq. 34.
-
-    Enumerates every concrete answer family, computes the posterior over
-    observations for each, and averages the posterior entropies weighted
-    by the family probabilities.  Exponential; test/reference use only.
-    """
-    if not query_fact_ids:
-        return observation_entropy(belief)
-    prior = belief.probabilities
-    total = 0.0
-    for family in enumerate_answer_families(query_fact_ids, experts):
-        likelihood = family_likelihood(belief, family)
-        joint = prior * likelihood
-        family_probability = joint.sum()
-        if family_probability <= 0.0:
-            continue
-        posterior = joint / family_probability
-        total += family_probability * shannon_entropy(posterior)
-    return float(total)
 
 
 def conditional_entropy_sampled(

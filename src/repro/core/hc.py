@@ -1,13 +1,15 @@
 """The hierarchical crowdsourcing orchestrator (paper Algorithms 1 & 3).
 
-:class:`HierarchicalCrowdsourcing` drives the initialization-checking-
-update loop: given an initialized factored belief, an expert crowd, a
-selector, and an *answer source* (anything that produces an
+:class:`HierarchicalCrowdsourcing` configures the initialization-
+checking-update loop: given an initialized factored belief, an expert
+crowd, a selector, and an *answer source* (anything that produces an
 :class:`~repro.core.answers.AnswerFamily` for a query set — in the
-experiments a simulator replaying/ sampling worker answers), it
-repeatedly selects checking tasks, collects expert answers, applies the
-Bayesian update, and charges the budget until the budget cannot fund
-another round.
+experiments a simulator replaying/ sampling worker answers), its
+:meth:`~HierarchicalCrowdsourcing.run` repeatedly selects checking
+tasks, collects expert answers, applies the Bayesian update, and
+charges the budget until the budget cannot fund another round.  The
+loop itself is :meth:`repro.simulation.online.OnlineCheckingSession.run`,
+the one every runtime drives.
 
 :func:`run_flat_checking` is the NO-HC baseline of section IV-C5:
 uniform initial belief, the whole crowd serves as checking workers.
@@ -21,14 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .answers import AnswerFamily
-from .budget import CheckingBudget, CostModel
+from .budget import CostModel
 from .incidents import FaultEvent
 from .observations import BeliefState, FactoredBelief
 from .selection import LazyGreedySelector, Selector
-from .update import InconsistentEvidenceError, update_with_family
 from .workers import Crowd
 from . import entropy as entropy_module
-from ..obs import OBS
 
 
 class AnswerSource(Protocol):
@@ -277,102 +277,21 @@ class HierarchicalCrowdsourcing:
         max_rounds:
             Optional hard cap on rounds (guards pathological configs).
         """
-        belief = belief.copy()
-        tracker = CheckingBudget(budget, cost_model=self.cost_model)
-        scoreboard = RoundScoreboard()
-        result = RunResult(belief=belief)
-        result.history.append(
-            self._record(
-                -1, (), 0.0, tracker, belief, ground_truth, scoreboard
-            )
+        # The loop is the sans-IO session's; repro.simulation builds on
+        # repro.core, so it is imported at call time.
+        from ..simulation.online import OnlineCheckingSession
+
+        session = OnlineCheckingSession(
+            belief,
+            self.experts,
+            budget,
+            selector=self.selector,
+            k=self.k,
+            cost_model=self.cost_model,
+            ground_truth=ground_truth,
         )
-        round_index = 0
-        while max_rounds is None or round_index < max_rounds:
-            affordable = tracker.affordable_queries(self.experts, self.k)
-            if affordable == 0:
-                break
-            with OBS.phase("select"):
-                query_fact_ids = self.selector.select(
-                    belief, self.experts, affordable
-                )
-            if not query_fact_ids:
-                break  # no positive-gain checking task remains
-            with OBS.phase("collect"):
-                family = answer_source.collect(query_fact_ids, self.experts)
-            with OBS.phase("update"):
-                self._apply_family(belief, family)
-            cost = tracker.charge_round(len(query_fact_ids), self.experts)
-            record = self._record(
-                round_index,
-                tuple(query_fact_ids),
-                cost,
-                tracker,
-                belief,
-                ground_truth,
-                scoreboard,
-            )
-            result.history.append(record)
-            if on_round is not None:
-                on_round(record)
-            round_index += 1
-        return result
-
-    def _apply_family(
-        self, belief: FactoredBelief, family: AnswerFamily
-    ) -> None:
-        """Split a (possibly multi-group) answer family by group and apply
-        the Bayesian update to each touched group."""
-        query_fact_ids = family.query_fact_ids
-        groups: dict[int, list[int]] = {}
-        for fact_id in query_fact_ids:
-            groups.setdefault(belief.group_index_of(fact_id), []).append(fact_id)
-        for group_index, fact_ids in groups.items():
-            sub_family = AnswerFamily(
-                answer_sets=tuple(
-                    type(answer_set)(
-                        worker=answer_set.worker,
-                        answers={
-                            fact_id: answer_set.answer_for(fact_id)
-                            for fact_id in fact_ids
-                        },
-                    )
-                    for answer_set in family
-                )
-            )
-            try:
-                updated = update_with_family(belief[group_index], sub_family)
-            except InconsistentEvidenceError as error:
-                raise InconsistentEvidenceError(
-                    f"{error} (query set {sorted(query_fact_ids)}, "
-                    f"group facts {sorted(fact_ids)}, answer family "
-                    f"{describe_family(sub_family)})"
-                ) from error
-            belief.replace_group(group_index, updated)
-        # Stateful selectors cache entropies keyed on belief identity;
-        # releasing the updated groups' entries right away keeps the
-        # cross-round cache bounded by the current belief.
-        invalidate = getattr(self.selector, "invalidate_groups", None)
-        if callable(invalidate):
-            invalidate(groups.keys())
-
-    @staticmethod
-    def _record(
-        round_index: int,
-        query_fact_ids: tuple[int, ...],
-        cost: float,
-        tracker: CheckingBudget,
-        belief: FactoredBelief,
-        ground_truth: Mapping[int, bool] | None,
-        scoreboard: RoundScoreboard,
-    ) -> RoundRecord:
-        quality, accuracy = scoreboard.score(belief, ground_truth)
-        return RoundRecord(
-            round_index=round_index,
-            query_fact_ids=query_fact_ids,
-            cost=cost,
-            budget_spent=tracker.spent,
-            quality=quality,
-            accuracy=accuracy,
+        return session.run(
+            answer_source, max_rounds=max_rounds, on_round=on_round
         )
 
 

@@ -21,21 +21,18 @@ campaign down, but never prevent it from terminating.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from ..simulation.faults import parse_rate_spec
+from ..faultplan import FaultPlan
 
 #: Injectable actions, in the order draws are checked.
 CHAOS_ACTIONS = ("kill", "hang", "delay", "corrupt")
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(FaultPlan):
     """Seeded configuration of transport failure injection.
 
     Parameters
@@ -54,7 +51,18 @@ class ChaosPlan:
         Explicit ``{(shard_id, command_index): action}`` overrides;
         scheduled entries fire regardless of the rates, which lets
         tests place a single fault surgically.
+
+    :meth:`parse` reads ``"kill=0.05,hang=0.02,delay_duration=0.5"``;
+    :meth:`from_env` reads ``REPRO_CHAOS`` (+ ``REPRO_CHAOS_SEED``), the
+    hook the CI ``engine-chaos`` matrix uses to inject faults under the
+    whole test suite without touching any call site.
     """
+
+    ACTIONS = CHAOS_ACTIONS
+    DURATIONS = ("delay_duration",)
+    ENV = "REPRO_CHAOS"
+    KIND = "chaos"
+    SCHEDULE_KEY = (int, int)
 
     kill: float = 0.0
     hang: float = 0.0
@@ -63,39 +71,6 @@ class ChaosPlan:
     delay_duration: float = 0.1
     seed: int = 0
     schedule: Mapping[tuple[int, int], str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for name in CHAOS_ACTIONS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} rate must lie in [0, 1], got {rate}"
-                )
-            total += rate
-        if total > 1.0 + 1e-12:
-            raise ValueError(
-                "kill + hang + delay + corrupt must not exceed 1 "
-                "(they are mutually exclusive per-command actions)"
-            )
-        if self.delay_duration < 0:
-            raise ValueError("delay_duration must be >= 0")
-        schedule = {}
-        for key, action in dict(self.schedule).items():
-            shard_id, command_index = key
-            if action not in CHAOS_ACTIONS:
-                raise ValueError(
-                    f"unknown chaos action {action!r}; expected one of "
-                    f"{list(CHAOS_ACTIONS)}"
-                )
-            schedule[(int(shard_id), int(command_index))] = action
-        object.__setattr__(self, "schedule", schedule)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.schedule) or any(
-            getattr(self, name) > 0.0 for name in CHAOS_ACTIONS
-        )
 
     def action_for(self, shard_id: int, command_index: int) -> str | None:
         """The action to inject for one command, or ``None``.
@@ -108,43 +83,7 @@ class ChaosPlan:
         scheduled = self.schedule.get((shard_id, command_index))
         if scheduled is not None:
             return scheduled
-        if not any(getattr(self, name) > 0.0 for name in CHAOS_ACTIONS):
-            return None
-        draw = np.random.default_rng(
-            np.random.SeedSequence(
-                [int(self.seed), int(shard_id), int(command_index)]
-            )
-        ).random()
-        threshold = 0.0
-        for name in CHAOS_ACTIONS:
-            threshold += getattr(self, name)
-            if draw < threshold:
-                return name
-        return None
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "ChaosPlan":
-        """Build a plan from a ``name=rate,...`` CLI/env spec.
-
-        Example: ``"kill=0.05,hang=0.02,delay_duration=0.5"``.
-        """
-        rates = parse_rate_spec(
-            spec, CHAOS_ACTIONS + ("delay_duration",)
-        )
-        return cls(seed=seed, **rates)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "ChaosPlan | None":
-        """Plan from ``REPRO_CHAOS`` (+ ``REPRO_CHAOS_SEED``), or
-        ``None`` when unset — the hook the CI ``engine-chaos`` matrix
-        uses to inject faults under the whole test suite without
-        touching any call site."""
-        env = os.environ if environ is None else environ
-        spec = env.get("REPRO_CHAOS")
-        if not spec:
-            return None
-        plan = cls.parse(spec, seed=int(env.get("REPRO_CHAOS_SEED", "0")))
-        return plan if plan.enabled else None
+        return self.pick(shard_id, command_index)
 
 
 class ChaosTransport:

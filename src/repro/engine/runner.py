@@ -1,11 +1,13 @@
 """The sharded campaign entry points, API-compatible with
 :func:`~repro.simulation.session.run_hc_session`.
 
-:class:`ParallelCampaignRunner` mirrors the serial pipeline stage for
-stage — same crowd split, same initialization, same default answer
-source, same resilient-runtime triggers — and swaps in the sharded
-execution seams: a :class:`~repro.engine.shards.ShardPool` over the
-belief's groups, a :class:`~repro.engine.sharded.ShardedSelector`, a
+:class:`ParallelCampaignRunner` shares the serial pipeline's set-up —
+:func:`~repro.simulation.session.campaign_inputs` (crowd split,
+initialization, default answer source) and
+:func:`~repro.simulation.session.resilient_session` (the resilient
+runtime and its triggers) — and swaps in the sharded execution seams:
+a :class:`~repro.engine.shards.ShardPool` over the belief's groups, a
+:class:`~repro.engine.sharded.ShardedSelector`, a
 :class:`~repro.engine.sharded.ShardedUpdateEngine`, and a
 :class:`~repro.engine.ledger.LedgerBudget` settling every charge
 against a global :class:`~repro.engine.ledger.BudgetLedger`.  Because
@@ -25,8 +27,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..core.budget import CostModel
 from ..core.hc import RunResult
 from ..core.serialization import (
@@ -35,14 +35,15 @@ from ..core.serialization import (
     factored_belief_from_dict,
     read_journal,
 )
-from ..core.trust import select_gold_probes
 from ..core.workers import Crowd
 from ..datasets.schema import CrowdLabelingDataset
-from ..simulation.faults import FaultyExpertPanel
 from ..simulation.online import OnlineCheckingSession
-from ..simulation.oracle import SimulatedExpertPanel
 from ..simulation.resilient import ResilientCheckingSession
-from ..simulation.session import SessionConfig
+from ..simulation.session import (
+    SessionConfig,
+    campaign_inputs,
+    resilient_session,
+)
 from .ledger import BudgetLedger, LedgerBudget
 from .sharded import ShardedSelector, ShardedUpdateEngine
 from .shards import IdleWorkers, ShardPool
@@ -145,30 +146,11 @@ class ParallelCampaignRunner:
         """
         if self._prepared is not None:
             return self
-        from ..aggregation.registry import make_aggregator
-        from ..datasets.grouping import initialize_belief
-
         dataset, config = self._dataset, self._config
-        experts, _preliminary = dataset.split_crowd(config.theta)
-        if len(experts) == 0:
-            raise ValueError(
-                f"no worker reaches theta={config.theta}; cannot form CE"
-            )
-        aggregator = self._aggregator or make_aggregator(config.initializer)
-        belief, _init_result = initialize_belief(
-            dataset, aggregator, config.theta, smoothing=config.smoothing,
-            belief_epsilon=config.belief_epsilon,
+        experts, belief, answer_source = campaign_inputs(
+            dataset, config, self._aggregator, self._answer_source
         )
-        answer_source = self._answer_source
-        if answer_source is None:
-            answer_source = SimulatedExpertPanel(
-                dataset.ground_truth, rng=np.random.default_rng(config.seed)
-            )
-        resilient = (
-            config.faults is not None
-            or config.journal_path is not None
-            or config.trust_policy is not None
-        )
+        resilient = config.resilient
         sharded_collection = self._sharded_collection
         if sharded_collection is None:
             sharded_collection = (
@@ -206,9 +188,15 @@ class ParallelCampaignRunner:
             selector = ShardedSelector(pool)
             engine = ShardedUpdateEngine(pool)
             if resilient:
-                session, source = self._prepare_resilient(
+                session, source = resilient_session(
                     dataset, config, belief, experts, tracker,
-                    selector, engine, answer_source,
+                    answer_source, selector,
+                    update_engine=engine,
+                    journal_metadata=(
+                        [*self._extra_journal_records, self._engine_record()]
+                        if config.journal_path is not None
+                        else None
+                    ),
                 )
             else:
                 source = (
@@ -234,7 +222,6 @@ class ParallelCampaignRunner:
             "pool": pool,
             "session": session,
             "source": source,
-            "resilient": resilient,
             "tracker": tracker,
         }
         return self
@@ -254,20 +241,11 @@ class ParallelCampaignRunner:
 
     def run(self) -> RunResult:
         """Execute the campaign; returns the serial-identical result."""
-        self.prepare()
-        prepared, self._prepared = self._prepared, None
-        session, source = prepared["session"], prepared["source"]
+        prepared = self.launch()
         pool = prepared["pool"]
         with pool:
             try:
-                if prepared["resilient"]:
-                    return session.run(source)
-                while (queries := session.next_queries()) is not None:
-                    family = source.collect(queries, session.experts)
-                    session.submit(family)
-                return RunResult(
-                    belief=session.belief, history=list(session.history)
-                )
+                return prepared["session"].run(prepared["source"])
             finally:
                 # An abort between reserve_pending and the charge must
                 # not leave its worst-case round cost held on a shared
@@ -275,56 +253,6 @@ class ParallelCampaignRunner:
                 prepared["tracker"].close()
                 self.supervisor_stats = pool.supervisor_stats()
                 self.supervisor_incidents = list(pool.supervisor_incidents)
-
-    def _prepare_resilient(
-        self,
-        dataset,
-        config,
-        belief,
-        experts,
-        tracker,
-        selector,
-        engine,
-        answer_source,
-    ):
-        """The resilient branch, mirroring ``run_hc_session`` verbatim
-        (fault wrapping, gold probes, reserves) plus the engine seams
-        and the journal's engine record."""
-        if config.faults is not None:
-            answer_source = FaultyExpertPanel(answer_source, config.faults)
-        gold_facts = None
-        if config.trust_policy is not None:
-            gold_facts = select_gold_probes(
-                dataset.ground_truth,
-                fraction=config.gold_fraction,
-                seed=config.trust_policy.seed,
-            )
-        reserve = (
-            Crowd.from_accuracies(config.reserve_accuracies, prefix="r")
-            if config.reserve_accuracies
-            else None
-        )
-        session = ResilientCheckingSession(
-            belief,
-            experts,
-            tracker,
-            selector=selector,
-            k=config.k,
-            ground_truth=dataset.ground_truth,
-            retry_policy=config.retry_policy,
-            reserve_experts=reserve,
-            journal_path=config.journal_path,
-            trust_policy=config.trust_policy,
-            gold_facts=gold_facts,
-            seed=config.seed,
-            update_engine=engine,
-            journal_metadata=(
-                [*self._extra_journal_records, self._engine_record()]
-                if config.journal_path is not None
-                else None
-            ),
-        )
-        return session, answer_source
 
     def _engine_record(self) -> dict:
         record = {

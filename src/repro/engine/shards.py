@@ -73,13 +73,12 @@ from typing import Sequence
 from ..obs import OBS
 
 from ..core.answers import AnswerFamily, PartialAnswerFamily
-from ..core.hc import describe_family
 from ..core.kernel import state_from_wire, state_wire_payload
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import LazyGreedySelector
-from ..core.update import InconsistentEvidenceError, update_with_family
+from ..core.update import InconsistentEvidenceError
 from ..core.workers import Crowd
-from ..simulation.online import stage_partial_updates
+from ..simulation.online import stage_family_updates, stage_partial_updates
 
 
 def _dumps(obj) -> bytes:
@@ -210,16 +209,11 @@ class ShardState:
 
     # -- two-phase belief updates --------------------------------------
 
-    def _cmd_stage_partial(
-        self,
-        family: PartialAnswerFamily,
-        temper: bool,
-        round_index: int,
-        accuracy_overrides: dict | None,
-    ) -> tuple:
-        """Stage Lemma-3 updates for the shard's facts.
+    def _stage(self, stage) -> tuple:
+        """Run one staging function (``stage() -> (staged, tempered)``)
+        over the shard's facts without committing.
 
-        Replies ``("staged", {global_group: probabilities}, tempered)``
+        Replies ``("staged", {global_group: wire payload}, tempered)``
         or ``("inconsistent", key, error)`` with the error's serial
         emission key, so the coordinator can abort everywhere and raise
         the error the serial loop would have raised first.
@@ -227,17 +221,9 @@ class ShardState:
         if self._staged is not None:
             raise ShardProtocolError("a staged update is already pending")
         try:
-            staged, tempered = stage_partial_updates(
-                self._belief,
-                family,
-                temper=temper,
-                round_index=round_index,
-                accuracy_overrides=accuracy_overrides,
-                fact_filter=self._fact_ids,
-            )
+            staged, tempered = stage()
         except InconsistentEvidenceError as error:
-            key = getattr(error, "stage_key", (0, 0))
-            return ("inconsistent", key, error)
+            return ("inconsistent", error.stage_key, error)
         self._staged = staged
         return (
             "staged",
@@ -248,58 +234,34 @@ class ShardState:
             tempered,
         )
 
-    def _cmd_stage_family(self, family: AnswerFamily) -> tuple:
-        """Stage full-round Eq. 23 updates for the shard's groups.
-
-        Mirrors :meth:`~repro.core.hc.HierarchicalCrowdsourcing._apply_family`
-        exactly (same sub-family construction, same error context) for
-        the facts this shard owns.
-        """
-        if self._staged is not None:
-            raise ShardProtocolError("a staged update is already pending")
-        query_fact_ids = family.query_fact_ids
-        groups: dict[int, list[int]] = {}
-        first_position: dict[int, int] = {}
-        for position, fact_id in enumerate(query_fact_ids):
-            if fact_id not in self._fact_ids:
-                continue
-            local = self._belief.group_index_of(fact_id)
-            if local not in groups:
-                first_position[local] = position
-            groups.setdefault(local, []).append(fact_id)
-        staged: dict[int, BeliefState] = {}
-        for local, fact_ids in groups.items():
-            sub_family = AnswerFamily(
-                answer_sets=tuple(
-                    type(answer_set)(
-                        worker=answer_set.worker,
-                        answers={
-                            fact_id: answer_set.answer_for(fact_id)
-                            for fact_id in fact_ids
-                        },
-                    )
-                    for answer_set in family
-                )
+    def _cmd_stage_partial(
+        self,
+        family: PartialAnswerFamily,
+        temper: bool,
+        round_index: int,
+        accuracy_overrides: dict | None,
+    ) -> tuple:
+        """Stage Lemma-3 updates for the shard's facts."""
+        return self._stage(
+            lambda: stage_partial_updates(
+                self._belief,
+                family,
+                temper=temper,
+                round_index=round_index,
+                accuracy_overrides=accuracy_overrides,
+                fact_filter=self._fact_ids,
             )
-            try:
-                staged[local] = update_with_family(
-                    self._belief[local], sub_family
-                )
-            except InconsistentEvidenceError as error:
-                wrapped = InconsistentEvidenceError(
-                    f"{error} (query set {sorted(query_fact_ids)}, "
-                    f"group facts {sorted(fact_ids)}, answer family "
-                    f"{describe_family(sub_family)})"
-                )
-                return ("inconsistent", (first_position[local],), wrapped)
-        self._staged = staged
-        return (
-            "staged",
-            {
-                self._to_global(local): state_wire_payload(state)
-                for local, state in staged.items()
-            },
-            [],
+        )
+
+    def _cmd_stage_family(self, family: AnswerFamily) -> tuple:
+        """Stage full-round Eq. 23 updates for the shard's facts."""
+        return self._stage(
+            lambda: (
+                stage_family_updates(
+                    self._belief, family, fact_filter=self._fact_ids
+                ),
+                [],
+            )
         )
 
     def _cmd_commit(self) -> dict:

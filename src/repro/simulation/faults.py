@@ -25,41 +25,15 @@ import numpy as np
 from ..core.answers import AnswerFamily, AnswerSet, PartialAnswerFamily
 from ..core.incidents import FaultEvent
 from ..core.workers import Crowd
+from ..faultplan import FaultPlan
 
 
 class AnswerCollectionTimeout(RuntimeError):
     """The platform failed to collect any answers in time (transient)."""
 
 
-def parse_rate_spec(spec: str, allowed: Sequence[str]) -> dict[str, float]:
-    """Parse a ``name=rate,name=rate`` CLI spec into a rate dict.
-
-    Shared by :meth:`FaultModel.parse` (crowd faults) and
-    :meth:`repro.engine.chaos.ChaosPlan.parse` (transport faults), so
-    both CLI surfaces speak the same mini-language.
-    """
-    allowed_set = set(allowed)
-    rates: dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in allowed_set:
-            raise ValueError(
-                f"unknown fault {name!r}; expected one of "
-                f"{sorted(allowed_set)}"
-            )
-        try:
-            rates[name] = float(value)
-        except ValueError:
-            raise ValueError(f"bad rate for {name!r}: {value!r}") from None
-    return rates
-
-
 @dataclass(frozen=True)
-class FaultModel:
+class FaultModel(FaultPlan):
     """Seeded configuration of crowd failure rates.
 
     All rates are probabilities per checking round (``partial`` is per
@@ -89,7 +63,12 @@ class FaultModel:
         worker's ``no_show``/``spam``/``adversarial``/``partial`` rates
         replace the global ones (``timeout`` and ``seed`` of overrides
         are ignored — they are attempt- and panel-level knobs).
+
+    :meth:`parse` reads ``"no_show=0.1,spam=0.05,timeout=0.2"``.
     """
+
+    ACTIONS = ("no_show", "spam", "adversarial")
+    RATES = ("timeout", "partial")
 
     no_show: float = 0.0
     timeout: float = 0.0
@@ -100,33 +79,12 @@ class FaultModel:
     per_worker: Mapping[str, "FaultModel"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("no_show", "timeout", "spam", "adversarial", "partial"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} rate must lie in [0, 1], got {rate}"
-                )
-        if self.no_show + self.spam + self.adversarial > 1.0 + 1e-12:
-            raise ValueError(
-                "no_show + spam + adversarial must not exceed 1 "
-                "(they are mutually exclusive per-round behaviors)"
-            )
+        super().__post_init__()
         object.__setattr__(self, "per_worker", dict(self.per_worker))
 
     def rates_for(self, worker_id: str) -> "FaultModel":
         """The effective fault model for one worker."""
         return self.per_worker.get(worker_id, self)
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "FaultModel":
-        """Build a model from a ``name=rate,name=rate`` CLI spec.
-
-        Example: ``"no_show=0.1,spam=0.05,timeout=0.2"``.
-        """
-        rates = parse_rate_spec(
-            spec, ("no_show", "timeout", "spam", "adversarial", "partial")
-        )
-        return cls(seed=seed, **rates)
 
 
 class FaultyExpertPanel:

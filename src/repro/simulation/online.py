@@ -1,9 +1,10 @@
-"""Sans-IO online checking session for real crowdsourcing platforms.
+"""The checking loop as a sans-IO session (paper Algorithm 3).
 
-:class:`HierarchicalCrowdsourcing` drives the whole loop itself, which
-suits simulation.  A real deployment instead needs to *pause* between
-selecting queries and receiving human answers (minutes to days later).
-:class:`OnlineCheckingSession` inverts control:
+:class:`OnlineCheckingSession` owns the strict round loop: select
+checking tasks, receive the experts' answers, apply the Lemma 3 /
+Eq. 23 update and charge ``|T|·|CE|``.  A real deployment pauses
+between selecting queries and receiving human answers (minutes to days
+later), so control is inverted:
 
     session = OnlineCheckingSession(belief, experts, budget=1000)
     while (queries := session.next_queries()) is not None:
@@ -11,18 +12,21 @@ selecting queries and receiving human answers (minutes to days later).
         session.submit(family)
     labels = session.final_labels()
 
-The session enforces the same budget accounting as Algorithm 3 and
-produces the same :class:`~repro.core.hc.RoundRecord` history, so
-simulated and live runs are directly comparable.
+:meth:`OnlineCheckingSession.run` is that loop over an answer source;
+:meth:`~repro.core.hc.HierarchicalCrowdsourcing.run` (every paper
+figure) and the parallel engine's plain path call it, and the
+resilient, engine, service and stream runtimes wrap the session, so
+simulated and live runs share one loop and one
+:class:`~repro.core.hc.RoundRecord` history.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..core.answers import AnswerFamily, AnswerSet, PartialAnswerFamily
 from ..core.budget import CheckingBudget, CostModel
-from ..core.hc import HierarchicalCrowdsourcing, RoundRecord, RoundScoreboard
+from ..core.hc import RoundRecord, RoundScoreboard, RunResult, describe_family
 from ..core.incidents import FaultEvent
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import LazyGreedySelector, Selector
@@ -30,6 +34,7 @@ from ..core.update import (
     InconsistentEvidenceError,
     tempered_update_with_answer_set,
     update_with_answer_set,
+    update_with_family,
 )
 from ..core.workers import Crowd
 from ..obs import OBS
@@ -126,6 +131,56 @@ def stage_partial_updates(
     return staged, tempered
 
 
+def stage_family_updates(
+    belief: FactoredBelief,
+    family: AnswerFamily,
+    *,
+    fact_filter: "frozenset[int] | set[int] | None" = None,
+) -> dict[int, BeliefState]:
+    """Stage full-round Eq. 23 updates per group without committing.
+
+    The strict counterpart of :func:`stage_partial_updates` (same
+    contract, shard workers included) and the pure core of
+    :meth:`OnlineCheckingSession.submit`.  Returns the staged states by
+    group index, in the order the query set first touches each group; a
+    raised error's ``stage_key`` is its group's first query position.
+    """
+    query_fact_ids = family.query_fact_ids
+    groups: dict[int, list[int]] = {}
+    for fact_id in query_fact_ids:
+        if fact_filter is None or fact_id in fact_filter:
+            groups.setdefault(belief.group_index_of(fact_id), []).append(
+                fact_id
+            )
+    staged: dict[int, BeliefState] = {}
+    for group_index, fact_ids in groups.items():
+        sub_family = AnswerFamily(
+            answer_sets=tuple(
+                type(answer_set)(
+                    worker=answer_set.worker,
+                    answers={
+                        fact_id: answer_set.answer_for(fact_id)
+                        for fact_id in fact_ids
+                    },
+                )
+                for answer_set in family
+            )
+        )
+        try:
+            staged[group_index] = update_with_family(
+                belief[group_index], sub_family
+            )
+        except InconsistentEvidenceError as error:
+            wrapped = InconsistentEvidenceError(
+                f"{error} (query set {sorted(query_fact_ids)}, "
+                f"group facts {sorted(fact_ids)}, answer family "
+                f"{describe_family(sub_family)})"
+            )
+            wrapped.stage_key = query_fact_ids.index(fact_ids[0])
+            raise wrapped from error
+    return staged
+
+
 class OnlineCheckingSession:
     """Step-wise checking loop with externalized answer collection.
 
@@ -139,7 +194,8 @@ class OnlineCheckingSession:
     budget:
         Expert-answer budget ``B``.
     selector, k, cost_model:
-        As in :class:`~repro.core.hc.HierarchicalCrowdsourcing`; the
+        Checking-task selector, queries per round and per-answer costs,
+        as in :class:`~repro.core.hc.HierarchicalCrowdsourcing`; the
         selector defaults to the lazy-greedy engine
         (:class:`~repro.core.selection.LazyGreedySelector`), whose
         cross-round gain cache is invalidated for exactly the groups
@@ -196,11 +252,6 @@ class OnlineCheckingSession:
         self._pending: tuple[int, ...] | None = None
         self._round_index = 0
         self._finished = False
-        # The loop-application logic is shared with the batch runner.
-        self._applier = HierarchicalCrowdsourcing(
-            experts=experts, selector=self._selector, k=k,
-            cost_model=cost_model,
-        )
         self._scoreboard = RoundScoreboard()
         self.history: list[RoundRecord] = [
             self._record(-1, (), 0.0)
@@ -282,39 +333,72 @@ class OnlineCheckingSession:
             reserve(len(queries), self._experts)
         return list(queries)
 
+    def run(
+        self,
+        answer_source,
+        max_rounds: int | None = None,
+        on_round: Callable[[RoundRecord], None] | None = None,
+    ) -> RunResult:
+        """Run the strict loop until the session finishes.
+
+        Each round selects (:meth:`next_queries`), collects the full
+        answer family from ``answer_source`` and applies it
+        (:meth:`submit`); crowd misbehaviour raises, where
+        :meth:`ResilientCheckingSession.run
+        <repro.simulation.resilient.ResilientCheckingSession.run>`
+        absorbs it.  ``max_rounds`` caps the rounds this call runs and
+        ``on_round`` is called with each round's record.
+        """
+        rounds = 0
+        while max_rounds is None or rounds < max_rounds:
+            queries = self.next_queries()
+            if queries is None:
+                break
+            with OBS.phase("collect"):
+                family = answer_source.collect(queries, self._experts)
+            record = self.submit(family)
+            if on_round is not None:
+                on_round(record)
+            rounds += 1
+        return RunResult(belief=self._belief, history=list(self.history))
+
     def submit(self, family: AnswerFamily) -> RoundRecord:
-        """Apply collected expert answers for the pending query set."""
-        if self._finished:
-            raise SessionStateError("session is finished")
-        if self._pending is None:
-            raise SessionStateError(
-                "no pending queries; call next_queries() first"
-            )
+        """Apply collected expert answers for the pending query set.
+
+        The family must hold one answer set from every panel member and
+        from no one else.  Updates are staged before any is committed
+        (:func:`stage_family_updates`), so an error leaves the belief,
+        the pending round and the budget as they were.
+        """
+        self._require_pending()
         if set(family.query_fact_ids) != set(self._pending):
             raise ValueError(
                 f"answer family covers {sorted(family.query_fact_ids)}, "
                 f"expected {sorted(self._pending)}"
             )
-        missing = [
-            worker.worker_id
-            for worker in self._experts
-            if all(
-                answer_set.worker.worker_id != worker.worker_id
-                for answer_set in family
+        answered = [answer_set.worker.worker_id for answer_set in family]
+        unknown = [name for name in answered if name not in self._experts]
+        if unknown:
+            raise ValueError(
+                f"answers from workers outside the panel: {unknown}"
             )
+        if len(set(answered)) < len(answered):
+            raise ValueError(f"answer family repeats a worker: {answered}")
+        missing = [
+            name for name in self._experts.worker_ids if name not in answered
         ]
         if missing:
-            raise ValueError(
-                f"answer family is missing experts: {missing}"
-            )
+            raise ValueError(f"answer family is missing experts: {missing}")
         with OBS.phase("update"):
             if self._update_engine is not None:
                 updated = self._update_engine.apply_family(
                     self._belief, family
                 )
-                self._invalidate(updated)
             else:
-                self._applier._apply_family(self._belief, family)
+                updated = self._commit(
+                    stage_family_updates(self._belief, family)
+                )
+            self._invalidate(updated)
         cost = self._budget.charge_round(len(self._pending), self._experts)
         record = self._record(self._round_index, self._pending, cost)
         self.history.append(record)
@@ -337,7 +421,9 @@ class OnlineCheckingSession:
         the answers received (Lemma 3 — workers are conditionally
         independent given the observation, so sequential per-worker
         updates over the responders are exact), and the budget is
-        charged per answer received instead of per full round.
+        charged per answer received instead of per full round.  As in
+        :meth:`submit`, updates are staged before any is committed
+        (:func:`stage_partial_updates`).
 
         Parameters
         ----------
@@ -365,12 +451,7 @@ class OnlineCheckingSession:
             not listed use their declared accuracy; ids without answers
             this round are ignored.
         """
-        if self._finished:
-            raise SessionStateError("session is finished")
-        if self._pending is None:
-            raise SessionStateError(
-                "no pending queries; call next_queries() first"
-            )
+        self._require_pending()
         if isinstance(family, AnswerFamily):
             family = PartialAnswerFamily.from_family(family)
         if family.is_empty:
@@ -398,10 +479,26 @@ class OnlineCheckingSession:
             event.stamped(self._round_index) for event in fault_events
         ]
         with OBS.phase("update"):
-            self._apply_partial(
-                family, temper=temper, events=events,
-                accuracy_overrides=accuracy_overrides,
-            )
+            if self._update_engine is not None:
+                updated, tempered = self._update_engine.apply_partial(
+                    self._belief,
+                    family,
+                    temper=temper,
+                    round_index=self._round_index,
+                    accuracy_overrides=accuracy_overrides,
+                )
+                events.extend(tempered)
+            else:
+                staged, keyed = stage_partial_updates(
+                    self._belief,
+                    family,
+                    temper=temper,
+                    round_index=self._round_index,
+                    accuracy_overrides=accuracy_overrides,
+                )
+                events.extend(event for _key, event in keyed)
+                updated = self._commit(staged)
+            self._invalidate(updated)
         cost = self._budget.charge_family(family)
         record = self._record(
             self._round_index, self._pending, cost, tuple(events)
@@ -411,41 +508,19 @@ class OnlineCheckingSession:
         self._pending = None
         return record
 
-    def _apply_partial(
-        self,
-        family: PartialAnswerFamily,
-        temper: bool,
-        events: list[FaultEvent],
-        accuracy_overrides: Mapping[str, float] | None = None,
-    ) -> None:
-        """Stage per-worker Lemma-3 updates per group, then commit.
-
-        Updates are staged on copies (see :func:`stage_partial_updates`)
-        so a raised :class:`InconsistentEvidenceError` (``temper=False``)
-        leaves the session belief untouched.
-        """
-        if self._update_engine is not None:
-            updated_groups, tempered = self._update_engine.apply_partial(
-                self._belief,
-                family,
-                temper=temper,
-                round_index=self._round_index,
-                accuracy_overrides=accuracy_overrides,
+    def _require_pending(self) -> None:
+        if self._finished:
+            raise SessionStateError("session is finished")
+        if self._pending is None:
+            raise SessionStateError(
+                "no pending queries; call next_queries() first"
             )
-            events.extend(tempered)
-            self._invalidate(updated_groups)
-            return
-        staged, tempered = stage_partial_updates(
-            self._belief,
-            family,
-            temper=temper,
-            round_index=self._round_index,
-            accuracy_overrides=accuracy_overrides,
-        )
-        events.extend(event for _key, event in tempered)
-        for group_index, updated in staged.items():
-            self._belief.replace_group(group_index, updated)
-        self._invalidate(staged.keys())
+
+    def _commit(self, staged: dict[int, BeliefState]):
+        """Adopt staged group states; returns the updated indices."""
+        for group_index, state in staged.items():
+            self._belief.replace_group(group_index, state)
+        return staged.keys()
 
     def _invalidate(self, group_indices) -> None:
         # Release the selector's cached entropies for the groups this
@@ -543,10 +618,6 @@ class OnlineCheckingSession:
         if len(experts) == 0:
             raise ValueError("the expert crowd CE must not be empty")
         self._experts = experts
-        self._applier = HierarchicalCrowdsourcing(
-            experts=experts, selector=self._selector, k=self._k,
-            cost_model=self._budget.cost_model,
-        )
 
     def abandon_pending(self) -> None:
         """Drop the pending query set without charging the budget

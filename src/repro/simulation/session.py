@@ -18,6 +18,7 @@ from ..aggregation.base import Aggregator
 from ..aggregation.registry import make_aggregator
 from ..core.hc import HierarchicalCrowdsourcing, RunResult
 from ..core.kernel import default_belief_epsilon
+from ..core.observations import FactoredBelief
 from ..core.selection import LazyGreedySelector, Selector
 from ..core.trust import TrustPolicy, select_gold_probes
 from ..core.workers import Crowd
@@ -98,6 +99,92 @@ class SessionConfig:
     reserve_accuracies: tuple[float, ...] = ()
     belief_epsilon: float = field(default_factory=default_belief_epsilon)
 
+    @property
+    def resilient(self) -> bool:
+        """Whether the session runs the fault-tolerant runtime (faults,
+        a journal or trust supervision asked for)."""
+        return (
+            self.faults is not None
+            or self.journal_path is not None
+            or self.trust_policy is not None
+        )
+
+
+def campaign_inputs(
+    dataset: CrowdLabelingDataset,
+    config: SessionConfig,
+    aggregator: Aggregator | None = None,
+    answer_source=None,
+) -> tuple[Crowd, FactoredBelief, object]:
+    """``(experts, belief, answer_source)``: the crowd split, the
+    initialized belief and the answer source (a
+    :class:`SimulatedExpertPanel` seeded from ``config.seed`` unless
+    one is given) every campaign entry point starts from."""
+    experts, _preliminary = dataset.split_crowd(config.theta)
+    if len(experts) == 0:
+        raise ValueError(
+            f"no worker reaches theta={config.theta}; cannot form CE"
+        )
+    if aggregator is None:
+        aggregator = make_aggregator(config.initializer)
+    belief, _init_result = initialize_belief(
+        dataset, aggregator, config.theta, smoothing=config.smoothing,
+        belief_epsilon=config.belief_epsilon,
+    )
+    if answer_source is None:
+        answer_source = SimulatedExpertPanel(
+            dataset.ground_truth, rng=np.random.default_rng(config.seed)
+        )
+    return experts, belief, answer_source
+
+
+def resilient_session(
+    dataset: CrowdLabelingDataset,
+    config: SessionConfig,
+    belief: FactoredBelief,
+    experts: Crowd,
+    budget,
+    answer_source,
+    selector: Selector,
+    **seams,
+) -> tuple[ResilientCheckingSession, object]:
+    """The fault-tolerant session a :attr:`SessionConfig.resilient`
+    config runs, and the answer source it runs against (wrapped in the
+    config's faults): gold probes carved from the ground truth, reserve
+    experts, retry policy and journal as configured.  ``seams`` pass
+    through to :class:`ResilientCheckingSession` (the parallel engine's
+    update engine and journal metadata)."""
+    if config.faults is not None:
+        answer_source = FaultyExpertPanel(answer_source, config.faults)
+    gold_facts = None
+    if config.trust_policy is not None:
+        gold_facts = select_gold_probes(
+            dataset.ground_truth,
+            fraction=config.gold_fraction,
+            seed=config.trust_policy.seed,
+        )
+    reserve = (
+        Crowd.from_accuracies(config.reserve_accuracies, prefix="r")
+        if config.reserve_accuracies
+        else None
+    )
+    session = ResilientCheckingSession(
+        belief,
+        experts,
+        budget,
+        selector=selector,
+        k=config.k,
+        ground_truth=dataset.ground_truth,
+        retry_policy=config.retry_policy,
+        reserve_experts=reserve,
+        journal_path=config.journal_path,
+        trust_policy=config.trust_policy,
+        gold_facts=gold_facts,
+        seed=config.seed,
+        **seams,
+    )
+    return session, answer_source
+
 
 def run_hc_session(
     dataset: CrowdLabelingDataset,
@@ -125,59 +212,18 @@ def run_hc_session(
         :class:`SimulatedExpertPanel` seeded from ``config.seed``.
     """
     config = config or SessionConfig()
-    experts, _preliminary = dataset.split_crowd(config.theta)
-    if len(experts) == 0:
-        raise ValueError(
-            f"no worker reaches theta={config.theta}; cannot form CE"
-        )
-    if aggregator is None:
-        aggregator = make_aggregator(config.initializer)
-    belief, _init_result = initialize_belief(
-        dataset, aggregator, config.theta, smoothing=config.smoothing,
-        belief_epsilon=config.belief_epsilon,
+    experts, belief, answer_source = campaign_inputs(
+        dataset, config, aggregator, answer_source
     )
-    if answer_source is None:
-        answer_source = SimulatedExpertPanel(
-            dataset.ground_truth, rng=np.random.default_rng(config.seed)
-        )
-    if (
-        config.faults is not None
-        or config.journal_path is not None
-        or config.trust_policy is not None
-    ):
-        if config.faults is not None:
-            answer_source = FaultyExpertPanel(answer_source, config.faults)
-        gold_facts = None
-        if config.trust_policy is not None:
-            gold_facts = select_gold_probes(
-                dataset.ground_truth,
-                fraction=config.gold_fraction,
-                seed=config.trust_policy.seed,
-            )
-        reserve = (
-            Crowd.from_accuracies(config.reserve_accuracies, prefix="r")
-            if config.reserve_accuracies
-            else None
-        )
-        session = ResilientCheckingSession(
-            belief,
-            experts,
-            config.budget,
-            selector=selector or LazyGreedySelector(),
-            k=config.k,
-            ground_truth=dataset.ground_truth,
-            retry_policy=config.retry_policy,
-            reserve_experts=reserve,
-            journal_path=config.journal_path,
-            trust_policy=config.trust_policy,
-            gold_facts=gold_facts,
-            seed=config.seed,
+    selector = selector or LazyGreedySelector()
+    if config.resilient:
+        session, answer_source = resilient_session(
+            dataset, config, belief, experts, config.budget,
+            answer_source, selector,
         )
         return session.run(answer_source)
     runner = HierarchicalCrowdsourcing(
-        experts=experts,
-        selector=selector or LazyGreedySelector(),
-        k=config.k,
+        experts=experts, selector=selector, k=config.k
     )
     return runner.run(
         belief,

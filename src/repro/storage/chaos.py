@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
+from ..faultplan import FaultPlan
 
 #: Injectable actions, in the order draws are checked.
 STORAGE_CHAOS_ACTIONS = (
@@ -45,10 +45,6 @@ STORAGE_CHAOS_ACTIONS = (
     "rename_error",
     "bitflip",
 )
-
-#: Domain-separation salt so storage draws never collide with the
-#: transport (no salt) or delivery (0x5C40) chaos streams.
-_DRAW_SALT = 0xD15C
 
 
 def chaos_path_key(path: "str | Path") -> str:
@@ -63,7 +59,7 @@ def chaos_path_key(path: "str | Path") -> str:
 
 
 @dataclass(frozen=True)
-class StorageChaos:
+class StorageChaos(FaultPlan):
     """Seeded configuration of durable-storage fault injection.
 
     Parameters
@@ -84,7 +80,18 @@ class StorageChaos:
         Explicit ``{(path_key, write_index): action}`` overrides;
         scheduled entries fire regardless of the rates.  ``path_key``
         is :func:`chaos_path_key` of the target.
+
+    :meth:`parse` reads ``"short_write=0.05,fsync_error=0.02"``;
+    :meth:`from_env` reads ``REPRO_STORAGE_CHAOS`` (+ seed).
     """
+
+    ACTIONS = STORAGE_CHAOS_ACTIONS
+    #: Separates storage draws from the transport (no salt) and
+    #: delivery (0x5C40) streams.
+    SALT = (0xD15C,)
+    ENV = "REPRO_STORAGE_CHAOS"
+    KIND = "storage chaos"
+    SCHEDULE_KEY = (str, int)
 
     short_write: float = 0.0
     fsync_error: float = 0.0
@@ -93,37 +100,6 @@ class StorageChaos:
     bitflip: float = 0.0
     seed: int = 0
     schedule: Mapping[tuple[str, int], str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for name in STORAGE_CHAOS_ACTIONS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} rate must lie in [0, 1], got {rate}"
-                )
-            total += rate
-        if total > 1.0 + 1e-12:
-            raise ValueError(
-                "storage chaos rates must not exceed 1 in total "
-                "(they are mutually exclusive per-write actions)"
-            )
-        schedule = {}
-        for key, action in dict(self.schedule).items():
-            path_key, write_index = key
-            if action not in STORAGE_CHAOS_ACTIONS:
-                raise ValueError(
-                    f"unknown storage chaos action {action!r}; expected "
-                    f"one of {list(STORAGE_CHAOS_ACTIONS)}"
-                )
-            schedule[(str(path_key), int(write_index))] = action
-        object.__setattr__(self, "schedule", schedule)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.schedule) or any(
-            getattr(self, name) > 0.0 for name in STORAGE_CHAOS_ACTIONS
-        )
 
     def action_for(self, path_key: str, write_index: int) -> str | None:
         """The action to inject for one write, or ``None``.
@@ -136,26 +112,7 @@ class StorageChaos:
         scheduled = self.schedule.get((path_key, write_index))
         if scheduled is not None:
             return scheduled
-        if not any(
-            getattr(self, name) > 0.0 for name in STORAGE_CHAOS_ACTIONS
-        ):
-            return None
-        draw = np.random.default_rng(
-            np.random.SeedSequence(
-                [
-                    int(self.seed),
-                    _DRAW_SALT,
-                    zlib.crc32(path_key.encode("utf-8")),
-                    int(write_index),
-                ]
-            )
-        ).random()
-        threshold = 0.0
-        for name in STORAGE_CHAOS_ACTIONS:
-            threshold += getattr(self, name)
-            if draw < threshold:
-                return name
-        return None
+        return self.pick(zlib.crc32(path_key.encode("utf-8")), write_index)
 
     def flip_bit(self, data: bytes, path_key: str, write_index: int) -> bytes:
         """``data`` with one deterministically-chosen bit flipped.
@@ -167,47 +124,14 @@ class StorageChaos:
         """
         if len(data) < 2:
             return data
-        draws = np.random.default_rng(
-            np.random.SeedSequence(
-                [
-                    int(self.seed),
-                    _DRAW_SALT,
-                    zlib.crc32(path_key.encode("utf-8")),
-                    int(write_index),
-                ]
-            )
-        ).random(3)
+        draws = self.draw(
+            zlib.crc32(path_key.encode("utf-8")), write_index, size=3
+        )
         position = int(draws[1] * (len(data) - 1))
         bit = int(draws[2] * 8)
         corrupted = bytearray(data)
         corrupted[position] ^= 1 << bit
         return bytes(corrupted)
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "StorageChaos":
-        """Build a plan from a ``name=rate,...`` CLI/env spec.
-
-        Example: ``"short_write=0.05,fsync_error=0.02,bitflip=0.01"``.
-        """
-        # Imported lazily: this module sits below repro.core in the
-        # import graph (serialization consults it on every append), so
-        # it must not pull the simulation stack in at import time.
-        from ..simulation.faults import parse_rate_spec
-
-        rates = parse_rate_spec(spec, STORAGE_CHAOS_ACTIONS)
-        return cls(seed=seed, **rates)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "StorageChaos | None":
-        """Plan from ``REPRO_STORAGE_CHAOS`` (+ seed), or ``None``."""
-        env = os.environ if environ is None else environ
-        spec = env.get("REPRO_STORAGE_CHAOS")
-        if not spec:
-            return None
-        plan = cls.parse(
-            spec, seed=int(env.get("REPRO_STORAGE_CHAOS_SEED", "0"))
-        )
-        return plan if plan.enabled else None
 
 
 class StorageChaosState:
@@ -257,7 +181,7 @@ class StorageChaosState:
 _UNSET = object()
 
 _INSTALLED: "StorageChaosState | None | object" = _UNSET
-_ENV_CACHE: tuple[str, str, StorageChaosState | None] | None = None
+_ENV_CACHE: "tuple[tuple, StorageChaosState | None] | None" = None
 _INSTALL_LOCK = threading.Lock()
 
 
@@ -300,16 +224,16 @@ def active_storage_chaos() -> "StorageChaosState | None":
     installed = _INSTALLED
     if installed is not _UNSET:
         return installed  # type: ignore[return-value]
-    spec = os.environ.get("REPRO_STORAGE_CHAOS", "")
+    spec = os.environ.get("REPRO_STORAGE_CHAOS")
     if not spec:
         return None
-    seed = os.environ.get("REPRO_STORAGE_CHAOS_SEED", "0")
+    key = (spec, os.environ.get("REPRO_STORAGE_CHAOS_SEED", "0"))
     cached = _ENV_CACHE
-    if cached is not None and cached[0] == spec and cached[1] == seed:
-        return cached[2]
-    plan = StorageChaos.parse(spec, seed=int(seed))
-    state = StorageChaosState(plan) if plan.enabled else None
-    _ENV_CACHE = (spec, seed, state)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    plan = StorageChaos.from_env()
+    state = StorageChaosState(plan) if plan is not None else None
+    _ENV_CACHE = (key, state)
     return state
 
 

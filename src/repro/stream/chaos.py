@@ -10,29 +10,23 @@ it computes the full *delivery schedule* up front
 (:meth:`plan_delivery`) — a deterministic function of ``(rates, seed)``
 — so a killed-and-resumed campaign replays exactly the same degraded
 delivery as an uninterrupted one.  Per-event decisions are stateless
-draws from ``SeedSequence([seed, salt, event_seq])``, mirroring the
-engine plan's idiom.
+draws from ``SeedSequence([seed, salt, event_seq])``, the keyed draw
+every fault plan shares (:class:`~repro.faultplan.FaultPlan`).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
-from ..simulation.faults import parse_rate_spec
+from ..faultplan import FaultPlan
 from .events import StreamEvent
 
 #: Injectable delivery faults, in the order draws are checked.
 STREAM_CHAOS_ACTIONS = ("drop", "stall", "reorder", "duplicate")
 
-#: Salt for the per-event draw stream (distinct from other planners).
-_DRAW_SALT = 0x5C40
-
 
 @dataclass(frozen=True)
-class StreamChaos:
+class StreamChaos(FaultPlan):
     """Seeded configuration of arrival-path fault injection.
 
     Parameters
@@ -50,7 +44,17 @@ class StreamChaos:
         Displacements in delivery slots for the respective faults.
     seed:
         Seed of the per-event draw streams.
+
+    :meth:`parse` reads ``"reorder=0.1,duplicate=0.05,stall=0.02"``;
+    :meth:`from_env` reads ``REPRO_STREAM_CHAOS`` (+
+    ``REPRO_STREAM_CHAOS_SEED``), the hook the CI ``stream-chaos``
+    matrix uses to degrade delivery under the whole stream test suite.
     """
+
+    ACTIONS = STREAM_CHAOS_ACTIONS
+    #: Separates the per-event draw streams from other plans'.
+    SALT = (0x5C40,)
+    ENV = "REPRO_STREAM_CHAOS"
 
     drop: float = 0.0
     stall: float = 0.0
@@ -62,28 +66,10 @@ class StreamChaos:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for name in STREAM_CHAOS_ACTIONS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name} rate must lie in [0, 1], got {rate}"
-                )
-            total += rate
-        if total > 1.0 + 1e-12:
-            raise ValueError(
-                "drop + stall + reorder + duplicate must not exceed 1 "
-                "(they are mutually exclusive per-event actions)"
-            )
+        super().__post_init__()
         for name in ("reorder_shift", "stall_shift", "duplicate_shift"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-
-    @property
-    def enabled(self) -> bool:
-        return any(
-            getattr(self, name) > 0.0 for name in STREAM_CHAOS_ACTIONS
-        )
 
     def action_for(self, event_seq: int) -> str | None:
         """The fault to inject on one event, or ``None``.
@@ -93,19 +79,7 @@ class StreamChaos:
         plan degrades the same events regardless of where a resumed
         campaign picks the stream back up.
         """
-        if not self.enabled:
-            return None
-        draw = np.random.default_rng(
-            np.random.SeedSequence(
-                [int(self.seed), _DRAW_SALT, int(event_seq)]
-            )
-        ).random()
-        threshold = 0.0
-        for name in STREAM_CHAOS_ACTIONS:
-            threshold += getattr(self, name)
-            if draw < threshold:
-                return name
-        return None
+        return self.pick(event_seq)
 
     def plan_delivery(
         self, events: "list[StreamEvent]"
@@ -139,49 +113,14 @@ class StreamChaos:
 
     def to_dict(self) -> dict:
         """JSON form, stored in the journal's stream config record."""
-        return {
-            "drop": self.drop,
-            "stall": self.stall,
-            "reorder": self.reorder,
-            "duplicate": self.duplicate,
-            "reorder_shift": self.reorder_shift,
-            "stall_shift": self.stall_shift,
-            "duplicate_shift": self.duplicate_shift,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload) -> "StreamChaos":
         return cls(
-            drop=float(payload.get("drop", 0.0)),
-            stall=float(payload.get("stall", 0.0)),
-            reorder=float(payload.get("reorder", 0.0)),
-            duplicate=float(payload.get("duplicate", 0.0)),
-            reorder_shift=int(payload.get("reorder_shift", 3)),
-            stall_shift=int(payload.get("stall_shift", 24)),
-            duplicate_shift=int(payload.get("duplicate_shift", 2)),
-            seed=int(payload.get("seed", 0)),
+            **{
+                field.name: type(field.default)(payload[field.name])
+                for field in fields(cls)
+                if field.name in payload
+            }
         )
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "StreamChaos":
-        """Build a plan from a ``name=rate,...`` CLI/env spec.
-
-        Example: ``"reorder=0.1,duplicate=0.05,stall=0.02"``.
-        """
-        rates = parse_rate_spec(spec, STREAM_CHAOS_ACTIONS)
-        return cls(seed=seed, **rates)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "StreamChaos | None":
-        """Plan from ``REPRO_STREAM_CHAOS`` (+ ``REPRO_STREAM_CHAOS_SEED``),
-        or ``None`` when unset — the hook the CI ``stream-chaos`` matrix
-        uses to degrade delivery under the whole stream test suite."""
-        env = os.environ if environ is None else environ
-        spec = env.get("REPRO_STREAM_CHAOS")
-        if not spec:
-            return None
-        plan = cls.parse(
-            spec, seed=int(env.get("REPRO_STREAM_CHAOS_SEED", "0"))
-        )
-        return plan if plan.enabled else None

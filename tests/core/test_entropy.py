@@ -10,13 +10,14 @@ from repro.core import (
     answer_family_entropy,
     binary_entropy,
     conditional_entropy,
-    conditional_entropy_naive,
     expected_quality,
     expected_quality_improvement,
     observation_entropy,
     quality,
     shannon_entropy,
 )
+
+from tests.reference.conditional_entropy import conditional_entropy_naive
 
 
 class TestShannonEntropy:

@@ -1,5 +1,7 @@
 """Unit tests for the transport-level fault injection layer."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
@@ -60,6 +62,28 @@ class TestChaosPlan:
         assert any(action == "kill" for action in draws)
         assert any(action == "hang" for action in draws)
         assert any(action is None for action in draws)
+
+    def test_draw_stream_is_pinned(self):
+        """SHA-256 of the first 2,000 ``(shard, command)`` draws for two
+        seeds, recorded before the fault plans shared one draw site: a
+        changed salt, key order or threshold walk changes them."""
+        pinned = {
+            3: "c2c93727d9b2b03e81728189dac618fb"
+               "22f8a933a0c9922bbcd01319d76b9e0a",
+            2026: "66ee2b67c2ee7f4be90d6dcfe3b61a2e"
+                  "b9a85eec0f57d4d95086c06e037eb7de",
+        }
+        for seed, digest in pinned.items():
+            plan = ChaosPlan(
+                kill=0.1, hang=0.1, delay=0.1, corrupt=0.1, seed=seed
+            )
+            actions = [
+                plan.action_for(shard, index)
+                for shard in range(4)
+                for index in range(500)
+            ]
+            text = "\n".join(map(repr, actions))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_schedule_overrides_rates(self):
         plan = ChaosPlan(schedule={(2, 5): "corrupt"})

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AnswerFamily,
     AnswerSet,
     BeliefState,
     Crowd,
     FactSet,
     FactoredBelief,
+    InconsistentEvidenceError,
     LazyGreedySelector,
+    Worker,
     update_with_answer_set,
 )
 from repro.engine import (
@@ -18,6 +21,7 @@ from repro.engine import (
     ShardedUpdateEngine,
     merge_shard_selections,
 )
+from repro.simulation import OnlineCheckingSession
 
 
 class TestMergeShardSelections:
@@ -87,7 +91,7 @@ class TestShardedSelector:
                     fact_id: bool(answer_rng.integers(2))
                     for fact_id in picks
                 }
-                # Mirror hc's _apply_family: one multi-fact answer set
+                # Mirror stage_family_updates: one multi-fact answer set
                 # per touched group (float op order matters for bits).
                 by_group: dict[int, dict[int, bool]] = {}
                 for fact_id, value in family_answers.items():
@@ -102,8 +106,6 @@ class TestShardedSelector:
                         ),
                     )
                 serial.invalidate_groups(by_group.keys())
-                from repro.core.answers import AnswerFamily
-
                 engine.apply_family(
                     sharded_belief,
                     AnswerFamily(
@@ -128,3 +130,85 @@ class TestShardedSelector:
         experts = Crowd.from_accuracies([0.9], prefix="e")
         with ShardPool(_belief(2, 3, seed=0), experts, 2, inline=True) as pool:
             ShardedSelector(pool).invalidate_groups({0, 1})
+
+
+class TestAtomicStrictSubmit:
+    """A strict round whose second group has zero evidence changes
+    nothing — serially or sharded — and raises the same error."""
+
+    PANEL = Crowd([Worker("yes", 1.0), Worker("no", 1.0)])
+
+    def _round(self, session) -> tuple[str, list]:
+        queries = session.next_queries()
+        assert len(queries) == 4
+        assert session.belief.group_index_of(queries[0]) == 0
+        # The panel agrees on group 0's facts, disagrees on group 1's.
+        family = AnswerFamily(
+            answer_sets=tuple(
+                AnswerSet(
+                    worker=worker,
+                    answers={
+                        fact_id: worker.worker_id == "yes" or fact_id < 2
+                        for fact_id in queries
+                    },
+                )
+                for worker in self.PANEL
+            )
+        )
+        before = list(session.belief)
+        with pytest.raises(InconsistentEvidenceError) as raised:
+            session.submit(family)
+        assert all(
+            state is old for state, old in zip(session.belief, before)
+        )
+        assert session.pending_queries == tuple(queries)
+        assert session.spent_budget == 0.0
+        # The round can still be answered, to the same bits everywhere.
+        session.submit(
+            AnswerFamily(
+                answer_sets=tuple(
+                    AnswerSet(
+                        worker=worker,
+                        answers={fact_id: True for fact_id in queries},
+                    )
+                    for worker in self.PANEL
+                )
+            )
+        )
+        return str(raised.value), [
+            state.probabilities for state in session.belief
+        ]
+
+    @staticmethod
+    def _belief() -> FactoredBelief:
+        return FactoredBelief(
+            [
+                BeliefState.from_marginals(
+                    FactSet.from_ids([0, 1]), [0.5, 0.5]
+                ),
+                BeliefState.from_marginals(
+                    FactSet.from_ids([2, 3]), [0.7, 0.8]
+                ),
+            ]
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_and_sharded_rounds_fail_alike(self, jobs):
+        error, posteriors = self._round(
+            OnlineCheckingSession(self._belief(), self.PANEL, 100.0, k=4)
+        )
+        belief = self._belief()
+        with ShardPool(belief, self.PANEL, jobs, inline=True) as pool:
+            sharded_error, sharded_posteriors = self._round(
+                OnlineCheckingSession(
+                    belief,
+                    self.PANEL,
+                    100.0,
+                    selector=ShardedSelector(pool),
+                    k=4,
+                    update_engine=ShardedUpdateEngine(pool),
+                )
+            )
+        assert sharded_error == error
+        for ours, theirs in zip(sharded_posteriors, posteriors):
+            assert np.array_equal(ours, theirs)

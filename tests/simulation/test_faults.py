@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     PartialAnswerFamily,
     Worker,
 )
+from repro.engine.chaos import ChaosPlan
 from repro.simulation import (
     AnswerCollectionTimeout,
     FaultModel,
@@ -17,6 +20,8 @@ from repro.simulation import (
     ScriptedAnswerSource,
     SimulatedExpertPanel,
 )
+from repro.storage.chaos import StorageChaos
+from repro.stream.chaos import StreamChaos
 
 pytestmark = pytest.mark.chaos
 
@@ -69,6 +74,87 @@ class TestFaultModel:
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="bad rate"):
             FaultModel.parse("no_show=lots")
+
+
+def _env(name: str, spec: str, seed: str) -> dict[str, str]:
+    return {name: spec, f"{name}_SEED": seed}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ChaosPlan(kill=0.5, seed=-1), id="chaos-seed"),
+        pytest.param(lambda: StreamChaos(drop=0.5, seed=-2), id="stream-seed"),
+        pytest.param(
+            lambda: StorageChaos(bitflip=0.5, seed=-3), id="storage-seed"
+        ),
+        pytest.param(lambda: FaultModel(seed=-1), id="faults-seed"),
+        pytest.param(lambda: ChaosPlan(seed=1.5), id="float-seed"),
+        pytest.param(lambda: StreamChaos(seed=True), id="bool-seed"),
+        pytest.param(
+            lambda: ChaosPlan.from_env(_env("REPRO_CHAOS", "kill=0.1", "-1")),
+            id="chaos-env-seed",
+        ),
+        pytest.param(
+            lambda: StreamChaos.from_env(
+                _env("REPRO_STREAM_CHAOS", "stall=0.1", "-1")
+            ),
+            id="stream-env-seed",
+        ),
+        pytest.param(
+            lambda: StorageChaos.from_env(
+                _env("REPRO_STORAGE_CHAOS", "enospc=0.1", "-1")
+            ),
+            id="storage-env-seed",
+        ),
+        pytest.param(
+            lambda: StorageChaos.parse("bitflip=0.1", seed=-1),
+            id="parse-seed",
+        ),
+        pytest.param(
+            lambda: FaultModel(timeout=float("nan")), id="nan-rate"
+        ),
+        pytest.param(
+            lambda: StorageChaos(short_write=0.6, bitflip=0.6),
+            id="exclusive-sum",
+        ),
+        pytest.param(
+            lambda: ChaosPlan(delay=0.1, delay_duration=float("nan")),
+            id="nan-delay",
+        ),
+        pytest.param(
+            lambda: ChaosPlan(delay_duration=float("inf")), id="inf-delay"
+        ),
+        pytest.param(
+            lambda: ChaosPlan.parse("kill=0.1,kill=0.9"), id="chaos-twice"
+        ),
+        pytest.param(
+            lambda: StreamChaos.parse("stall=0.1, stall=0.1"),
+            id="stream-twice",
+        ),
+        pytest.param(
+            lambda: StorageChaos.parse("enospc=0.1,enospc=0.2"),
+            id="storage-twice",
+        ),
+        pytest.param(
+            lambda: FaultModel.parse("spam=0.1,spam=0.2"), id="faults-twice"
+        ),
+    ],
+)
+def test_bad_fault_configs_are_rejected_where_built(build):
+    """Every fault config checks its seed, rates and durations when it
+    is built, from code, a spec or the environment — not at its first
+    draw, deep inside a shard command or a journal write."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_numpy_integer_seeds_are_accepted():
+    plan = ChaosPlan(kill=0.5, seed=np.int64(7))
+    twin = ChaosPlan(kill=0.5, seed=7)
+    assert [plan.action_for(0, i) for i in range(20)] == [
+        twin.action_for(0, i) for i in range(20)
+    ]
 
 
 class TestFaultyExpertPanel:
@@ -137,6 +223,39 @@ class TestFaultyExpertPanel:
             for answer_set in family:
                 seen.add(answer_set.answers[0])
         assert seen == {True, False}
+
+    def test_event_stream_is_pinned(self):
+        """SHA-256 of the first 2,000 fault events of a seeded panel for
+        two seeds, recorded before the fault plans shared one
+        validator and spec parser."""
+        pinned = {
+            3: "a87f4eb6b85c4a773ea5d2c245030975"
+               "9d2e840556d3d618066aa8a81daa08e9",
+            2026: "352308a18867d2f8ef4ae8a1e39d3539"
+                  "8a295fbd07cf3ead3f4f2e459979a91e",
+        }
+        truth = {fact_id: fact_id % 3 != 0 for fact_id in range(6)}
+        experts = Crowd.from_accuracies([0.95, 0.9, 0.92], prefix="e")
+        for seed, digest in pinned.items():
+            panel = FaultyExpertPanel(
+                SimulatedExpertPanel(truth, rng=0),
+                FaultModel(
+                    no_show=0.1, timeout=0.1, spam=0.1, adversarial=0.1,
+                    partial=0.2, seed=seed,
+                ),
+            )
+            events = []
+            while len(events) < 2000:
+                try:
+                    panel.collect([0, 2, 4], experts)
+                except AnswerCollectionTimeout:
+                    pass
+                events.extend(
+                    (event.kind, event.worker_id, event.fact_ids)
+                    for event in panel.drain_events()
+                )
+            text = "\n".join(map(repr, events[:2000]))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_state_round_trip_replays_faults(self, experts):
         model = FaultModel(no_show=0.3, partial=0.3, seed=9)

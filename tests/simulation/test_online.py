@@ -131,6 +131,38 @@ class TestStateMachine:
         with pytest.raises(ValueError, match="missing experts"):
             session.submit(family)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [Worker("stranger", 0.99), None],
+        ids=["worker-outside-the-panel", "worker-answering-twice"],
+    )
+    def test_submit_rejects_answers_beyond_the_panel(
+        self, session, experts, extra
+    ):
+        """An answer set the round is not charged for must not move the
+        belief: a stranger's, or a second one from a panel member."""
+        queries = session.next_queries()
+        before = list(session.belief)
+        workers = (*experts, extra if extra is not None else experts[0])
+        family = AnswerFamily(
+            answer_sets=tuple(
+                AnswerSet(
+                    worker=worker,
+                    answers={fact_id: TRUTH[fact_id] for fact_id in queries},
+                )
+                for worker in workers
+            )
+        )
+        with pytest.raises(
+            ValueError, match="outside the panel|repeats a worker"
+        ):
+            session.submit(family)
+        assert all(
+            state is old for state, old in zip(session.belief, before)
+        )
+        assert session.pending_queries == tuple(queries)
+        assert session.spent_budget == 0.0
+
     def test_abandon_pending(self, session, experts):
         first = session.next_queries()
         session.abandon_pending()

@@ -10,6 +10,8 @@ the v8 framing.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.serialization import (
@@ -93,6 +95,39 @@ class TestPlan:
         ]
         assert len(diff) == 1
         assert bin(data[diff[0]] ^ flipped[diff[0]]).count("1") == 1
+
+    def test_draw_and_flip_streams_are_pinned(self):
+        """SHA-256 of 2,000 actions and bit-flip positions over two path
+        keys for two seeds, recorded before the fault plans shared one
+        draw site: a changed salt, key order or threshold walk changes
+        them."""
+        pinned = {
+            3: "eb3d3d0df70e1a4e4932dd08c19428e2"
+               "a9190cf0d8bb9d3372b3c7ae07999f4a",
+            2026: "c95d74cce5ce10a1943cd435b5a5e438"
+                  "be7fe91c4e86d47f984328a9878972cd",
+        }
+        data = bytes(range(64))
+        for seed, digest in pinned.items():
+            plan = StorageChaos(
+                short_write=0.1, fsync_error=0.1, enospc=0.1,
+                rename_error=0.1, bitflip=0.1, seed=seed,
+            )
+            draws = []
+            for key in ("acme/run.jsonl", "beta/state.json"):
+                for index in range(1000):
+                    flipped = plan.flip_bit(data, key, index)
+                    position = next(
+                        at for at in range(len(data))
+                        if flipped[at] != data[at]
+                    )
+                    draws.append((
+                        plan.action_for(key, index),
+                        position,
+                        flipped[position] ^ data[position],
+                    ))
+            text = "\n".join(map(repr, draws))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_parse_and_from_env(self, monkeypatch):
         plan = StorageChaos.parse("short_write=0.05,bitflip=0.01", seed=9)

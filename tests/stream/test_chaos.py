@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -54,6 +55,26 @@ def test_plan_delivery_is_deterministic():
     chaos = StreamChaos(reorder=0.3, duplicate=0.15, stall=0.1, seed=4)
     events = _events(60)
     assert chaos.plan_delivery(events) == chaos.plan_delivery(events)
+
+
+def test_delivery_stream_is_pinned():
+    """SHA-256 of the delivery order of 2,000 events for two seeds,
+    recorded before the fault plans shared one draw site: a changed
+    salt, key order or threshold walk changes them."""
+    pinned = {
+        3: "ac7b9ede89a7eef2cbd6afafc4db1f1b"
+           "9f81d42e0c5c9155d8cc30b1161aa42c",
+        2026: "8677ad33dc20a6be552ef101b417bc39"
+              "58fb90c65732e43721da367c8c7407e3",
+    }
+    events = _events(2000)
+    for seed, digest in pinned.items():
+        chaos = StreamChaos(
+            drop=0.1, stall=0.1, reorder=0.1, duplicate=0.1, seed=seed
+        )
+        order = [event.seq for event in chaos.plan_delivery(events)]
+        text = "\n".join(map(repr, order))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_drop_removes_and_duplicate_doubles():

@@ -110,11 +110,11 @@ def _check_record(record, belief, truth) -> None:
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every record both record paths write, as it is written,
+    """Check every record the session writes — every runtime's records,
+    ``HierarchicalCrowdsourcing.run``'s included — as it is written,
     against the belief it describes; yields the number of checks."""
     count = [0]
     online_record = OnlineCheckingSession._record
-    batch_record = HierarchicalCrowdsourcing._record
 
     def checking_online(self, *args, **kwargs):
         record = online_record(self, *args, **kwargs)
@@ -122,16 +122,7 @@ def checked(monkeypatch):
         count[0] += 1
         return record
 
-    def checking_batch(*args):
-        record = batch_record(*args)
-        _check_record(record, args[4], args[5])
-        count[0] += 1
-        return record
-
     monkeypatch.setattr(OnlineCheckingSession, "_record", checking_online)
-    monkeypatch.setattr(
-        HierarchicalCrowdsourcing, "_record", staticmethod(checking_batch)
-    )
     return count
 
 
@@ -186,12 +177,14 @@ def test_batch_run_records_match_recomputation(checked):
     assert len(result.history) > 3
     assert checked[0] == len(result.history)
     # a ground-truth-free run scores quality alone
+    checked[0] = 0
     runner = HierarchicalCrowdsourcing(dataset.split_crowd(0.9)[0], k=1)
     plain = runner.run(
         result.belief,
         SimulatedExpertPanel(dataset.ground_truth, rng=2),
         12.0,
     )
+    assert checked[0] == len(plain.history) > 1
     assert all(record.accuracy is None for record in plain.history)
 
 

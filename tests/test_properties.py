@@ -23,7 +23,6 @@ from repro.core import (
     GreedySelector,
     Worker,
     conditional_entropy,
-    conditional_entropy_naive,
     expected_quality_improvement,
     family_distribution,
     observation_entropy,
@@ -32,6 +31,8 @@ from repro.core import (
     update_with_family,
     worker_response_matrix,
 )
+
+from .reference.conditional_entropy import conditional_entropy_naive
 
 # --------------------------------------------------------------------
 # strategies
