@@ -150,14 +150,13 @@ class ParallelCampaignRunner:
         experts, belief, answer_source = campaign_inputs(
             dataset, config, self._aggregator, self._answer_source
         )
-        resilient = config.resilient
         sharded_collection = self._sharded_collection
         if sharded_collection is None:
             sharded_collection = (
-                not resilient
+                not config.resilient
                 and isinstance(answer_source, KeyedExpertPanel)
             )
-        if sharded_collection and resilient:
+        if sharded_collection and config.resilient:
             raise ValueError(
                 "sharded collection requires the plain path: the "
                 "resilient runtime journals/faults the coordinator-side "
@@ -187,7 +186,7 @@ class ParallelCampaignRunner:
         try:
             selector = ShardedSelector(pool)
             engine = ShardedUpdateEngine(pool)
-            if resilient:
+            if config.resilient:
                 session, source = resilient_session(
                     dataset, config, belief, experts, tracker,
                     answer_source, selector,

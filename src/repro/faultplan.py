@@ -22,33 +22,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
-
-
-def parse_rate_spec(spec: str, allowed: Sequence[str]) -> dict[str, float]:
-    """Parse a ``name=rate,name=rate`` spec into a rate dict."""
-    allowed_set = set(allowed)
-    rates: dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in allowed_set:
-            raise ValueError(
-                f"unknown fault {name!r}; expected one of "
-                f"{sorted(allowed_set)}"
-            )
-        if name in rates:
-            raise ValueError(f"fault {name!r} is named twice in {spec!r}")
-        try:
-            rates[name] = float(value)
-        except ValueError:
-            raise ValueError(f"bad rate for {name!r}: {value!r}") from None
-    return rates
 
 
 class FaultPlan:
@@ -137,9 +113,28 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0):
-        """Build a plan from a ``name=rate,...`` CLI/env spec."""
-        names = cls.ACTIONS + cls.RATES + cls.DURATIONS
-        return cls(seed=seed, **parse_rate_spec(spec, names))
+        """Build a plan from a ``name=rate,...`` CLI/env spec that names
+        each fault at most once."""
+        allowed = cls.ACTIONS + cls.RATES + cls.DURATIONS
+        rates: dict[str, float] = {}
+        for part in spec.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            name, _, value = part.partition("=")
+            name = name.strip()
+            if name not in allowed:
+                raise ValueError(
+                    f"unknown fault {name!r}; expected one of "
+                    f"{sorted(allowed)}"
+                )
+            if name in rates:
+                raise ValueError(f"fault {name!r} is named twice in {spec!r}")
+            try:
+                rates[name] = float(value)
+            except ValueError:
+                raise ValueError(f"bad rate for {name!r}: {value!r}") from None
+        return cls(seed=seed, **rates)
 
     @classmethod
     def from_env(cls, environ=None):

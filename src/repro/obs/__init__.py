@@ -120,6 +120,7 @@ class Observability:
         self.tenant = ""
         self._phase_family = None
         self._phase_children: dict = {}
+        self._delta_children: dict = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -146,6 +147,7 @@ class Observability:
         self.tenant = ""
         self._phase_family = None
         self._phase_children.clear()
+        self._delta_children.clear()
 
     # -- the two instrumentation primitives ----------------------------
 
@@ -203,13 +205,19 @@ class Observability:
         }
         last = getattr(stats, "_obs_published", None) or {}
         label_names = tuple(sorted(labels))
+        label_values = tuple(str(labels[name]) for name in label_names)
         for key in sorted(current):
             delta = current[key] - last.get(key, 0)
             if delta > 0:
-                family = self.registry.counter(
-                    f"{prefix}_{key}_total", labels=label_names
-                )
-                family.labels(**labels).inc(delta)
+                # Cached per counter and labels, as in observe_phase.
+                slot = (prefix, key, label_names, label_values)
+                child = self._delta_children.get(slot)
+                if child is None:
+                    child = self.registry.counter(
+                        f"{prefix}_{key}_total", labels=label_names
+                    ).labels(**labels)
+                    self._delta_children[slot] = child
+                child.inc(delta)
         try:
             stats._obs_published = current
         except AttributeError:

@@ -251,6 +251,23 @@ class TestFacade:
         assert family.labels(tenant="a").value == 5
         assert OBS.registry.get("repro_test_label_total") is None
 
+    def test_publish_deltas_after_reset_fill_the_new_registry(self):
+        class Stats:
+            def __init__(self, rounds):
+                self.rounds = rounds
+
+            def as_dict(self):
+                return {"rounds": self.rounds}
+
+        OBS.enable()
+        OBS.publish_deltas("repro_test", Stats(2), tenant="a")
+        OBS.reset()
+        OBS.enable()
+        OBS.publish_deltas("repro_test", Stats(3), tenant="a")
+        family = OBS.registry.get("repro_test_rounds_total")
+        assert family is not None
+        assert family.labels(tenant="a").value == 3
+
     def test_publish_gauges_skips_non_numerics(self):
         OBS.enable()
         OBS.publish_gauges(
