@@ -289,19 +289,12 @@ def _resume_session(
     args: argparse.Namespace, dataset, faults, selector=None, jobs: int = 1
 ):
     """Restore a crashed ``session --journal`` run and drive it on."""
-    import numpy as np
+    from .simulation import ResilientCheckingSession
+    from .simulation.session import campaign_answer_source
 
-    from .simulation import (
-        FaultyExpertPanel,
-        ResilientCheckingSession,
-        SimulatedExpertPanel,
+    answer_source = campaign_answer_source(
+        dataset, SessionConfig(seed=args.seed, faults=faults)
     )
-
-    answer_source = SimulatedExpertPanel(
-        dataset.ground_truth, rng=np.random.default_rng(args.seed)
-    )
-    if faults is not None:
-        answer_source = FaultyExpertPanel(answer_source, faults)
     if jobs > 1:
         from .engine import resume_parallel_session
 
@@ -330,11 +323,10 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
     the campaign runs under service scheduling — the same path a
     long-lived deployment takes after a restart.
     """
-    from .core.serialization import read_journal
+    from .core.serialization import header_field, read_journal
     from .service import CampaignService, CampaignSpec
 
     records = read_journal(args.attach)
-    header = records[0]
     identities = [
         record for record in records if record.get("kind") == "tenant"
     ]
@@ -346,10 +338,11 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
         )
         return None
     identity = identities[-1]
+    budget_total = header_field(records[0], "budget_total")
     config = SessionConfig(
         theta=args.theta,
-        k=int(header["k"]),
-        budget=float(header["budget_total"]),
+        k=header_field(records[0], "k", int),
+        budget=budget_total,
         initializer=args.initializer,
         seed=args.seed,
         faults=faults,
@@ -364,7 +357,7 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
         priority=int(identity.get("priority", 0)),
         weight=identity.get("weight"),
     )
-    with CampaignService(float(header["budget_total"])) as service:
+    with CampaignService(budget_total) as service:
         handle = service.attach(spec)
         service.run_until_idle()
         print(

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import tempfile
 import time
 import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -584,6 +586,14 @@ def load_run_result(path: str | Path) -> RunResult:
 # appends to an existing journal follow whatever its last record did —
 # a resumed v7 journal keeps growing unframed, byte-identical to an
 # uninterrupted v7 run.
+#
+# Every reader goes through one scanner, :func:`verify_journal` — the
+# only code that splits a journal into lines and parses them, bar
+# ``_journal_next_seq``'s cold-cache peek at the last line.
+# :func:`read_journal` is its strict view, and every cut (repairing a
+# torn tail, trimming back to a checkpoint, salvaging a damaged prefix)
+# truncates at an offset it returned, through
+# :meth:`JournalDamageReport.cut`.
 
 #: Fields reserved for the v8 integrity framing.
 _FRAME_FIELDS = ("_seq", "_crc")
@@ -592,13 +602,14 @@ _FRAME_FIELDS = ("_seq", "_crc")
 #: ``next_seq`` is ``None`` for unframed journals.  Validated against
 #: the current file size on every append (an externally modified file
 #: misses and triggers a rescan), so appends stay O(1) without ever
-#: trusting a stale sequence number.
+#: trusting a stale sequence number.  Appends, clean scans and cuts
+#: keep it primed.
 _SEQ_CACHE: dict[str, tuple[int, int | None]] = {}
 
 
 def invalidate_journal_cache(path: str | Path) -> None:
-    """Drop the append cache for ``path`` (after external surgery —
-    repair, trim, recovery — changed the file behind the cache)."""
+    """Drop the append cache for ``path`` (a rolled-back append, or a
+    file changed behind the cache)."""
     _SEQ_CACHE.pop(str(Path(path)), None)
 
 
@@ -804,6 +815,13 @@ def _durable_append(path: Path, data: bytes) -> int:
     ) from last_error
 
 
+def _truncate(path: Path, size: int) -> None:
+    with path.open("r+b") as handle:
+        handle.truncate(size)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def _rollback_partial_append(path: Path, size: int) -> None:
     """Truncate a failed append back to the pre-append size.
 
@@ -819,10 +837,7 @@ def _rollback_partial_append(path: Path, size: int) -> None:
     if current <= size:
         return
     try:
-        with path.open("r+b") as handle:
-            handle.truncate(size)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _truncate(path, size)
     except OSError as error:
         _write_failstop_marker(
             path, f"rollback of a torn append to {size} bytes failed: "
@@ -834,44 +849,297 @@ def _rollback_partial_append(path: Path, size: int) -> None:
         ) from error
 
 
+
+
+
+@dataclass(frozen=True)
+class JournalDamage:
+    """One problem found in a journal: where, what, and why."""
+
+    line: int  # 1-indexed line number
+    kind: str
+    detail: str = ""
+
+    def as_dict(self) -> dict:
+        return {"line": self.line, "kind": self.kind, "detail": self.detail}
+
+
+@dataclass
+class JournalDamageReport:
+    """The verdict of one :func:`verify_journal` /
+    :func:`~repro.storage.integrity.recover_journal`.
+
+    ``records`` holds the verified prefix's records with framing
+    stripped — what a :func:`read_journal` of the recovered file
+    returns — and ``ends`` the byte offset just past each one's line,
+    so callers that verify, cut and read touch the file once.
+    """
+
+    path: Path
+    version: int | None
+    framed: bool
+    total_lines: int
+    verified_records: int
+    prefix_bytes: int
+    damage: tuple[JournalDamage, ...]
+    records: list = field(default_factory=list, repr=False)
+    ends: list = field(default_factory=list, repr=False)
+    salvaged_bytes: int = 0
+    sidecar: Path | None = None
+
+    @property
+    def clean(self) -> bool:
+        return not self.damage
+
+    @property
+    def tail_only(self) -> bool:
+        """Whether all damage is the plain crash signature (a torn
+        final line and nothing after it)."""
+        return all(entry.kind == "torn_tail" for entry in self.damage)
+
+    def strict_records(self) -> list[dict]:
+        """The records, refusing what :func:`read_journal` refuses:
+        damage beyond a torn tail still on disk (salvage has not cut
+        it off), or no records."""
+        if not (self.tail_only or self.salvaged_bytes):
+            first = self.damage[0]
+            raise SerializationError(
+                f"corrupt journal {self.path}, line {first.line}: "
+                f"{first.kind} ({first.detail})"
+            )
+        if not self.records:
+            raise SerializationError(
+                f"journal {self.path} contains no records"
+            )
+        return self.records
+
+    def cut(self, end: int, kept: int) -> int:
+        """Durably truncate the journal to ``end`` bytes, where its
+        first ``kept`` records end; returns the bytes removed.
+
+        The one truncate → flush → fsync → directory fsync sequence
+        behind every repair, trim and salvage.  The append cache is
+        left primed with the new size and next sequence number, so the
+        first append after a cut reads nothing.
+        """
+        removed = self.path.stat().st_size - end
+        if removed <= 0:
+            return 0
+        _truncate(self.path, end)
+        # A crash right after the truncate could otherwise resurrect the
+        # cut bytes on filesystems that journal directory metadata
+        # lazily.
+        _fsync_directory(self.path.parent)
+        _SEQ_CACHE[str(self.path)] = (end, kept if self.framed else None)
+        return removed
+
+    def cut_torn_tail(self) -> int:
+        """Cut a crash's torn tail (and blank lines before it) back to
+        the last verified record.  Damage beyond a torn tail is left
+        alone: it is salvage's to decide, and legacy journals never
+        have it cut."""
+        if not self.tail_only:
+            return 0
+        return self.cut(
+            self.ends[-1] if self.ends else 0, len(self.records)
+        )
+
+    def cut_after_last(self, kinds: tuple[str, ...]) -> int:
+        """Cut the journal right after its last verified record of one
+        of ``kinds``; returns the bytes removed (0 without one).  Like
+        :meth:`cut_torn_tail`, leaves unsalvaged damage alone."""
+        if self.tail_only or self.salvaged_bytes:
+            for index in range(len(self.records) - 1, -1, -1):
+                if self.records[index]["kind"] in kinds:
+                    return self.cut(self.ends[index], index + 1)
+        return 0
+
+    def as_dict(self) -> dict:
+        return {
+            "path": str(self.path),
+            "version": self.version,
+            "framed": self.framed,
+            "total_lines": self.total_lines,
+            "verified_records": self.verified_records,
+            "prefix_bytes": self.prefix_bytes,
+            "clean": self.clean,
+            "tail_only": self.tail_only,
+            "salvaged_bytes": self.salvaged_bytes,
+            "sidecar": str(self.sidecar) if self.sidecar else None,
+            "damage": [entry.as_dict() for entry in self.damage],
+        }
+
+
+def verify_journal(path: str | Path) -> JournalDamageReport:
+    """Scan a journal without modifying it.
+
+    The verified prefix is the longest run of leading lines in which
+    every line parses into a ``kind`` record, the first is a supported
+    header, and — for framed journals — every CRC is true and the
+    sequence numbers are contiguous from 0.  The scan stops at the
+    first problem; everything after it is reported as one
+    ``unverified_suffix`` entry.  A clean scan leaves the append cache
+    primed, as a cut does.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    records: list[dict] = []
+    ends: list[int] = []
+    damage: list[JournalDamage] = []
+    version: int | None = None
+    framed = False
+    prefix_bytes = offset = 0
+    for index, line in enumerate(lines):
+        offset += len(line)
+        if line.isspace():
+            # Blank separators carry no records; fold them into the
+            # prefix so salvage does not truncate harmless whitespace.
+            prefix_bytes = offset
+            continue
+        problem = detail = None
+        if not line.endswith(b"\n"):
+            problem, detail = "torn_tail", "unterminated final line"
+        else:
+            try:
+                record = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError) as error:
+                # A flipped high bit makes the line invalid UTF-8, not
+                # just invalid JSON — same damage class either way.
+                final = offset == len(raw)  # nothing but this line left
+                problem = "torn_tail" if final else "parse_error"
+                detail = str(error)
+        if problem is None and (
+            not isinstance(record, dict) or "kind" not in record
+        ):
+            problem, detail = "bad_record", "not a 'kind' record object"
+        if problem is None and not records:
+            # Framing detection is redundant on purpose: a supported
+            # v8+ version declaration OR the presence of either frame
+            # field (reserved keys no legacy record can carry).  A
+            # single bit-flip can erase one signal but not both, so a
+            # damaged header reads as damage rather than demoting the
+            # journal to unverifiable legacy.
+            framed = "_seq" in record or "_crc" in record
+            head_version = record.get("version", 1)
+            if record["kind"] != "header":
+                problem = "bad_header"
+                detail = "journal does not start with a header record"
+            elif (
+                not _is_int(head_version)
+                or head_version not in SUPPORTED_VERSIONS
+            ):
+                problem = "bad_header"
+                detail = f"unsupported version {head_version!r}"
+            else:
+                version = head_version
+                framed = framed or head_version >= 8
+        if problem is None and framed:
+            # The CRC covers the line's own bytes; a memoryview drops
+            # the terminator without copying a megabyte checkpoint.
+            terminator = 2 if line.endswith(b"\r\n") else 1
+            detail = verify_framed_record(
+                memoryview(line)[:-terminator], record
+            )
+            seq = record.get("_seq")
+            if detail is not None:
+                problem = "crc_mismatch"
+            elif seq < len(records):
+                problem = "seq_duplicate"
+                detail = f"seq {seq} repeats (expected {len(records)})"
+            elif seq > len(records):
+                problem = "seq_gap"
+                detail = f"seq jumps to {seq} (expected {len(records)})"
+        if problem is not None:
+            damage.append(JournalDamage(index + 1, problem, detail))
+            trailing = [
+                later
+                for later in range(index + 1, len(lines))
+                if not lines[later].isspace()
+            ]
+            if trailing:
+                damage.append(
+                    JournalDamage(
+                        trailing[0] + 1,
+                        "unverified_suffix",
+                        f"{len(trailing)} lines after the first "
+                        "damaged line",
+                    )
+                )
+            total_lines = len(records) + 1 + len(trailing)
+            break
+        records.append(strip_frame(record))
+        ends.append(offset)
+        prefix_bytes = offset
+    else:
+        total_lines = len(records)
+        _SEQ_CACHE[str(path)] = (
+            len(raw), len(records) if framed else None
+        )
+    if damage and not records and not framed:
+        # The header vouched for nothing (unparseable or not a
+        # header), so the journal's provenance is unknown.  Sniff the
+        # remaining lines for frame fields — reserved keys no legacy
+        # record can carry — so a framed journal with a destroyed
+        # header is still salvaged (to its empty prefix, original
+        # preserved in the sidecar) instead of being mistaken for an
+        # uncuttable legacy file.
+        for line in lines:
+            try:
+                candidate = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                continue
+            if isinstance(candidate, dict) and (
+                "_seq" in candidate or "_crc" in candidate
+            ):
+                framed = True
+                break
+    return JournalDamageReport(
+        path=path,
+        version=version,
+        framed=framed,
+        total_lines=total_lines,
+        verified_records=len(records),
+        prefix_bytes=prefix_bytes,
+        damage=tuple(damage),
+        records=records,
+        ends=ends,
+    )
+
+
+def read_journal(path: str | Path) -> list[dict]:
+    """Read a JSONL journal written by :func:`append_journal_record`.
+
+    The strict view of :func:`verify_journal`: a torn final line (the
+    signature of a crash mid-append) is silently dropped, and any
+    other damage raises :class:`SerializationError` — a malformed
+    interior line, a missing or unsupported header, and on a framed
+    (v8) journal an interior bit-flip, dropped line or duplicated line
+    (a wrong CRC or sequence number), instead of feeding corrupted
+    state into a resume.  Callers that want salvage instead of refusal
+    run :func:`repro.storage.integrity.recover_journal` first.  The
+    framing fields are stripped from the returned records, so
+    consumers see the same shapes as for v1–v7 journals.
+    """
+    return verify_journal(path).strict_records()
+
+
 def repair_journal(path: str | Path) -> bool:
     """Truncate a torn trailing line left by a crash mid-append.
 
-    :func:`read_journal` already *ignores* a malformed final line, but
-    the bytes stay in the file — and the next
-    :func:`append_journal_record` would glue its record onto the torn
-    fragment, corrupting the journal.  Resuming runtimes call this
-    first so their appends continue the journal byte-identically to an
-    uninterrupted run.  Returns ``True`` when bytes were removed.
+    :func:`read_journal` already *ignores* a torn final line, but the
+    bytes stay in the file — and the next :func:`append_journal_record`
+    would glue its record onto the torn fragment, corrupting the
+    journal.  Resuming runtimes cut it first so their appends continue
+    the journal byte-identically to an uninterrupted run.  Damage
+    beyond a torn tail is left for
+    :func:`~repro.storage.integrity.recover_journal`.  Returns ``True``
+    when bytes were removed.
     """
     path = Path(path)
     if not path.exists():
         return False
-    raw = path.read_bytes()
-    end = len(raw)
-    while end > 0:
-        newline = raw.rfind(b"\n", 0, end)
-        if newline == end - 1:
-            # The final line is terminated; keep it if it parses.
-            previous = raw.rfind(b"\n", 0, newline)
-            try:
-                json.loads(raw[previous + 1 : newline])
-                break
-            except json.JSONDecodeError:
-                end = previous + 1
-        else:
-            end = newline + 1  # drop the unterminated tail
-    if end == len(raw):
-        return False
-    with path.open("r+b") as handle:
-        handle.truncate(end)
-        handle.flush()
-        os.fsync(handle.fileno())
-    # A crash right after the truncate could otherwise resurrect the
-    # torn tail on filesystems that journal directory metadata lazily.
-    _fsync_directory(path.parent)
-    invalidate_journal_cache(path)
-    return True
+    return verify_journal(path).cut_torn_tail() > 0
 
 
 def trim_journal_to_last_checkpoint(path: str | Path) -> int:
@@ -883,129 +1151,48 @@ def trim_journal_to_last_checkpoint(path: str | Path) -> int:
     byte-for-byte (the replay is deterministic: the checkpoint rewinds
     the session, fault and answer-source RNG states), so the trailing
     lines are removed first — otherwise they would appear twice and the
-    resumed journal could never match an uninterrupted run's.  Call
-    :func:`repair_journal` first; returns the number of bytes removed.
+    resumed journal could never match an uninterrupted run's.  Salvage
+    first (:func:`~repro.storage.integrity.recover_journal`): damage
+    beyond a torn tail is never cut here.  Returns the number of bytes
+    removed.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    offset = 0
-    end = None
-    for line in raw.splitlines(keepends=True):
-        offset += len(line)
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if isinstance(record, dict) and record.get("kind") == "checkpoint":
-            end = offset
-    if end is None or end == len(raw):
-        return 0
-    with path.open("r+b") as handle:
-        handle.truncate(end)
-        handle.flush()
-        os.fsync(handle.fileno())
-    _fsync_directory(path.parent)
-    invalidate_journal_cache(path)
-    return len(raw) - end
+    return verify_journal(path).cut_after_last(("checkpoint",))
 
 
-def read_journal(path: str | Path) -> list[dict]:
-    """Read a JSONL journal written by :func:`append_journal_record`.
-
-    A malformed *final* line (the signature of a crash mid-append) is
-    silently dropped; a malformed line anywhere else raises
-    :class:`SerializationError`.  The header's version is validated.
-
-    On a framed (v8) journal every record's CRC and sequence number
-    are verified — an interior bit-flip, dropped line or duplicated
-    line raises :class:`SerializationError` instead of feeding
-    corrupted state into a resume (callers that want salvage instead
-    of refusal run :func:`repro.storage.integrity.recover_journal`
-    first).  The framing fields are stripped from the returned
-    records, so consumers see the same shapes as for v1–v7 journals.
-    """
-    path = Path(path)
-    records: list[dict] = []
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as error:
-        # A bit-flip in a high bit leaves invalid UTF-8 — corruption,
-        # not a programming error.
+def header_field(header: dict, name: str, kind: type = float):
+    """A journal header's numeric field (``budget_total``, ``k``) as
+    ``kind``: a missing, ``null`` or malformed value raises
+    :class:`SerializationError` naming the field instead of a raw
+    ``KeyError`` / ``TypeError`` / ``ValueError``."""
+    value = header.get(name)
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or (kind is int and not _is_int(value))
+    ):
         raise SerializationError(
-            f"corrupt journal {path}: {error}"
-        ) from error
-    # Lines are split as bytes, as verify_journal splits them, so each
-    # framed line's CRC is checked over the bytes on disk.
-    lines = raw.splitlines()
-    # An unterminated final line is torn even when the cut happened to
-    # land right on the record's closing brace — repair_journal and
-    # verify_journal drop it, so the reader must agree.
-    torn_tail = bool(raw) and not raw.endswith(b"\n")
-    framed = False
-    expected_seq = 0
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if torn_tail and index == len(lines) - 1:
-            break
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            if index == len(lines) - 1:
-                break  # torn final write from a crash; ignore
-            raise SerializationError(
-                f"corrupt journal line {index + 1}: {error}"
-            ) from error
-        if not isinstance(record, dict) or "kind" not in record:
-            raise SerializationError(
-                f"journal line {index + 1} is not a record object"
-            )
-        if not records:
-            # The header decides: v8+ journals are framed throughout.
-            # Detection is deliberately redundant — a supported v8+
-            # version declaration OR the presence of either frame
-            # field (legacy journals can never carry them; appends
-            # reject the reserved keys).  A single bit-flip can erase
-            # one signal but not both, so header damage reads as
-            # corruption instead of quietly demoting the journal to
-            # unverifiable legacy.  Unsupported (or non-integer)
-            # versions without frame fields stay unframed so the
-            # post-loop version validation raises the accurate error.
-            version = record.get("version", 1)
-            framed = (
-                (
-                    _is_int(version)
-                    and version in SUPPORTED_VERSIONS
-                    and version >= 8
-                )
-                or "_seq" in record
-                or "_crc" in record
-            )
-        if framed:
-            damage = verify_framed_record(line, record)
-            if damage is not None:
-                raise SerializationError(
-                    f"corrupt journal line {index + 1}: {damage}"
-                )
-            seq = record["_seq"]
-            if seq != expected_seq:
-                kind = (
-                    "duplicate record"
-                    if seq < expected_seq
-                    else "sequence gap"
-                )
-                raise SerializationError(
-                    f"corrupt journal line {index + 1}: {kind} "
-                    f"(expected seq {expected_seq}, found {seq})"
-                )
-            expected_seq += 1
-            record = strip_frame(record)
-        records.append(record)
-    if not records:
-        raise SerializationError(f"journal {path} contains no records")
-    header = records[0]
-    if header.get("kind") != "header":
-        raise SerializationError("journal does not start with a header")
-    check_version(header)
-    return records
+            f"malformed journal header field {name!r}: {value!r}"
+        )
+    return kind(value)
+
+
+def start_journal(
+    path: str | Path, budget_total: float, k: int, metadata=None
+) -> None:
+    """Open a journal: the header (format version, ``budget_total`` and
+    ``k``, which :func:`header_field` reads back on resume), then the
+    caller's metadata record or records (each needs a ``"kind"``)."""
+    append_journal_record(
+        path,
+        {
+            "kind": "header",
+            "version": FORMAT_VERSION,
+            "budget_total": float(budget_total),
+            "k": int(k),
+        },
+    )
+    for record in [metadata] if isinstance(metadata, Mapping) else (
+        metadata or ()
+    ):
+        append_journal_record(path, record)

@@ -3,7 +3,7 @@
 
 :class:`ParallelCampaignRunner` shares the serial pipeline's set-up —
 :func:`~repro.simulation.session.campaign_inputs` (crowd split,
-initialization, default answer source) and
+initialization, the answer source with its faults) and
 :func:`~repro.simulation.session.resilient_session` (the resilient
 runtime and its triggers) — and swaps in the sharded execution seams:
 a :class:`~repro.engine.shards.ShardPool` over the belief's groups, a
@@ -33,7 +33,7 @@ from ..core.serialization import (
     SerializationError,
     crowd_from_dict,
     factored_belief_from_dict,
-    read_journal,
+    header_field,
 )
 from ..core.workers import Crowd
 from ..datasets.schema import CrowdLabelingDataset
@@ -186,10 +186,14 @@ class ParallelCampaignRunner:
         try:
             selector = ShardedSelector(pool)
             engine = ShardedUpdateEngine(pool)
+            source = (
+                ShardedAnswerSource(pool)
+                if sharded_collection
+                else answer_source
+            )
             if config.resilient:
-                session, source = resilient_session(
-                    dataset, config, belief, experts, tracker,
-                    answer_source, selector,
+                session = resilient_session(
+                    dataset, config, belief, experts, tracker, selector,
                     update_engine=engine,
                     journal_metadata=(
                         [*self._extra_journal_records, self._engine_record()]
@@ -198,11 +202,6 @@ class ParallelCampaignRunner:
                     ),
                 )
             else:
-                source = (
-                    ShardedAnswerSource(pool)
-                    if sharded_collection
-                    else answer_source
-                )
                 session = OnlineCheckingSession(
                     belief,
                     experts,
@@ -352,12 +351,9 @@ def resume_parallel_session(
     Returns ``(session, pool)``; call ``session.run(answer_source)`` to
     continue and close the pool afterwards (it is a context manager).
     """
-    # Salvage interior corruption (v8 journals) before reading — the
-    # inner session's own resume re-trims to the last checkpoint.
-    from ..storage.integrity import recover_journal
+    from ..storage.integrity import recover_for_resume
 
-    recover_journal(journal_path)
-    records = read_journal(journal_path)
+    records = recover_for_resume(journal_path, ("checkpoint",))
     engine_records = [
         record for record in records if record.get("kind") == "engine"
     ]
@@ -368,7 +364,7 @@ def resume_parallel_session(
         raise SerializationError(
             f"journal {journal_path} has no intact checkpoint"
         )
-    header = records[0]
+    budget_total = header_field(records[0], "budget_total")
     last = checkpoints[-1]
     if policy is None:
         policy = SupervisionPolicy.from_env()
@@ -409,9 +405,7 @@ def resume_parallel_session(
         degraded=degraded,
         idle_workers=idle_workers,
     )
-    tracker = LedgerBudget(
-        float(header["budget_total"]), ledger=ledger, cost_model=cost_model
-    )
+    tracker = LedgerBudget(budget_total, ledger=ledger, cost_model=cost_model)
     try:
         session = ResilientCheckingSession.resume(
             journal_path,
@@ -422,6 +416,7 @@ def resume_parallel_session(
             sleep=sleep,
             update_engine=ShardedUpdateEngine(pool),
             budget_tracker=tracker,
+            records=records,
         )
     except BaseException:
         pool.close()

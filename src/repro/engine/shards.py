@@ -974,7 +974,11 @@ class ShardPool:
     ):
         from .chaos import ChaosPlan
         from .partition import partition_groups
-        from .supervisor import ShardSupervisor, SupervisionPolicy
+        from .supervisor import (
+            ShardRespawnError,
+            ShardSupervisor,
+            SupervisionPolicy,
+        )
 
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -1036,12 +1040,26 @@ class ShardPool:
                 self._degraded.add(self.shard_ids[position])
         self._chaos_counts: dict[int, int] = {}
         self._shared_payload: SharedCampaignPayload | None = None
-        self.shards = [
-            self._build_transport(position, answer_source)
-            for position in range(len(self.partition))
-        ]
-        for shard in self.shards:
-            shard.ensure_ready(self._policy.startup_deadline)
+        self.shards = []
+        try:
+            for position in range(len(self.partition)):
+                self.shards.append(
+                    self._build_transport(position, answer_source)
+                )
+            for shard in self.shards:
+                shard.ensure_ready(self._policy.startup_deadline)
+        except BaseException as error:
+            # A pool that never came up owns every worker and segment
+            # it made so far: none may outlive the failed constructor.
+            for shard in self.shards:
+                shard.destroy()
+            if self._shared_payload is not None:
+                self._shared_payload.close()
+            if isinstance(error, (OSError, EOFError)):
+                raise ShardRespawnError(
+                    f"shard worker start-up failed: {error!r}"
+                ) from error
+            raise
         self.supervisor = ShardSupervisor(self, self._policy)
         self._closed = False
 

@@ -20,9 +20,13 @@ from ..core.selection import (
     MaxMarginalEntropySelector,
     RandomSelector,
 )
-from ..datasets.grouping import initialize_belief
 from ..simulation.oracle import SimulatedExpertPanel
-from ..simulation.session import SessionConfig, run_hc_session
+from ..simulation.session import (
+    SessionConfig,
+    campaign_answer_source,
+    campaign_inputs,
+    run_hc_session,
+)
 from .config import ExperimentScale, PAPER_SCALE
 from .runner import (
     ExperimentResult,
@@ -251,9 +255,8 @@ def run_ablation_cost_model(
     from ..core.budget import CostModel
 
     dataset = build_dataset(scale.dataset)
-    experts, _ = dataset.split_crowd(_DEFAULT_THETA)
-    aggregator = make_aggregator("EBCC")
-    belief, _ = initialize_belief(dataset, aggregator, _DEFAULT_THETA)
+    config = SessionConfig(theta=_DEFAULT_THETA, seed=scale.seed)
+    experts, belief, _source = campaign_inputs(dataset, config)
 
     series = []
     for label, cost_model in (
@@ -266,12 +269,9 @@ def run_ablation_cost_model(
             k=1,
             cost_model=cost_model,
         )
-        source = SimulatedExpertPanel(
-            dataset.ground_truth, rng=np.random.default_rng(scale.seed)
-        )
         run = runner.run(
             belief.copy(),
-            source,
+            campaign_answer_source(dataset, config),
             scale.max_budget,
             ground_truth=dataset.ground_truth,
         )
@@ -295,9 +295,8 @@ def run_ablation_panel_size(
     trade-off (the paper's design corresponds to the largest panel).
     """
     dataset = build_dataset(scale.dataset)
-    experts, _preliminary = dataset.split_crowd(_DEFAULT_THETA)
-    aggregator = make_aggregator("EBCC")
-    belief, _ = initialize_belief(dataset, aggregator, _DEFAULT_THETA)
+    config = SessionConfig(theta=_DEFAULT_THETA, seed=scale.seed)
+    experts, belief, _source = campaign_inputs(dataset, config)
 
     series = []
     for panel_size in panel_sizes:
@@ -309,12 +308,9 @@ def run_ablation_panel_size(
             k=1,
             panel_size=panel_size,
         )
-        source = SimulatedExpertPanel(
-            dataset.ground_truth, rng=np.random.default_rng(scale.seed)
-        )
         run = runner.run(
             belief.copy(),
-            source,
+            campaign_answer_source(dataset, config),
             scale.max_budget,
             ground_truth=dataset.ground_truth,
         )

@@ -35,6 +35,7 @@ order, same deposits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -252,54 +253,37 @@ def _recover_one(
         )
     tenant, name = _identity(damage_report, path, root)
     campaign_id = f"{tenant}/{name}"
-    damage_kinds = tuple(entry.kind for entry in damage_report.damage)
     spec = spec_map.get(campaign_id)
     if spec is None and spec_factory is not None:
         spec = spec_factory(tenant, name)
-    if not _recoverable(damage_report):
+    recoverable = _recoverable(damage_report)
+    verdict = partial(
+        RecoveredCampaign,
+        campaign_id=campaign_id,
+        path=path,
+        salvaged_bytes=damage_report.salvaged_bytes,
         # Damaged into the bootstrap region: nothing on the journal
         # proves any progress, so the campaign starts over.
-        sidecar = _retire_journal(path, damage_report)
-        if spec is None:
-            return RecoveredCampaign(
-                campaign_id=campaign_id,
-                path=path,
-                outcome="orphaned",
-                salvaged_bytes=damage_report.salvaged_bytes,
-                sidecar=sidecar,
-                damage=damage_kinds,
-                error="no spec to resubmit the reset campaign",
-            )
-        try:
-            service.submit(spec)
-        except (ServiceError, SerializationError, ValueError) as error:
-            return RecoveredCampaign(
-                campaign_id=campaign_id,
-                path=path,
-                outcome="failed",
-                sidecar=sidecar,
-                damage=damage_kinds,
-                error=str(error),
-            )
-        return RecoveredCampaign(
-            campaign_id=campaign_id,
-            path=path,
-            outcome="reset",
-            salvaged_bytes=damage_report.salvaged_bytes,
-            sidecar=sidecar,
-            damage=damage_kinds,
-        )
+        sidecar=(
+            damage_report.sidecar
+            if recoverable
+            else _retire_journal(path, damage_report)
+        ),
+        damage=tuple(entry.kind for entry in damage_report.damage),
+    )
     if spec is None:
-        return RecoveredCampaign(
-            campaign_id=campaign_id,
-            path=path,
+        return verdict(
             outcome="orphaned",
-            salvaged_bytes=damage_report.salvaged_bytes,
-            sidecar=damage_report.sidecar,
-            damage=damage_kinds,
-            error="no spec on offer; attach() later to re-admit",
+            error=(
+                "no spec on offer; attach() later to re-admit"
+                if recoverable
+                else "no spec to resubmit the reset campaign"
+            ),
         )
     try:
+        if not recoverable:
+            service.submit(spec)
+            return verdict(outcome="reset")
         _config, resolved_path = resolve_config(spec, service._journal_root)
         if resolved_path != path:
             raise ServiceError(
@@ -308,24 +292,10 @@ def _recover_one(
             )
         handle = service.attach(spec)
     except (ServiceError, SerializationError, ValueError) as error:
-        return RecoveredCampaign(
-            campaign_id=campaign_id,
-            path=path,
-            outcome="failed",
-            salvaged_bytes=damage_report.salvaged_bytes,
-            sidecar=damage_report.sidecar,
-            damage=damage_kinds,
-            error=str(error),
-        )
-    record = service._records[handle.campaign_id]
-    return RecoveredCampaign(
-        campaign_id=campaign_id,
-        path=path,
+        return verdict(outcome="failed", error=str(error))
+    return verdict(
         outcome="reattached",
-        base_spent=record.base_spent,
-        salvaged_bytes=damage_report.salvaged_bytes,
-        sidecar=damage_report.sidecar,
-        damage=damage_kinds,
+        base_spent=service._records[handle.campaign_id].base_spent,
     )
 
 

@@ -71,7 +71,7 @@ from ..engine.runner import ParallelCampaignRunner, resume_parallel_session
 from ..engine.shards import IdleWorkers
 from ..engine.supervisor import SupervisionPolicy
 from ..obs import OBS, latency_report
-from ..simulation.faults import FaultyExpertPanel
+from ..simulation.session import campaign_answer_source
 from ..stream.arrivals import generate_event_stream, make_arrivals
 from ..stream.runtime import StreamingCampaign
 from .admission import AdmissionController, TenantQuota
@@ -626,9 +626,9 @@ class CampaignService:
             chaos=spec.chaos,
             idle_workers=self._idle_workers,
         )
-        source = spec.build_source()
-        if record.config.faults is not None:
-            source = FaultyExpertPanel(source, record.config.faults)
+        source = campaign_answer_source(
+            spec.dataset, record.config, spec.build_source()
+        )
         record.runtime = {
             "pool": pool,
             "session": session,

@@ -48,7 +48,6 @@ from ..core.incidents import FaultEvent
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import Selector
 from ..core.serialization import (
-    FORMAT_VERSION,
     BeliefTextCache,
     EncodedJSON,
     SerializationError,
@@ -58,8 +57,7 @@ from ..core.serialization import (
     encode_record,
     fault_event_from_dict,
     fault_event_to_dict,
-    read_journal,
-    trim_journal_to_last_checkpoint,
+    start_journal,
 )
 from ..core.trust import TrustPolicy, TrustReport, TrustSupervisor
 from ..core.workers import Crowd
@@ -244,33 +242,16 @@ class ResilientCheckingSession:
             checkpoint_extras=checkpoint_extras,
         )
         if self._journal_path is not None and journal_header:
-            append_journal_record(
+            # Caller-provided runtime metadata (e.g. the parallel engine's
+            # shard layout, the service's tenant record) sits between the
+            # header and the first checkpoint, so resume's cut back to
+            # the last checkpoint can never drop it.
+            start_journal(
                 self._journal_path,
-                {
-                    "kind": "header",
-                    "version": FORMAT_VERSION,
-                    "budget_total": (
-                        float(budget.total)
-                        if isinstance(budget, CheckingBudget)
-                        else float(budget)
-                    ),
-                    "k": int(k),
-                },
+                budget.total if isinstance(budget, CheckingBudget) else budget,
+                k,
+                journal_metadata,
             )
-            if journal_metadata is not None:
-                # Caller-provided runtime metadata (e.g. the parallel
-                # engine's shard layout, the service's tenant record).
-                # It sits between the header and the first checkpoint so
-                # resume's trim-to-last-checkpoint can never drop it.
-                metadata_records = (
-                    [journal_metadata]
-                    if isinstance(journal_metadata, Mapping)
-                    else list(journal_metadata)
-                )
-                for metadata_record in metadata_records:
-                    append_journal_record(
-                        self._journal_path, metadata_record
-                    )
             self._journal_checkpoint(None)
 
     def _init_common(
@@ -1084,6 +1065,7 @@ class ResilientCheckingSession:
         sleep: Callable[[float], None] | None = None,
         update_engine=None,
         budget_tracker: "CheckingBudget | None" = None,
+        records: list[dict] | None = None,
     ) -> "ResilientCheckingSession":
         """Restore a session from its journal, mid-round if need be.
 
@@ -1094,19 +1076,20 @@ class ResilientCheckingSession:
         again by the caller.  If the journaled answer source exposed RNG
         state, the source passed to the next :meth:`run` call is rewound
         to it, making the resumed continuation byte-identical to an
-        uninterrupted run.
+        uninterrupted run.  ``records`` are the journal's records from a
+        resume that already ran
+        :func:`~repro.storage.integrity.recover_for_resume` on it (the
+        parallel and streaming resumes), so the file is not read twice.
         """
-        # Recover first (drop a torn trailing line; on v8 journals also
-        # salvage past interior corruption — see
-        # :func:`repro.storage.integrity.recover_journal`), then trim
-        # records past the last checkpoint: the replay re-journals the
-        # in-flight round's records byte-for-byte, so resumed appends
-        # extend the journal byte-identically to an uninterrupted run.
-        from ..storage.integrity import recover_journal
+        if records is None:
+            # Salvage first (a torn trailing line; on v8 journals also
+            # interior corruption), then cut the records past the last
+            # checkpoint: the replay re-journals the in-flight round's
+            # records byte-for-byte, so resumed appends extend the
+            # journal byte-identically to an uninterrupted run.
+            from ..storage.integrity import recover_for_resume
 
-        recover_journal(journal_path)
-        trim_journal_to_last_checkpoint(journal_path)
-        records = read_journal(journal_path)
+            records = recover_for_resume(journal_path, ("checkpoint",))
         checkpoint_indices = [
             index
             for index, record in enumerate(records)

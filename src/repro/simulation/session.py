@@ -110,6 +110,24 @@ class SessionConfig:
         )
 
 
+def campaign_answer_source(
+    dataset: CrowdLabelingDataset,
+    config: SessionConfig,
+    answer_source=None,
+):
+    """A campaign's answer source: ``answer_source``, or a
+    :class:`SimulatedExpertPanel` seeded from ``config.seed`` when none
+    is given, wrapped in a :class:`FaultyExpertPanel` when the config
+    carries faults.  Fresh runs and resumes alike build it here."""
+    if answer_source is None:
+        answer_source = SimulatedExpertPanel(
+            dataset.ground_truth, rng=np.random.default_rng(config.seed)
+        )
+    if config.faults is not None:
+        answer_source = FaultyExpertPanel(answer_source, config.faults)
+    return answer_source
+
+
 def campaign_inputs(
     dataset: CrowdLabelingDataset,
     config: SessionConfig,
@@ -117,9 +135,8 @@ def campaign_inputs(
     answer_source=None,
 ) -> tuple[Crowd, FactoredBelief, object]:
     """``(experts, belief, answer_source)``: the crowd split, the
-    initialized belief and the answer source (a
-    :class:`SimulatedExpertPanel` seeded from ``config.seed`` unless
-    one is given) every campaign entry point starts from."""
+    initialized belief and the :func:`campaign_answer_source` every
+    campaign entry point starts from."""
     experts, _preliminary = dataset.split_crowd(config.theta)
     if len(experts) == 0:
         raise ValueError(
@@ -131,11 +148,9 @@ def campaign_inputs(
         dataset, aggregator, config.theta, smoothing=config.smoothing,
         belief_epsilon=config.belief_epsilon,
     )
-    if answer_source is None:
-        answer_source = SimulatedExpertPanel(
-            dataset.ground_truth, rng=np.random.default_rng(config.seed)
-        )
-    return experts, belief, answer_source
+    return (
+        experts, belief, campaign_answer_source(dataset, config, answer_source)
+    )
 
 
 def resilient_session(
@@ -144,18 +159,15 @@ def resilient_session(
     belief: FactoredBelief,
     experts: Crowd,
     budget,
-    answer_source,
     selector: Selector,
     **seams,
-) -> tuple[ResilientCheckingSession, object]:
+) -> ResilientCheckingSession:
     """The fault-tolerant session a :attr:`SessionConfig.resilient`
-    config runs, and the answer source it runs against (wrapped in the
-    config's faults): gold probes carved from the ground truth, reserve
-    experts, retry policy and journal as configured.  ``seams`` pass
-    through to :class:`ResilientCheckingSession` (the parallel engine's
-    update engine and journal metadata)."""
-    if config.faults is not None:
-        answer_source = FaultyExpertPanel(answer_source, config.faults)
+    config runs (against :func:`campaign_answer_source`): gold probes
+    carved from the ground truth, reserve experts, retry policy and
+    journal as configured.  ``seams`` pass through to
+    :class:`ResilientCheckingSession` (the parallel engine's update
+    engine and journal metadata)."""
     gold_facts = None
     if config.trust_policy is not None:
         gold_facts = select_gold_probes(
@@ -168,7 +180,7 @@ def resilient_session(
         if config.reserve_accuracies
         else None
     )
-    session = ResilientCheckingSession(
+    return ResilientCheckingSession(
         belief,
         experts,
         budget,
@@ -183,7 +195,6 @@ def resilient_session(
         seed=config.seed,
         **seams,
     )
-    return session, answer_source
 
 
 def run_hc_session(
@@ -217,9 +228,8 @@ def run_hc_session(
     )
     selector = selector or LazyGreedySelector()
     if config.resilient:
-        session, answer_source = resilient_session(
-            dataset, config, belief, experts, config.budget,
-            answer_source, selector,
+        session = resilient_session(
+            dataset, config, belief, experts, config.budget, selector
         )
         return session.run(answer_source)
     runner = HierarchicalCrowdsourcing(

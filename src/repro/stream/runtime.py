@@ -36,8 +36,6 @@ exactly-once.
 
 from __future__ import annotations
 
-import json
-import os
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,15 +50,12 @@ from ..core.kernel import default_belief_epsilon
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import Selector
 from ..core.serialization import (
-    FORMAT_VERSION,
     SerializationError,
-    _fsync_directory,
     append_journal_record,
     crowd_from_dict,
     crowd_to_dict,
-    invalidate_journal_cache,
-    read_journal,
-    trim_journal_to_last_checkpoint,
+    header_field,
+    start_journal,
 )
 from ..core.trust import TrustPolicy
 from ..core.workers import Crowd, Worker
@@ -79,44 +74,12 @@ from .incremental import StreamingBeliefBuilder, WatermarkTracker
 _SOURCE_SALT = 0x50CE
 
 
-def _trim_stream_bootstrap_tail(path: Path) -> int:
-    """Cut complete runtime records left dangling past the last
-    bootstrap boundary, returning the bytes removed.
-
-    A kill (or an interior-damage salvage) can leave the journal ending
-    on fully written records — a ``group_sealed`` event, say — whose
-    covering checkpoint never landed.  Bootstrap replay regenerates
-    them, so keeping them would journal each twice.  The safe prefix
-    ends at the last ``stream_checkpoint`` record, or, when none
-    survived, at the ``stream`` config record that closes the metadata
-    prefix.  Unparseable lines abort the trim: that is legacy interior
-    damage, where cutting is not ours to decide.
-    """
-    raw = path.read_bytes()
-    offset = 0
-    keep_end = None
-    for line in raw.splitlines(keepends=True):
-        offset += len(line)
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return 0
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind in ("stream_checkpoint", "checkpoint"):
-            keep_end = offset
-        elif kind == "stream" and keep_end is None:
-            keep_end = offset
-    if keep_end is None or keep_end >= len(raw):
-        return 0
-    with path.open("r+b") as handle:
-        handle.truncate(keep_end)
-        handle.flush()
-        os.fsync(handle.fileno())
-    _fsync_directory(path.parent)
-    invalidate_journal_cache(path)
-    return len(raw) - keep_end
+#: Records a resume restarts from: the last session checkpoint, or in
+#: the bootstrap phase the last ``stream_checkpoint`` — else the
+#: ``stream`` config record that closes the metadata prefix.  No
+#: ``stream_checkpoint`` follows the first session checkpoint, so the
+#: last of these is always the right boundary.
+_RESUME_BOUNDARY = ("checkpoint", "stream_checkpoint", "stream")
 
 
 class _DictStatsView:
@@ -323,36 +286,13 @@ class StreamingCampaign:
             Path(journal_path) if journal_path is not None else None
         )
 
-        self._bootstrap_experts: list[Worker] = list(experts)
         self._session: ResilientCheckingSession | None = None
         self._source: SimulatedExpertPanel | None = None
-        self._cursor = 0
-        self._rounds_done = self._spec.rounds_per_event
-        self._at_boundary = True
-        self._dedup_low = 0
-        self._dedup_extra: set[int] = set()
-        self._watermark = WatermarkTracker(self._spec.allowed_lateness)
-        self._degenerate_seals = 0
-        self._builder = self._make_builder()
-        self._truth: dict[int, bool] = {}
-        self._stats: dict[str, int] = {
-            "admitted": 0,
-            "duplicates": 0,
-            "late_admitted": 0,
-            "late_dropped": 0,
-            "joins": 0,
-            "leaves": 0,
-            "groups_sealed": 0,
-            "forced_seals": 0,
-            "out_of_band": 0,
-        }
+        self._restore_extras(None)
+        self._bootstrap_experts: list[Worker] = list(experts)
         #: Wall-clock seconds from event delivery to belief commit,
         #: one entry per delivery slot (bench-only; never journaled).
         self.event_latencies: list[float] = []
-        # Persistent adapter so delta publication into the metrics
-        # registry never double-counts the admit/seal counters above.
-        self._obs_stats = _DictStatsView(self._stats)
-
         if self._journal_path is not None:
             self._init_journal(journal_metadata)
 
@@ -377,27 +317,16 @@ class StreamingCampaign:
     # ------------------------------------------------------------------
 
     def _init_journal(self, journal_metadata) -> None:
-        append_journal_record(
+        start_journal(
             self._journal_path,
-            {
-                "kind": "header",
-                "version": FORMAT_VERSION,
-                "budget_total": (
-                    float(self._budget.total)
-                    if isinstance(self._budget, CheckingBudget)
-                    else float(self._budget)
-                ),
-                "k": self._k,
-            },
+            (
+                self._budget.total
+                if isinstance(self._budget, CheckingBudget)
+                else self._budget
+            ),
+            self._k,
+            journal_metadata,
         )
-        if journal_metadata is not None:
-            records = (
-                [journal_metadata]
-                if isinstance(journal_metadata, Mapping)
-                else list(journal_metadata)
-            )
-            for record in records:
-                append_journal_record(self._journal_path, record)
         append_journal_record(
             self._journal_path,
             {
@@ -814,12 +743,14 @@ class StreamingCampaign:
         first record), where nothing was admitted yet.
         """
         journal_path = Path(journal_path)
-        # Salvage interior corruption (v8 journals) as well as the torn
-        # tail before reading; replay regrows whatever was dropped.
-        from ..storage.integrity import recover_journal
+        # Salvage, then cut back to the last boundary: a kill (or an
+        # interior-damage salvage) can leave the journal ending on
+        # complete records — a ``group_sealed`` event, say — whose
+        # covering checkpoint never landed.  Replay regenerates them,
+        # so keeping them would journal each twice.
+        from ..storage.integrity import recover_for_resume
 
-        recover_journal(journal_path)
-        records = read_journal(journal_path)
+        records = recover_for_resume(journal_path, _RESUME_BOUNDARY)
         config_record = next(
             (
                 record
@@ -837,19 +768,18 @@ class StreamingCampaign:
         budget_value = (
             budget
             if budget is not None
-            else float(header.get("budget_total", 0.0))
+            else header_field(header, "budget_total")
         )
-        has_session = any(
-            record.get("kind") == "checkpoint" for record in records
-        )
-        if has_session:
-            trim_journal_to_last_checkpoint(journal_path)
-            records = read_journal(journal_path)
-            last = next(
+        k = header_field(header, "k", int)
+        last = next(
+            (
                 record
                 for record in reversed(records)
                 if record.get("kind") == "checkpoint"
-            )
+            ),
+            None,
+        )
+        if last is not None:
             extras = last.get("stream")
             if extras is None:
                 raise SerializationError(
@@ -865,17 +795,9 @@ class StreamingCampaign:
                 sleep=sleep,
                 update_engine=update_engine,
                 budget_tracker=budget_tracker,
+                records=records,
             )
         else:
-            # Bootstrap-phase kill: the journal may end on complete
-            # runtime records past the last boundary (e.g. a
-            # ``group_sealed`` event whose session-creating checkpoint
-            # never landed).  Replay regenerates them, so trim back to
-            # the last ``stream_checkpoint`` — the bootstrap analogue
-            # of ``trim_journal_to_last_checkpoint`` — or, with no
-            # boundary on disk yet, to the metadata prefix.
-            if _trim_stream_bootstrap_tail(journal_path):
-                records = read_journal(journal_path)
             session = None
             extras = next(
                 (
@@ -886,31 +808,23 @@ class StreamingCampaign:
                 None,
             )
 
-        campaign = cls.__new__(cls)
-        campaign._spec = spec
-        campaign._events = list(events)
-        chaos = spec.chaos
-        campaign._delivery = (
-            chaos.plan_delivery(campaign._events)
-            if chaos is not None and chaos.enabled
-            else list(campaign._events)
+        # Built without a journal path, so nothing is appended; the
+        # trust policy and gold facts come back inside the session.
+        campaign = cls(
+            events,
+            (),
+            budget_tracker if budget_tracker is not None else budget_value,
+            spec=spec,
+            selector=selector,
+            k=k,
+            cost_model=cost_model,
+            retry_policy=retry_policy,
+            reserve_experts=reserve_experts,
+            sleep=sleep,
+            update_engine=update_engine,
         )
-        campaign._budget = (
-            budget_tracker if budget_tracker is not None else budget_value
-        )
-        campaign._selector = selector
-        campaign._k = int(header.get("k", 1))
-        campaign._cost_model = cost_model
-        campaign._retry_policy = retry_policy
-        campaign._reserve_experts = reserve_experts
-        campaign._trust_policy = None  # restored inside the session
-        campaign._gold_facts = None
-        campaign._sleep = sleep
-        campaign._update_engine = update_engine
         campaign._journal_path = journal_path
         campaign._session = session
-        campaign._source = None
-        campaign.event_latencies = []
         campaign._restore_extras(extras)
         if session is None and extras is None:
             # Killed before the initial boundary record survived a
@@ -934,12 +848,14 @@ class StreamingCampaign:
         return campaign
 
     def _restore_extras(self, extras: "dict | None") -> None:
+        """Set the bootstrap and delivery state from a checkpoint's
+        stream extras; ``None`` is a fresh start (a new campaign, or a
+        kill before the first event-boundary record: nothing was
+        admitted yet)."""
         # Never checkpointed: a pending degenerate-seal count is always
         # drained into the journal before the boundary record is cut.
         self._degenerate_seals = 0
         if extras is None:
-            # killed before the first event-boundary record: restart
-            # the bootstrap from scratch (nothing was admitted yet)
             self._bootstrap_experts = []
             self._cursor = 0
             self._rounds_done = self._spec.rounds_per_event
@@ -960,29 +876,32 @@ class StreamingCampaign:
                 "forced_seals": 0,
                 "out_of_band": 0,
             }
-            self._obs_stats = _DictStatsView(self._stats)
-            return
-        self._at_boundary = bool(extras["boundary"])
-        self._cursor = int(extras["cursor"])
-        self._rounds_done = int(extras["rounds_done"])
-        self._dedup_low = int(extras["dedup_low"])
-        self._dedup_extra = set(
-            int(value) for value in extras["dedup_extra"]
-        )
-        self._watermark = WatermarkTracker.from_state(extras["watermark"])
-        self._builder = StreamingBeliefBuilder.from_state(
-            extras["builder"]
-        )
-        self._builder.on_degenerate = self._count_degenerate
-        self._truth = {
-            int(fact_id): bool(value)
-            for fact_id, value in extras["truth"].items()
-        }
-        self._stats = {
-            key: int(value) for key, value in extras["stats"].items()
-        }
+        else:
+            self._at_boundary = bool(extras["boundary"])
+            self._cursor = int(extras["cursor"])
+            self._rounds_done = int(extras["rounds_done"])
+            self._dedup_low = int(extras["dedup_low"])
+            self._dedup_extra = set(
+                int(value) for value in extras["dedup_extra"]
+            )
+            self._watermark = WatermarkTracker.from_state(
+                extras["watermark"]
+            )
+            self._builder = StreamingBeliefBuilder.from_state(
+                extras["builder"]
+            )
+            self._builder.on_degenerate = self._count_degenerate
+            self._truth = {
+                int(fact_id): bool(value)
+                for fact_id, value in extras["truth"].items()
+            }
+            self._stats = {
+                key: int(value) for key, value in extras["stats"].items()
+            }
+            experts = extras.get("experts")
+            self._bootstrap_experts = (
+                list(crowd_from_dict(experts)) if experts is not None else []
+            )
+        # Persistent adapter so delta publication into the metrics
+        # registry never double-counts the admit/seal counters above.
         self._obs_stats = _DictStatsView(self._stats)
-        experts = extras.get("experts")
-        self._bootstrap_experts = (
-            list(crowd_from_dict(experts)) if experts is not None else []
-        )

@@ -1,11 +1,13 @@
 """Seeded fuzzing of the journal readers and repair helpers.
 
-Crash recovery rests on three small functions —
-:func:`~repro.core.serialization.read_journal`,
+Crash recovery rests on one scanner,
+:func:`~repro.core.serialization.verify_journal`, and three views of
+it — :func:`~repro.core.serialization.read_journal` (its strict view),
 :func:`~repro.core.serialization.repair_journal` and
-:func:`~repro.core.serialization.trim_journal_to_last_checkpoint` —
-holding their contracts against whatever a kill leaves on disk.  The
-properties fuzzed here (derandomized, so CI failures replay exactly):
+:func:`~repro.core.serialization.trim_journal_to_last_checkpoint`
+(cuts at offsets it returned) — holding their contracts against
+whatever a kill leaves on disk.  The properties fuzzed here
+(derandomized, so CI failures replay exactly):
 
 * a mid-record truncation of the tail is survivable: ``read_journal``
   ignores the torn final line, ``repair_journal`` removes it and is

@@ -153,3 +153,43 @@ class TestStartupBytes:
             assert after["bytes_received"] > stats["bytes_received"]
         finally:
             pool.close()
+
+
+def test_startup_failure_is_typed_and_leaks_nothing(dataset, monkeypatch):
+    """A worker that dies before its start-up handshake fails the pool
+    with the supervisor's typed error, after every transport built so
+    far is torn down and the pool's shared segment is unlinked."""
+    from multiprocessing import shared_memory
+
+    from repro.aggregation.registry import make_aggregator
+    from repro.datasets.grouping import initialize_belief
+    from repro.engine import ShardPool, shards
+    from repro.engine.supervisor import ShardRespawnError
+
+    segments = []
+    real_payload = shards.SharedCampaignPayload.__init__
+    real_spawn = shards.ProcessShard._spawn
+
+    def recording_payload(self, *args, **kwargs):
+        real_payload(self, *args, **kwargs)
+        segments.append(self.ref())
+
+    def dying_spawn(self):
+        real_spawn(self)
+        self._process.kill()
+
+    monkeypatch.setattr(
+        shards.SharedCampaignPayload, "__init__", recording_payload
+    )
+    monkeypatch.setattr(shards.ProcessShard, "_spawn", dying_spawn)
+    experts, _ = dataset.split_crowd(0.9)
+    belief, _ = initialize_belief(
+        dataset, make_aggregator("EBCC"), 0.9, smoothing=0.01
+    )
+    with pytest.raises(ShardRespawnError) as failure:
+        ShardPool(belief, experts, 2, inline=False)
+    assert isinstance(failure.value.__cause__, (OSError, EOFError))
+    assert segments and all(ref[0] == "shm" for ref in segments)
+    for _kind, name, _size in segments:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)

@@ -1,5 +1,7 @@
 """Chaos and crash-recovery tests for the resilient campaign runtime."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -442,6 +444,44 @@ class TestJournalResume:
         path.write_text('{"kind":"header","version":2}\n')
         with pytest.raises(SerializationError, match="checkpoint"):
             ResilientCheckingSession.resume(path)
+
+    def test_legacy_interior_damage_is_refused_not_cut(
+        self, small_dataset, tmp_path
+    ):
+        """A legacy (unframed) journal is never cut at interior damage:
+        nothing vouches for its lines, so resume refuses instead of
+        trimming back to the last checkpoint before the damage (which
+        silently dropped the intact checkpoint after it)."""
+        from repro.core.serialization import strip_frame
+        from repro.simulation import SessionConfig, run_hc_session
+
+        framed = tmp_path / "framed.jsonl"
+        run_hc_session(
+            small_dataset,
+            SessionConfig(budget=12.0, k=1, seed=2, journal_path=framed),
+        )
+        records = [
+            strip_frame(json.loads(line))
+            for line in framed.read_bytes().splitlines()
+        ]
+        records[0]["version"] = 7
+        lines = [
+            json.dumps(record, separators=(",", ":")).encode() + b"\n"
+            for record in records
+        ]
+        checkpoints = [
+            index
+            for index, record in enumerate(records)
+            if record["kind"] == "checkpoint"
+        ]
+        assert len(checkpoints) >= 2
+        lines[checkpoints[-2]] = b"#" + lines[checkpoints[-2]][1:]
+        path = tmp_path / "legacy.jsonl"
+        damaged = b"".join(lines)
+        path.write_bytes(damaged)
+        with pytest.raises(SerializationError, match="parse_error"):
+            ResilientCheckingSession.resume(path)
+        assert path.read_bytes() == damaged
 
     def test_resume_of_finished_run_is_a_no_op(
         self, experts, reserve, tmp_path

@@ -179,3 +179,83 @@ def test_legacy_journals_are_never_cut_at_interior_damage(kinds, data):
         assert path.read_bytes() == damaged
         assert report.sidecar is None
         assert report.salvaged_bytes == 0
+
+
+def _damage(raw: bytes, kinds: list[str], data) -> bytes:
+    """Apply each drawn damage kind to ``raw`` in turn."""
+    for kind in kinds:
+        lines = raw.splitlines(keepends=True)
+        if not lines:
+            break
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        elif kind == "bitflip":
+            position = data.draw(
+                st.integers(0, len(raw) - 1), label="position"
+            )
+            flipped = bytearray(raw)
+            flipped[position] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            raw = bytes(flipped)
+        elif kind == "duplicate":
+            index = data.draw(
+                st.integers(0, len(lines) - 1), label="duplicated"
+            )
+            lines.insert(index, lines[index])
+            raw = b"".join(lines)
+        elif kind == "reorder":
+            raw = b"".join(data.draw(st.permutations(lines), label="order"))
+        else:
+            index = data.draw(st.integers(0, len(lines)), label="blank")
+            lines.insert(index, b"\n")
+            raw = b"".join(lines)
+    return raw
+
+
+@settings(FUZZ, max_examples=200)
+@given(
+    kinds=journal_kinds,
+    version=st.sampled_from([7, 8]),
+    damage=st.lists(
+        st.sampled_from(
+            ["truncate", "bitflip", "duplicate", "reorder", "blank"]
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    data=st.data(),
+)
+def test_read_journal_is_the_strict_view_of_verify_journal(
+    kinds, version, damage, data
+):
+    # The two readers can never disagree: read_journal returns exactly
+    # the verified records when every damage entry is a torn tail (and
+    # there are records), and refuses everything else — so no caller
+    # that reads before recovering refuses a journal recovery accepts.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t" / "fuzz.jsonl"
+        _write_journal(path, kinds, version=version)
+        path.write_bytes(_damage(path.read_bytes(), damage, data))
+        report = verify_journal(path)
+        if report.tail_only and report.records:
+            assert read_journal(path) == report.records
+        else:
+            with pytest.raises(SerializationError):
+                read_journal(path)
+
+
+@pytest.mark.parametrize("version", [7, 8])
+def test_high_bit_flip_in_the_final_line_reads_as_a_torn_tail(
+    tmp_path, version
+):
+    # regression: read_journal decoded the whole file as UTF-8 first,
+    # so one flipped high bit in a terminated final line made it refuse
+    # a journal that verify_journal (and recovery) calls a torn tail
+    path = tmp_path / "t" / "run.jsonl"
+    records = _write_journal(path, ["round", "checkpoint"], version=version)
+    raw = bytearray(path.read_bytes())
+    final_line = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    raw[final_line + 2] ^= 0x80
+    path.write_bytes(bytes(raw))
+    report = verify_journal(path)
+    assert [entry.kind for entry in report.damage] == ["torn_tail"]
+    assert read_journal(path) == report.records == records[:-1]

@@ -1,0 +1,330 @@
+"""How a resume reads its journal: once, and with typed errors.
+
+Every runtime rebuilds Algorithm 3's state (belief, spent budget,
+pending queries) from the last journaled boundary record.  A resume
+salvages the journal, cuts it back to that record and takes its
+records from one scan — and leaves the append cache primed, so even
+the first append after the cut reads nothing.  These tests count
+whole-file reads (``Path.read_bytes``) of each journal from a cold
+append cache, and check that the header fields a resume needs
+(``budget_total``, ``k``) fail as typed
+:class:`~repro.core.serialization.SerializationError` when malformed.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.selection import LazyGreedySelector
+from repro.core.serialization import (
+    SerializationError,
+    frame_journal_line,
+    invalidate_journal_cache,
+    read_journal,
+)
+from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
+from repro.engine import resume_parallel_session, run_parallel_hc_session
+from repro.service import CampaignService, CampaignSpec
+from repro.simulation import (
+    FaultModel,
+    ResilientCheckingSession,
+    SessionConfig,
+    run_hc_session,
+)
+from repro.simulation.session import campaign_answer_source
+from repro.stream import (
+    StreamChaos,
+    StreamingCampaign,
+    StreamSpec,
+    generate_event_stream,
+    make_arrivals,
+)
+
+
+@pytest.fixture(autouse=True)
+def _no_env_chaos(monkeypatch):
+    """Byte-identity and read counts are pinned on a chaos-free run."""
+    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_STREAM_CHAOS"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return make_synthetic_dataset(
+        num_groups=4,
+        group_size=4,
+        answers_per_fact=6,
+        pool=WorkerPoolSpec(num_preliminary=10, num_expert=2),
+        seed=41,
+    )
+
+
+@pytest.fixture(scope="module")
+def stream_dataset():
+    return make_synthetic_dataset(
+        num_groups=3, group_size=3, answers_per_fact=6, seed=1
+    )
+
+
+def _stream_spec(**overrides) -> StreamSpec:
+    base = dict(
+        rate=50.0,
+        votes_per_fact=3,
+        group_size=3,
+        target_votes=2,
+        churn=0.1,
+        seed=7,
+        chaos=StreamChaos(reorder=0.15, duplicate=0.1, stall=0.05, seed=3),
+    )
+    base.update(overrides)
+    return StreamSpec(**base)
+
+
+def _events(dataset, spec: StreamSpec):
+    return generate_event_stream(
+        dataset,
+        theta=spec.theta,
+        votes_per_fact=spec.votes_per_fact,
+        arrivals=make_arrivals(spec.arrival, spec.rate),
+        seed=spec.seed,
+        churn_rate=spec.churn,
+        window=spec.window,
+    )
+
+
+def _count_reads(monkeypatch) -> Counter:
+    """Count ``Path.read_bytes`` calls per absolute path from now on."""
+    counts: Counter = Counter()
+    real = Path.read_bytes
+
+    def counting(self):
+        counts[os.path.abspath(self)] += 1
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    return counts
+
+
+def _reads(counts: Counter, path) -> int:
+    return counts[os.path.abspath(path)]
+
+
+def _tear(path: Path, fraction: float) -> None:
+    """Leave the journal as a kill mid-append at ``fraction`` of it."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[: int(len(raw) * fraction)])
+
+
+class TestOneReadPerResume:
+    def test_session_resume(self, dataset, tmp_path, monkeypatch):
+        config = SessionConfig(
+            budget=16.0,
+            k=2,
+            seed=3,
+            faults=FaultModel(no_show=0.2, timeout=0.2, seed=5),
+        )
+        reference = tmp_path / "ref.jsonl"
+        run_hc_session(
+            dataset, dataclasses.replace(config, journal_path=reference)
+        )
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(reference.read_bytes())
+        _tear(path, 0.6)
+        invalidate_journal_cache(path)
+        counts = _count_reads(monkeypatch)
+        session = ResilientCheckingSession.resume(
+            path, selector=LazyGreedySelector()
+        )
+        session.run(campaign_answer_source(dataset, config))
+        assert _reads(counts, path) == 1
+        monkeypatch.undo()
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "phase, overrides, max_events",
+        [
+            # a group larger than the early stream and an unreachable
+            # straggler horizon keep the campaign in its bootstrap
+            (
+                "bootstrap",
+                dict(group_size=12, straggler_timeout=1e9, chaos=None),
+                4,
+            ),
+            ("checkpointed", {}, 25),
+        ],
+    )
+    def test_stream_resume(
+        self, stream_dataset, tmp_path, monkeypatch, phase, overrides,
+        max_events,
+    ):
+        spec = _stream_spec(**overrides)
+        events = _events(stream_dataset, spec)
+        experts = stream_dataset.split_crowd(spec.theta)[0]
+        path = tmp_path / f"{phase}.jsonl"
+        StreamingCampaign(
+            events, experts, 40.0, spec=spec, journal_path=path
+        ).run(max_events=max_events)
+        kinds = {record["kind"] for record in read_journal(path)}
+        assert ("checkpoint" in kinds) == (phase == "checkpointed")
+        _tear(path, 0.97)
+        invalidate_journal_cache(path)
+        counts = _count_reads(monkeypatch)
+        campaign = StreamingCampaign.resume(path, events, experts=experts)
+        campaign.run()
+        assert campaign.finished
+        assert _reads(counts, path) == 1
+
+    def test_parallel_resume(self, dataset, tmp_path, monkeypatch):
+        path = tmp_path / "run.jsonl"
+        config = SessionConfig(budget=16.0, k=2, seed=3, journal_path=path)
+        run_parallel_hc_session(dataset, config, jobs=2, inline=True)
+        _tear(path, 0.6)
+        invalidate_journal_cache(path)
+        counts = _count_reads(monkeypatch)
+        session, pool = resume_parallel_session(path, inline=True)
+        with pool:
+            session.run(campaign_answer_source(dataset, config))
+        assert _reads(counts, path) == 1
+
+    def test_service_recover_and_reattach(
+        self, dataset, stream_dataset, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "svc"
+        specs = [
+            CampaignSpec(
+                tenant="acme",
+                name="batch",
+                dataset=dataset,
+                config=SessionConfig(budget=20.0, k=2, seed=0),
+                jobs=2,
+            ),
+            CampaignSpec(
+                tenant="acme",
+                name="live",
+                dataset=stream_dataset,
+                config=SessionConfig(budget=30.0, k=1, seed=0),
+                stream=_stream_spec(),
+            ),
+        ]
+        service = CampaignService(100.0, journal_root=root)
+        for spec in specs:
+            service.submit(spec)
+        for _ in range(6):
+            service.step()
+        service.close()
+        journals = [root / "acme" / "batch.jsonl", root / "acme" / "live.jsonl"]
+        for path in journals:
+            invalidate_journal_cache(path)
+        counts = _count_reads(monkeypatch)
+        with CampaignService(100.0, journal_root=root) as service:
+            report = service.recover(specs=specs)
+            assert len(report.reattached) == 2
+            for _ in range(4):
+                service.step()
+        # once each for the sweep, the attach and the resume
+        assert [_reads(counts, path) for path in journals] == [3, 3]
+
+
+def _rewrite_header(path: Path, name: str, value, *, tenant=False) -> None:
+    """Re-frame ``path`` with the header's ``name`` field set to
+    ``value`` (deleted for ``...``), optionally adding a tenant record."""
+    records = read_journal(path)
+    header = dict(records[0])
+    if value is ...:
+        del header[name]
+    else:
+        header[name] = value
+    records[0] = header
+    if tenant:
+        records.insert(
+            1,
+            {"kind": "tenant", "tenant": "acme", "name": "job",
+             "priority": 0, "weight": 1.0},
+        )
+    path.write_bytes(b"".join(
+        (frame_journal_line(record, seq) + "\n").encode("utf-8")
+        for seq, record in enumerate(records)
+    ))
+
+
+def _resume_parallel(path: Path, **_):
+    session, pool = resume_parallel_session(path, inline=True)
+    pool.close()
+
+
+def _resume_stream(path: Path, *, stream_dataset, **_):
+    spec = _stream_spec()
+    StreamingCampaign.resume(path, _events(stream_dataset, spec))
+
+
+def _attach_via_cli(path: Path, *, data_dir, **_):
+    main([
+        "session", "--data", str(data_dir), "--group-size", "4",
+        "--theta", "0.85", "--attach", str(path),
+    ])
+
+
+class TestHeaderFields:
+    @pytest.fixture
+    def journals(self, dataset, stream_dataset, tmp_path):
+        batch = tmp_path / "batch.jsonl"
+        run_parallel_hc_session(
+            dataset,
+            SessionConfig(budget=8.0, k=2, seed=3, journal_path=batch),
+            jobs=2,
+            inline=True,
+        )
+        spec = _stream_spec()
+        stream = tmp_path / "stream.jsonl"
+        StreamingCampaign(
+            _events(stream_dataset, spec),
+            stream_dataset.split_crowd(spec.theta)[0],
+            40.0,
+            spec=spec,
+            journal_path=stream,
+        ).run(max_events=10)
+        data_dir = tmp_path / "data"
+        assert main([
+            "generate", "--out", str(data_dir), "--groups", "6",
+            "--group-size", "4", "--answers", "5", "--seed", "1",
+        ]) == 0
+        cli = tmp_path / "cli.jsonl"
+        assert main([
+            "session", "--data", str(data_dir), "--budget", "10",
+            "--group-size", "4", "--theta", "0.85",
+            "--journal", str(cli), "--seed", "1",
+        ]) == 0
+        return {"batch": batch, "stream": stream, "cli": cli,
+                "data_dir": data_dir}
+
+    @pytest.mark.parametrize("value", [..., None, "x"],
+                             ids=["missing", "null", "string"])
+    @pytest.mark.parametrize(
+        "reader, journal",
+        [
+            (_resume_parallel, "batch"),
+            (_resume_stream, "stream"),
+            (_attach_via_cli, "cli"),
+        ],
+        ids=["resume_parallel_session", "StreamingCampaign.resume",
+             "session --attach"],
+    )
+    def test_malformed_budget_total_is_a_typed_error(
+        self, journals, stream_dataset, reader, journal, value
+    ):
+        path = journals[journal]
+        _rewrite_header(
+            path, "budget_total", value, tenant=journal == "cli"
+        )
+        with pytest.raises(SerializationError, match="budget_total"):
+            reader(
+                path,
+                stream_dataset=stream_dataset,
+                data_dir=journals["data_dir"],
+            )
