@@ -323,10 +323,12 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
     the campaign runs under service scheduling — the same path a
     long-lived deployment takes after a restart.
     """
-    from .core.serialization import header_field, read_journal
+    from .core.serialization import header_field, verify_journal
     from .service import CampaignService, CampaignSpec
 
-    records = read_journal(args.attach)
+    # Read only: the attach salvages the journal before it resumes, so
+    # the identity and header come from the verified prefix.
+    records = verify_journal(args.attach).records
     identities = [
         record for record in records if record.get("kind") == "tenant"
     ]
@@ -396,9 +398,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
 
     if args.resume:
-        from .core.serialization import read_journal
+        from .core.serialization import verify_journal
 
-        records = read_journal(args.resume)
+        # Read only: the resume salvages the journal itself.
+        records = verify_journal(args.resume).records
         config_record = next(
             (
                 record

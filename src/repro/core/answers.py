@@ -27,7 +27,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .observations import TRUTH_TABLE_MAX_FACTS, BeliefState, truth_table
+from .observations import (
+    TRUTH_TABLE_MAX_FACTS,
+    BeliefState,
+    tensor_shape,
+    truth_table,
+)
 from .workers import Crowd, Worker
 
 #: Default cap on the answer-family space: ``|T| * |CE|`` answer bits.
@@ -277,14 +282,10 @@ def answer_set_likelihood(
     """Vector of ``P(A_cr^T | o)`` over all observations (paper Eq. 6).
 
     Entry ``s`` is ``Pr_cr ** |T+| * (1 - Pr_cr) ** |T-|`` for
-    observation ``s``.
+    observation ``s``: :func:`likelihood_table` spread over every
+    observation.
     """
-    accuracy = answer_set.worker.accuracy
-    if not answer_set.answers:
-        return np.ones(belief.num_observations)
-    return _per_observation(
-        belief, answer_set, accuracy, 1.0 - accuracy, np.multiply
-    )
+    return _per_observation(belief, likelihood_table(belief, (answer_set,)))
 
 
 def log_answer_set_likelihood(
@@ -299,60 +300,87 @@ def log_answer_set_likelihood(
     near-0/1 accuracies can drive the linear product below the float64
     floor, but sums of logs cannot underflow.
     """
-    accuracy = answer_set.worker.accuracy
-    if not answer_set.answers:
-        return np.zeros(belief.num_observations)
-    with np.errstate(divide="ignore"):
-        log_hit = np.log(accuracy)
-        log_miss = np.log(1.0 - accuracy)
-    return _per_observation(belief, answer_set, log_hit, log_miss, np.add)
+    return _per_observation(
+        belief, likelihood_table(belief, (answer_set,), log=True)
+    )
 
 
-def _per_observation(
+def likelihood_table(
     belief: BeliefState,
-    answer_set: AnswerSet,
-    hit: float,
-    miss: float,
-    combine: np.ufunc,
+    answer_sets: Iterable[AnswerSet],
+    log: bool = False,
 ) -> np.ndarray:
-    """``combine`` over the queried facts, in query order, of ``hit``
-    where an observation agrees with the answer and ``miss`` where not.
+    """``P(A | o)`` of independent answer sets to one query set (Lemma
+    2), or its log, once per truth pattern of the queried facts.
 
-    Up to :data:`TRUTH_TABLE_MAX_FACTS` facts the rows combined are the
-    observations themselves (truth-table columns).  Above, they are the
-    ``2**|T|`` truth patterns of the queried facts — row ``r`` gives the
-    ``k``-th lowest queried position bit ``k`` of ``r``, the order those
-    facts' axes take in the probability tensor — and the per-pattern
-    table is spread over the unqueried axes by doubling, lowest position
-    first.  Both gather their bit columns by fancy indexing, whose
-    column-major result numpy reduces column by column, so each row
-    combines the same factors in the same order either way and the two
-    agree bit for bit.
+    The likelihood depends on an observation only through the queried
+    facts' truth values, so ``2**|T|`` values hold all of it.  The table
+    is shaped to broadcast against the probability tensor
+    (:func:`~repro.core.observations.tensor_shape`): a 2-axis for each
+    queried position and a 1-axis for each unqueried one, down to the
+    low axis, over which it is spread out.  It has at most
+    ``2**|T| * 2**LOW_AXIS_FACTS`` entries, whatever the group size.
+
+    The answer sets may list the facts in different orders.  Each
+    combines its factors in its own key order, and the sets combine in
+    iteration order (from 1, or 0 in log space, which changes no bit),
+    so every observation gets bit for bit the value the truth-table
+    formulas give it.
     """
-    query_fact_ids = answer_set.query_fact_ids
-    positions = [belief.facts.position_of(fact_id) for fact_id in query_fact_ids]
-    answer_bits = answer_set.bits(query_fact_ids)
+    answer_sets = tuple(answer_sets)
+    position_of = belief.facts.position_of
+    queried = sorted(
+        position_of(fact_id)
+        for fact_id in (answer_sets[0].query_fact_ids if answer_sets else ())
+    )
+    # factors[k, j, r]: the k-th factor, in key order, of answer set j
+    # at pattern r, where bit i of r is the truth of the i-th lowest
+    # queried position.  Key-major, each reduction over axis 0 combines
+    # its factors one after another, as the truth-table rows did.
+    ranks = np.array(
+        [
+            [queried.index(position_of(fact_id)) for fact_id in answer_set.answers]
+            for answer_set in answer_sets
+        ],
+        dtype=np.int64,
+    ).reshape(len(answer_sets), len(queried)).T
+    answers = np.array(
+        [list(answer_set.answers.values()) for answer_set in answer_sets],
+        dtype=bool,
+    ).reshape(ranks.shape[::-1]).T
+    accuracies = np.array(
+        [answer_set.worker.accuracy for answer_set in answer_sets]
+    )
+    hit, miss = accuracies, 1.0 - accuracies
+    combine = np.multiply
+    if log:
+        with np.errstate(divide="ignore"):
+            hit, miss = np.log(hit), np.log(miss)
+        combine = np.add
+    bits = (np.arange(1 << len(queried)) >> ranks[:, :, None]) & 1
+    factors = np.where(
+        bits == answers[:, :, None], hit[:, None], miss[:, None]
+    )
+    table = combine.reduce(combine.reduce(factors, axis=0), axis=0)
     num_facts = belief.num_facts
-    if num_facts <= TRUTH_TABLE_MAX_FACTS:
-        matches = truth_table(num_facts)[:, positions] == answer_bits
-        return combine.reduce(np.where(matches, hit, miss), axis=1)
-    ascending = sorted(positions)
-    ranks = [ascending.index(position) for position in positions]
-    pattern_bits = (
-        np.arange(1 << len(positions))[:, None] >> np.arange(len(positions))
-    ) & 1
-    matches = pattern_bits[:, ranks] == answer_bits
-    table = combine.reduce(np.where(matches, hit, miss), axis=1)
-    # (rows, 2**p) holds the positions below p in its columns and the
-    # queried positions above in its rows.
-    spread = table.reshape(-1, 1)
-    queried = set(positions)
-    for position in range(num_facts):
-        if position in queried:
-            spread = spread.reshape(spread.shape[0] // 2, -1)
-        else:
-            spread = np.concatenate([spread, spread], axis=1)
-    return spread.reshape(-1)
+    high = len(tensor_shape(num_facts)) - 1
+    axes = tuple(
+        2 if position in queried else 1
+        for position in reversed(range(num_facts))
+    )
+    # The low positions are spread out so that broadcasting the table
+    # against the tensor runs along whole contiguous low-axis rows.
+    spread = np.empty(axes[:high] + (2,) * (num_facts - high))
+    spread[...] = table.reshape(axes)
+    return spread.reshape(axes[:high] + (-1,))
+
+
+def _per_observation(belief: BeliefState, table: np.ndarray) -> np.ndarray:
+    """A :func:`likelihood_table` written out over all ``2**n``
+    observations."""
+    likelihood = np.empty(belief.num_observations)
+    likelihood.reshape(tensor_shape(belief.num_facts))[...] = table
+    return likelihood
 
 
 def log_family_likelihood(
@@ -362,7 +390,7 @@ def log_family_likelihood(
 
     Conditional independence turns the per-worker product into a sum of
     per-worker log-likelihoods, immune to underflow no matter the panel
-    size.
+    size.  A partial family's answer sets may cover different facts.
     """
     total = np.zeros(belief.num_observations)
     for answer_set in family:
@@ -383,10 +411,7 @@ def family_likelihood(
     Workers answer independently given the observation, so the family
     likelihood is the product of the per-worker likelihoods (Lemma 2).
     """
-    likelihood = np.ones(belief.num_observations)
-    for answer_set in family:
-        likelihood *= answer_set_likelihood(belief, answer_set)
-    return likelihood
+    return _per_observation(belief, likelihood_table(belief, family))
 
 
 def family_probability(belief: BeliefState, family: AnswerFamily) -> float:

@@ -31,7 +31,7 @@ from .answers import (
     crowd_single_query_responses,
     family_distribution,
 )
-from .observations import BeliefState
+from .observations import BeliefState, check_weights
 from .workers import Crowd
 
 
@@ -48,17 +48,29 @@ class DegenerateSamplesError(RuntimeError):
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Shannon entropy in bits, with the ``0 log 0 = 0`` convention.
 
-    Accepts unnormalized non-negative weights and normalizes first.
+    Accepts unnormalized non-negative weights and normalizes first;
+    NaN or infinite weights are refused.  The terms summed are exactly
+    ``p * log2(p)`` over the positive normalized entries, in order, so
+    the value does not depend on which of the shortcuts below apply:
+    a total of exactly 1 divides by nothing, and an array without zeros
+    is not gathered.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    if np.any(probabilities < -1e-12):
-        raise ValueError("probabilities must be non-negative")
+    low = check_weights(probabilities)
     total = probabilities.sum()
+    if not np.isfinite(total):
+        raise ValueError("probabilities must be finite")
     if total <= 0.0:
         raise ValueError("cannot take the entropy of an all-zero vector")
-    probabilities = probabilities / total
-    positive = probabilities[probabilities > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+    if total != 1.0:
+        probabilities = probabilities / total
+        # A quotient can underflow to zero when the total exceeds 1.
+        low = probabilities.min()
+    if not low > 0.0:
+        probabilities = probabilities[probabilities > 0.0]
+    terms = np.log2(probabilities)
+    terms *= probabilities
+    return float(-terms.sum())
 
 
 def binary_entropy(probability: float) -> float:

@@ -37,8 +37,9 @@ from .facts import FactSet
 from .observations import (
     MAX_FACTS_PER_SPACE,
     BeliefState,
-    _EPSILON,
     check_group_size,
+    check_weights,
+    checked_total,
 )
 
 __all__ = [
@@ -258,18 +259,13 @@ class SparseBeliefState(BeliefState):
                 f"expected {expected} probabilities for {len(facts)} "
                 f"facts, got shape {probabilities.shape}"
             )
-        if np.any(probabilities < -1e-12):
-            raise ValueError("probabilities must be non-negative")
+        check_weights(probabilities)
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(
                 f"epsilon must lie in [0, 1), got {epsilon}"
             )
         probabilities = np.clip(probabilities, 0.0, None)
-        total = probabilities.sum()
-        if total <= _EPSILON:
-            raise ValueError(
-                "probabilities sum to zero; belief is undefined"
-            )
+        total = checked_total(probabilities)
         support = np.flatnonzero(probabilities).astype(np.int64)
         values = probabilities[support] / total
         support, values = _truncated(support, values, float(epsilon))

@@ -14,7 +14,8 @@ fact at position ``i`` iff bit ``i`` of ``s`` is set (little-endian).
 the ``2**n`` probabilities reshaped (C order) to a ``2 x ... x 2``
 tensor put the fact at position ``i`` on axis ``n - 1 - i``; groups
 larger than :data:`TRUTH_TABLE_MAX_FACTS` facts evaluate their
-marginals and likelihoods on that tensor instead of the truth table.
+marginals on that tensor instead of the truth table, and every
+likelihood is evaluated on it (:func:`tensor_shape`).
 """
 
 from __future__ import annotations
@@ -36,13 +37,22 @@ _EPSILON = 1e-300
 MAX_FACTS_PER_SPACE = 24
 
 #: Groups of at most this many facts (``2**10`` observations, every
-#: group of the paper's setting) evaluate marginals, pattern marginals
-#: and answer-set likelihoods through :func:`truth_table`, bit for bit
-#: as they always have.  Larger groups contract the probability tensor
-#: over its bit axes instead: ``O(2**n)`` work rather than a
-#: ``(2**n, n)`` table cast to float on every call.  Below the cut the
-#: contraction's extra array calls cost more than the table saves.
+#: group of the paper's setting) evaluate marginals and pattern
+#: marginals through :func:`truth_table`, bit for bit as they always
+#: have.  Larger groups contract the probability tensor over its bit
+#: axes instead: ``O(2**n)`` work rather than a ``(2**n, n)`` table
+#: cast to float on every call.  Below the cut the contraction's extra
+#: array calls cost more than the table saves.
 TRUTH_TABLE_MAX_FACTS = 10
+
+#: The lowest this-many positions of the probability tensor stay merged
+#: in its last axis (:func:`tensor_shape`), so a likelihood table
+#: broadcast against the tensor runs inner loops of ``2**8`` contiguous
+#: entries whichever facts it queries.  At 18 facts, broadcasting over
+#: one 2-axis per fact cost 3-4x a plain ``2**18`` multiply when a low
+#: position was queried; merging 8 brought it back to 1.0-1.3x
+#: (measured on a 2-vCPU x86 host).
+LOW_AXIS_FACTS = 8
 
 
 class GroupTooLargeError(ValueError):
@@ -78,6 +88,50 @@ def truth_table(num_facts: int) -> np.ndarray:
     table = bits.astype(bool)
     table.setflags(write=False)
     return table
+
+
+def tensor_shape(num_facts: int) -> tuple[int, ...]:
+    """Shape of the probability tensor the likelihood kernels broadcast
+    against: one 2-axis per position from the highest down to
+    :data:`LOW_AXIS_FACTS`, then one axis over the lowest positions.
+    Reshaping the ``2**n`` probabilities to it is a view."""
+    low = min(num_facts, LOW_AXIS_FACTS)
+    return (2,) * (num_facts - low) + (1 << low,)
+
+
+def check_weights(weights: np.ndarray) -> float:
+    """Refuse negative or NaN weights in one pass; returns the minimum.
+
+    ``not min >= -1e-12`` is also true of a NaN minimum.  ``+inf``
+    passes, so callers also check that the total is finite
+    (:func:`checked_total`).
+    """
+    low = weights.min(initial=np.inf)  # empty: no weight to refuse
+    if not low >= -1e-12:
+        raise ValueError("probabilities must be non-negative and finite")
+    return low
+
+
+def checked_total(weights: np.ndarray) -> float:
+    """The sum of clipped weights, refused unless finite and positive."""
+    total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError("probabilities must be finite")
+    if total <= _EPSILON:
+        raise ValueError("probabilities sum to zero; belief is undefined")
+    return total
+
+
+def _check_state_weights(facts: FactSet, probabilities: np.ndarray) -> float:
+    """Refuse a dense state's weights unless there is one per
+    observation, none negative or NaN; returns the smallest."""
+    expected = 1 << len(facts)
+    if probabilities.shape != (expected,):
+        raise ValueError(
+            f"expected {expected} probabilities for {len(facts)} facts, "
+            f"got shape {probabilities.shape}"
+        )
+    return check_weights(probabilities)
 
 
 def observation_index(values: Sequence[bool]) -> int:
@@ -122,21 +176,27 @@ class BeliefState:
     def __init__(self, facts: FactSet, probabilities: np.ndarray):
         check_group_size(len(facts))
         probabilities = np.asarray(probabilities, dtype=np.float64)
-        expected = 1 << len(facts)
-        if probabilities.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} probabilities for {len(facts)} facts, "
-                f"got shape {probabilities.shape}"
-            )
-        if np.any(probabilities < -1e-12):
-            raise ValueError("probabilities must be non-negative")
+        _check_state_weights(facts, probabilities)
         probabilities = np.clip(probabilities, 0.0, None)
-        total = probabilities.sum()
-        if total <= _EPSILON:
-            raise ValueError("probabilities sum to zero; belief is undefined")
+        probabilities /= checked_total(probabilities)
+        self._adopt(facts, probabilities)
+
+    def _adopt(self, facts: FactSet, probabilities: np.ndarray) -> None:
+        """Take ``probabilities`` as this state's, unchecked and uncopied:
+        the caller hands over a normalized array nothing else holds."""
+        probabilities.setflags(write=False)
         self._facts = facts
-        self._probs = probabilities / total
-        self._probs.setflags(write=False)
+        self._probs = probabilities
+
+    @classmethod
+    def _of_normalized(
+        cls, facts: FactSet, probabilities: np.ndarray
+    ) -> "BeliefState":
+        """A state over ``probabilities`` as given, with no check, copy
+        or renormalization (see :meth:`_adopt`)."""
+        state = cls.__new__(cls)
+        state._adopt(facts, probabilities)
+        return state
 
     # ------------------------------------------------------------------
     # constructors
@@ -159,14 +219,17 @@ class BeliefState:
         one ulp when the stored sum is ``1 ± epsilon`` — enough to break
         bitwise reproducibility of checkpoint restores.  This
         constructor trusts the values verbatim (after the same shape /
-        non-negativity / non-degenerate checks), so serialization
-        round-trips are exact.
+        non-negativity / finiteness / non-degenerate checks), so
+        serialization round-trips are exact.
         """
-        state = cls(facts, probabilities)
-        exact = np.asarray(probabilities, dtype=np.float64).copy()
-        exact.setflags(write=False)
-        state._probs = exact
-        return state
+        check_group_size(len(facts))
+        exact = np.array(probabilities, dtype=np.float64)
+        # The total __init__ checks is that of the clipped values.
+        if _check_state_weights(facts, exact) >= 0.0:
+            checked_total(exact)
+        else:
+            checked_total(np.clip(exact, 0.0, None))
+        return cls._of_normalized(facts, exact)
 
     @classmethod
     def from_marginals(
@@ -359,7 +422,7 @@ class BeliefState:
         log_norm = peak + float(
             np.log(np.exp(log_posterior - peak).sum())
         )
-        return BeliefState.from_normalized(
+        return BeliefState._of_normalized(
             self._facts, np.exp(log_posterior - log_norm)
         )
 

@@ -17,9 +17,7 @@ import numpy as np
 from .answers import (
     AnswerFamily,
     AnswerSet,
-    answer_set_likelihood,
-    family_likelihood,
-    log_answer_set_likelihood,
+    likelihood_table,
     log_family_likelihood,
 )
 from .facts import FactSet
@@ -29,7 +27,7 @@ from .kernel import (
     sparse_log_answer_set_likelihood,
     sparse_log_family_likelihood,
 )
-from .observations import BeliefState
+from .observations import _EPSILON, BeliefState, tensor_shape
 
 
 class InconsistentEvidenceError(ValueError):
@@ -111,11 +109,7 @@ def update_with_answer_set(
                 belief.facts, belief.support, answer_set
             ),
         )
-    likelihood = answer_set_likelihood(belief, answer_set)
-    return _posterior(
-        belief, likelihood,
-        lambda: log_answer_set_likelihood(belief, answer_set),
-    )
+    return _dense_update(belief, (answer_set,))[0]
 
 
 def update_with_family(belief: BeliefState, family: AnswerFamily) -> BeliefState:
@@ -131,10 +125,7 @@ def update_with_family(belief: BeliefState, family: AnswerFamily) -> BeliefState
                 belief.facts, belief.support, family
             ),
         )
-    likelihood = family_likelihood(belief, family)
-    return _posterior(
-        belief, likelihood, lambda: log_family_likelihood(belief, family)
-    )
+    return _dense_update(belief, family)[0]
 
 
 def _sparse_posterior(
@@ -151,31 +142,72 @@ def _sparse_posterior(
         ) from error
 
 
-def _posterior(
-    belief: BeliefState,
-    likelihood: np.ndarray,
-    log_likelihood_fn=None,
-) -> BeliefState:
-    """Linear-space Bayes update with a log-space underflow fallback.
+def _dense_update(
+    belief: BeliefState, answer_sets, floor: float | None = None
+) -> tuple[BeliefState, bool]:
+    """The dense Lemma-3 update, in one pass over the prior.
 
-    The linear path runs first and is kept bitwise-identical to the
-    historical behaviour whenever the evidence is healthy (checkpoint
-    resume depends on that).  Only when the evidence drops into the
-    underflow guard band does the update recompute in log space, which
-    distinguishes "the product underflowed" from "the answers are truly
-    impossible".
+    The answers' likelihood is computed once per truth pattern of the
+    queried facts (:func:`~repro.core.answers.likelihood_table`), the
+    prior is multiplied by it in one broadcast pass, and the product is
+    summed and normalized in place: element for element the
+    ``fl(prior * likelihood)``, sum and divide that
+    ``BeliefState(facts, prior * likelihood)`` computes, which
+    checkpoint resume and every identity suite depend on.
+
+    Evidence inside the ``EVIDENCE_UNDERFLOW_GUARD`` band retries in log
+    space, which tells "the product underflowed" from "the answers are
+    truly impossible".  Truly impossible answers raise
+    :class:`InconsistentEvidenceError`, or with a ``floor`` are
+    tempered (:func:`tempered_posterior`); the second return value says
+    whether they were.
     """
-    evidence = float(belief.probabilities @ likelihood)
-    if evidence > EVIDENCE_UNDERFLOW_GUARD:
-        return belief.reweighted(likelihood)
-    if log_likelihood_fn is not None:
-        try:
-            return belief.log_reweighted(log_likelihood_fn())
-        except ValueError:
-            pass
-    raise InconsistentEvidenceError(
-        "observed answers have zero probability under the current belief"
-    )
+    if floor is not None and not 0.0 < floor < 1.0:
+        raise ValueError(f"floor must lie in (0, 1), got {floor}")
+    answer_sets = tuple(answer_sets)
+    table = likelihood_table(belief, answer_sets)
+    posterior = _normalized_product(belief, table, EVIDENCE_UNDERFLOW_GUARD)
+    if posterior is not None:
+        return posterior, False
+    try:
+        return belief.log_reweighted(
+            log_family_likelihood(belief, answer_sets)
+        ), False
+    except ValueError:
+        pass
+    if floor is None:
+        raise InconsistentEvidenceError(
+            "observed answers have zero probability under the current belief"
+        )
+    scale = float(table.max())
+    floored = table + (scale if scale > 0.0 else 1.0) * floor
+    posterior = _normalized_product(belief, floored, _EPSILON)
+    if posterior is None:
+        raise ValueError("probabilities sum to zero; belief is undefined")
+    return posterior, True
+
+
+def _normalized_product(
+    belief: BeliefState, table: np.ndarray, threshold: float
+) -> BeliefState | None:
+    """``prior * table`` normalized, or ``None`` when its total is not
+    above ``threshold``.
+
+    The evidence is the product's own sum, not ``prior @ likelihood``:
+    both are ``P(A)``, summed in a different order.  Clipping, as
+    ``__init__`` does, changes only a product with a negative or signed
+    zero entry, which a state from ``from_normalized`` can hold.
+    """
+    weights = np.multiply(
+        belief.probabilities.reshape(tensor_shape(belief.num_facts)), table
+    ).reshape(-1)
+    if not weights.min() > 0.0:
+        np.clip(weights, 0.0, None, out=weights)
+    total = weights.sum()
+    if not total > threshold:
+        return None
+    weights /= total
+    return BeliefState._of_normalized(belief.facts, weights)
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +296,7 @@ def tempered_update_with_answer_set(
             ),
             floor,
         )
-    likelihood = answer_set_likelihood(belief, answer_set)
-    return tempered_posterior(
-        belief, likelihood, floor=floor,
-        log_likelihood_fn=lambda: log_answer_set_likelihood(belief, answer_set),
-    )
+    return _dense_update(belief, (answer_set,), floor)
 
 
 def tempered_update_with_family(
@@ -283,8 +311,4 @@ def tempered_update_with_family(
             ),
             floor,
         )
-    likelihood = family_likelihood(belief, family)
-    return tempered_posterior(
-        belief, likelihood, floor=floor,
-        log_likelihood_fn=lambda: log_family_likelihood(belief, family),
-    )
+    return _dense_update(belief, family, floor)

@@ -290,7 +290,8 @@ def _recover_one(
                 f"spec for {campaign_id} resolves to {resolved_path}, "
                 f"not the scanned journal {path}"
             )
-        handle = service.attach(spec)
+        # The sweep's salvage is the attach's read.
+        handle = service._attach(spec, damage_report)
     except (ServiceError, SerializationError, ValueError) as error:
         return verdict(outcome="failed", error=str(error))
     return verdict(

@@ -65,7 +65,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.serialization import SerializationError, read_journal
+from ..core.serialization import SerializationError
 from ..engine.ledger import BudgetLedger
 from ..engine.runner import ParallelCampaignRunner, resume_parallel_session
 from ..engine.shards import IdleWorkers
@@ -73,6 +73,7 @@ from ..engine.supervisor import SupervisionPolicy
 from ..obs import OBS, latency_report
 from ..simulation.session import campaign_answer_source
 from ..stream.arrivals import generate_event_stream, make_arrivals
+from ..storage.integrity import JournalDamageReport, recover_journal
 from ..stream.runtime import StreamingCampaign
 from .admission import AdmissionController, TenantQuota
 from .campaign import (
@@ -263,8 +264,17 @@ class CampaignService:
         rejoins the queue), and a journal from *before a service
         restart* (the spec re-describes it; spending already on the
         journal is committed to the fresh pool and only the remainder
-        is deposited).
+        is deposited).  A journal from before a restart is salvaged
+        (:func:`~repro.storage.integrity.recover_journal`) before its
+        spending and identity are read.
         """
+        return self._attach(spec, None)
+
+    def _attach(
+        self, spec: CampaignSpec, scan: JournalDamageReport | None
+    ) -> CampaignHandle:
+        """:meth:`attach`, taking the journal's records from ``scan``
+        when the caller has just salvaged it (recovery's sweep)."""
         self._ensure_open()
         campaign_id = spec.campaign_id
         existing = self._records.get(campaign_id)
@@ -294,7 +304,9 @@ class CampaignService:
             raise UnknownCampaignError(
                 f"no journal at {journal_path} to attach"
             )
-        base_spent, journaled = self._read_attach_state(journal_path)
+        base_spent, journaled = self._read_attach_state(
+            scan if scan is not None else recover_journal(journal_path)
+        )
         if journaled is not None and (
             journaled.get("tenant") != spec.tenant
             or journaled.get("name") != spec.name
@@ -837,9 +849,13 @@ class CampaignService:
             raise ServiceError("the campaign service is closed")
 
     @staticmethod
-    def _read_attach_state(journal_path: Path) -> tuple[float, dict | None]:
-        """Base spending + journaled tenant identity for an attach."""
-        records = read_journal(journal_path)
+    def _read_attach_state(
+        scan: JournalDamageReport,
+    ) -> tuple[float, dict | None]:
+        """Base spending + journaled tenant identity for an attach, from
+        a salvaged journal's scan."""
+        journal_path = scan.path
+        records = scan.strict_records()
         checkpoints = [
             record
             for record in records

@@ -10,6 +10,7 @@ from repro.core import (
     GroupTooLargeError,
     SparseBeliefState,
     observation_index,
+    shannon_entropy,
     sparse_from_marginals,
     truth_table,
 )
@@ -120,6 +121,25 @@ class TestBeliefState:
     def test_zero_sum_rejected(self, three_facts):
         with pytest.raises(ValueError, match="sum to zero"):
             BeliefState(three_facts, np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda weights: BeliefState(FactSet.from_ids([0]), weights),
+            lambda weights: BeliefState.from_normalized(
+                FactSet.from_ids([0]), weights
+            ),
+            lambda weights: SparseBeliefState(FactSet.from_ids([0]), weights),
+            shannon_entropy,
+        ],
+        ids=["init", "from_normalized", "sparse_init", "shannon_entropy"],
+    )
+    def test_non_finite_rejected(self, build, bad):
+        """A NaN or infinite weight would otherwise come out as a NaN
+        belief whose H(O) reads as certainty (-0.0)."""
+        with pytest.raises(ValueError, match="finite"):
+            build(np.array([bad, 1.0]))
 
     def test_probabilities_read_only(self, table1_belief):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ contract, checked here against the verbatim formulas in
 ``truth_tables.py`` at every group size from 0 to 14 facts, with
 shuffled non-contiguous fact ids and query sets in any order:
 
-* answer-set, log and family likelihoods and ``update_with_family``
-  posteriors are bit-identical (each row multiplies or adds the same
-  factors in the same order);
+* answer-set, log and family likelihoods, the posteriors of
+  ``update_with_answer_set``, ``update_with_family`` and both tempered
+  updates, and ``H(O)`` are bit-identical (each row multiplies or adds
+  the same factors in the same order; the posterior is the same
+  product, clipped, summed and divided; H(O) sums the same terms);
 * marginals and pattern marginals are bit-identical up to the cut and
   within ``RTOL``/``ATOL`` above it, where the sums reassociate;
 * sparse states keep their own branch;
@@ -23,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
 from repro.core import (
     AnswerFamily,
     AnswerSet,
@@ -36,11 +40,15 @@ from repro.core import (
     family_likelihood,
     log_answer_set_likelihood,
     log_family_likelihood,
+    observation_entropy,
     pattern_marginal,
+    tempered_update_with_answer_set,
+    tempered_update_with_family,
+    update_with_answer_set,
     update_with_family,
     worker_response_matrix,
 )
-from repro.core import observations
+from repro.core import answers, observations, update
 from repro.core.observations import TRUTH_TABLE_MAX_FACTS
 
 from . import truth_tables as reference
@@ -58,7 +66,9 @@ MAX_FACTS = 14
 def dense_beliefs(draw, min_facts: int = 0):
     """A dense belief over 0..14 facts with shuffled, non-contiguous ids
     and a joint that mixes exact zeros with a wide dynamic range; about
-    half the draws fall on each side of the cut."""
+    half the draws fall on each side of the cut.  Some are restored
+    through ``from_normalized`` with entries in (-1e-12, 0], which it
+    keeps verbatim and an update must clip."""
     num_facts = draw(
         st.one_of(
             st.integers(min_facts, TRUTH_TABLE_MAX_FACTS),
@@ -78,7 +88,15 @@ def dense_beliefs(draw, min_facts: int = 0):
     weights = rng.random(size) ** draw(st.sampled_from([1.0, 8.0, 40.0]))
     weights[rng.random(size) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     weights[rng.integers(size)] += 1.0  # never all zero
-    return BeliefState(FactSet.from_ids(fact_ids), weights)
+    facts = FactSet.from_ids(fact_ids)
+    if not draw(st.booleans()):
+        return BeliefState(facts, weights)
+    restored = weights / weights.sum()
+    signed = rng.random(size) < 0.2
+    restored[signed] = rng.choice([0.0, -0.0, -1e-13, -9e-13], signed.sum())
+    if not np.any(restored > 0.0):
+        restored[0] = 1.0
+    return BeliefState.from_normalized(facts, restored)
 
 
 def query_of(draw, belief: BeliefState, min_size: int = 1) -> list[int]:
@@ -101,7 +119,11 @@ def beliefs_with_families(draw, accuracies=st.floats(0.0, 1.0)):
     answer_sets = []
     for index in range(num_workers):
         worker = Worker(f"w{index}", draw(accuracies))
-        answers = {fact_id: draw(st.booleans()) for fact_id in query}
+        # Each worker lists the queried facts in its own order.
+        answers = {
+            fact_id: draw(st.booleans())
+            for fact_id in draw(st.permutations(query))
+        }
         answer_sets.append(AnswerSet(worker=worker, answers=answers))
     return belief, AnswerFamily(answer_sets=tuple(answer_sets))
 
@@ -156,13 +178,113 @@ def test_likelihoods_bit_identical(case):
     )
 
 
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal as bytes: ``array_equal`` would let ``-0.0`` pass for
+    ``0.0``, which a journal writes differently."""
+    assert actual.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(beliefs_with_families(accuracies=st.floats(0.05, 0.95)))
 def test_posteriors_bit_identical(case):
     belief, family = case
-    assert np.array_equal(
-        update_with_family(belief, family).probabilities,
+    posterior = update_with_family(belief, family)
+    assert_same_bits(
+        posterior.probabilities,
         reference.update_with_family(belief, family).probabilities,
+    )
+    for answer_set in family:
+        assert_same_bits(
+            update_with_answer_set(belief, answer_set).probabilities,
+            reference.update_with_answer_set(belief, answer_set).probabilities,
+        )
+    assert observation_entropy(posterior) == reference.shannon_entropy(
+        posterior.probabilities
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beliefs_with_families(
+        accuracies=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    )
+)
+def test_tempered_posteriors_bit_identical(case):
+    """Accuracies 0 and 1 contradict whole patterns, so some draws
+    reach the floored branch; the flag and bits match there too."""
+    belief, family = case
+    posterior, tempered = tempered_update_with_family(belief, family)
+    expected, expected_tempered = reference.tempered_update_with_family(
+        belief, family
+    )
+    assert tempered == expected_tempered
+    assert_same_bits(posterior.probabilities, expected.probabilities)
+    for answer_set in family:
+        posterior, tempered = tempered_update_with_answer_set(
+            belief, answer_set
+        )
+        expected, expected_tempered = (
+            reference.tempered_update_with_answer_set(belief, answer_set)
+        )
+        assert tempered == expected_tempered
+        assert_same_bits(posterior.probabilities, expected.probabilities)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_beliefs())
+def test_observation_entropy_bit_identical(belief):
+    assert observation_entropy(belief) == reference.shannon_entropy(
+        belief.probabilities
+    )
+
+
+def _wide_case(num_facts: int, positions):
+    rng = np.random.default_rng(num_facts)
+    facts = FactSet.from_ids(range(100, 100 + num_facts))
+    belief = BeliefState(facts, rng.dirichlet(np.ones(1 << num_facts)))
+    experts = Crowd.from_accuracies([0.92, 0.95], prefix="e")
+    queried = [100 + position for position in positions]
+    family = AnswerFamily(
+        answer_sets=tuple(
+            AnswerSet(
+                worker=worker,
+                answers={
+                    fact_id: bool(rng.random() < 0.5)
+                    for fact_id in (queried if index == 0 else queried[::-1])
+                },
+            )
+            for index, worker in enumerate(experts)
+        )
+    )
+    return belief, family
+
+
+#: Query positions that put a queried axis innermost, at both ends, and
+#: out of order; position -1 is the highest.
+WIDE_QUERIES = [(0,), (0, 1, 2, 3), (0, -1), (13, 2, 9, 5)]
+
+
+@pytest.mark.parametrize("num_facts", [16, 18])
+@pytest.mark.parametrize("positions", WIDE_QUERIES, ids=str)
+def test_wide_groups_bit_identical(num_facts, positions):
+    belief, family = _wide_case(
+        num_facts, [position % num_facts for position in positions]
+    )
+    posterior = update_with_family(belief, family)
+    assert_same_bits(
+        posterior.probabilities,
+        reference.update_with_family(belief, family).probabilities,
+    )
+    answer_set = family.answer_sets[1]
+    assert_same_bits(
+        update_with_answer_set(belief, answer_set).probabilities,
+        reference.update_with_answer_set(belief, answer_set).probabilities,
+    )
+    tempered, flag = tempered_update_with_family(belief, family)
+    assert not flag
+    assert_same_bits(tempered.probabilities, posterior.probabilities)
+    assert observation_entropy(posterior) == reference.shannon_entropy(
+        posterior.probabilities
     )
 
 
@@ -259,3 +381,32 @@ def test_large_groups_never_build_the_truth_table(num_facts, monkeypatch):
     pattern_marginal(belief, [7, 1, 4])
     update_with_family(belief, family)
     belief.map_labels()
+
+
+@pytest.mark.parametrize("positions", [(3, 17), (0, 1, 2, 3)], ids=str)
+def test_update_allocates_only_its_output(positions, monkeypatch):
+    """An 18-fact update allocates its 2 MiB posterior and small tables
+    only; a fresh posterior's H(O) at most two 2 MiB work arrays.  The
+    update never spreads a likelihood over all 2**18 observations."""
+    belief, family = _wide_case(18, positions)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the update built a 2**n likelihood")
+
+    for module in (answers, update):
+        for name in ("answer_set_likelihood", "family_likelihood"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    update_with_family(belief, family)  # warm any lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        posterior = update_with_family(belief, family)
+        update_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        observation_entropy(posterior)
+        entropy_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert update_peak <= 2.25 * 2**20
+    assert entropy_peak <= 4.25 * 2**20

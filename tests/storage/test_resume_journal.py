@@ -227,8 +227,9 @@ class TestOneReadPerResume:
             assert len(report.reattached) == 2
             for _ in range(4):
                 service.step()
-        # once each for the sweep, the attach and the resume
-        assert [_reads(counts, path) for path in journals] == [3, 3]
+        # once each for the sweep (whose scan the attach takes) and the
+        # resume
+        assert [_reads(counts, path) for path in journals] == [2, 2]
 
 
 def _rewrite_header(path: Path, name: str, value, *, tenant=False) -> None:
@@ -328,3 +329,68 @@ class TestHeaderFields:
                 stream_dataset=stream_dataset,
                 data_dir=journals["data_dir"],
             )
+
+
+def _damage(path: Path, fraction: float, line: int) -> None:
+    """Keep ``fraction`` of the journal's lines, then flip one bit in a
+    digit of ``line`` (1-indexed): a kill plus an interior bit-flip that
+    still parses, which only the line's CRC catches."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines = lines[: int(len(lines) * fraction)]
+    damaged = bytearray(lines[line - 1])
+    digit = next(
+        index for index in range(20, len(damaged))
+        if chr(damaged[index]).isdigit()
+    )
+    damaged[digit] ^= 1
+    lines[line - 1] = bytes(damaged)
+    path.write_bytes(b"".join(lines))
+
+
+class TestCliSalvage:
+    """The CLI's resume and attach read the journal's verified prefix
+    and leave the salvage to the runtime, as the library resume does,
+    instead of refusing interior damage the journal's CRCs locate."""
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli") / "data"
+        assert main([
+            "generate", "--out", str(path), "--groups", "6",
+            "--group-size", "4", "--answers", "5", "--seed", "1",
+        ]) == 0
+        return path
+
+    def test_stream_resume_salvages_an_interior_bit_flip(
+        self, data_dir, tmp_path
+    ):
+        flags = ["--data", str(data_dir), "--group-size", "4",
+                 "--theta", "0.85", "--seed", "1"]
+        reference = tmp_path / "reference.jsonl"
+        assert main(
+            ["stream", *flags, "--budget", "20", "--journal", str(reference)]
+        ) == 0
+        path = tmp_path / "damaged.jsonl"
+        path.write_bytes(reference.read_bytes())
+        _damage(path, 0.6, line=6)
+        assert main(["stream", *flags, "--resume", str(path)]) == 0
+        assert path.with_name(path.name + ".damaged").exists()
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_session_attach_salvages_an_interior_bit_flip(
+        self, data_dir, tmp_path
+    ):
+        flags = ["--data", str(data_dir), "--group-size", "4",
+                 "--theta", "0.85", "--seed", "1"]
+        root = tmp_path / "root"
+        assert main([
+            "serve", *flags, "--journal-root", str(root),
+            "--campaigns", "1", "--budget", "20",
+        ]) == 0
+        reference = root / "tenant-0" / "campaign-0.jsonl"
+        path = tmp_path / "attach.jsonl"
+        path.write_bytes(reference.read_bytes())
+        _damage(path, 0.6, line=12)
+        assert main(["session", *flags, "--attach", str(path)]) == 0
+        assert path.with_name(path.name + ".damaged").exists()
+        assert path.read_bytes() == reference.read_bytes()
