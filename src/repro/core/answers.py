@@ -348,19 +348,17 @@ def likelihood_table(
         [list(answer_set.answers.values()) for answer_set in answer_sets],
         dtype=bool,
     ).reshape(ranks.shape[::-1]).T
-    accuracies = np.array(
+    hit = np.array(
         [answer_set.worker.accuracy for answer_set in answer_sets]
-    )
-    hit, miss = accuracies, 1.0 - accuracies
+    ).reshape(-1, 1)
+    miss = 1.0 - hit
     combine = np.multiply
     if log:
         with np.errstate(divide="ignore"):
             hit, miss = np.log(hit), np.log(miss)
         combine = np.add
     bits = (np.arange(1 << len(queried)) >> ranks[:, :, None]) & 1
-    factors = np.where(
-        bits == answers[:, :, None], hit[:, None], miss[:, None]
-    )
+    factors = np.where(bits == answers[:, :, None], hit, miss)
     table = combine.reduce(combine.reduce(factors, axis=0), axis=0)
     num_facts = belief.num_facts
     high = len(tensor_shape(num_facts)) - 1

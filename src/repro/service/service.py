@@ -72,8 +72,8 @@ from ..engine.shards import IdleWorkers
 from ..engine.supervisor import SupervisionPolicy
 from ..obs import OBS, latency_report
 from ..simulation.session import campaign_answer_source
-from ..stream.arrivals import generate_event_stream, make_arrivals
 from ..storage.integrity import JournalDamageReport, recover_journal
+from ..stream.arrivals import generate_event_stream, make_arrivals
 from ..stream.runtime import StreamingCampaign
 from .admission import AdmissionController, TenantQuota
 from .campaign import (

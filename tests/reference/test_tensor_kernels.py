@@ -20,12 +20,13 @@ shuffled non-contiguous fact ids and query sets in any order:
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import tracemalloc
 
 from repro.core import (
     AnswerFamily,
@@ -48,7 +49,7 @@ from repro.core import (
     update_with_family,
     worker_response_matrix,
 )
-from repro.core import answers, observations, update
+from repro.core import observations
 from repro.core.observations import TRUTH_TABLE_MAX_FACTS
 
 from . import truth_tables as reference
@@ -203,6 +204,32 @@ def test_posteriors_bit_identical(case):
     )
 
 
+def assert_tempered_matches(belief, update, likelihood, parent_update):
+    """``update()`` gives the parent's tempered update, bit for bit (or
+    its error), except where the one intended change decides: the
+    kernel's evidence is its clipped product's sum, the parent's
+    ``prior @ likelihood``.  Only a ``from_normalized`` prior's negative
+    entries (or a sum within ulps of the guard) put them on opposite
+    sides of the guard; there the kernel takes the linear branch the
+    product's own mass calls for."""
+    parent_evidence = float(belief.probabilities @ likelihood)
+    kernel_evidence = np.clip(belief.probabilities * likelihood, 0.0, None).sum()
+    if kernel_evidence > reference.EVIDENCE_UNDERFLOW_GUARD >= parent_evidence:
+        expected = reference.reweighted(belief, likelihood)
+        expected_tempered = False
+    else:
+        try:
+            expected, expected_tempered = parent_update()
+        except ValueError as error:
+            # A floored likelihood whose product still sums to zero.
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                update()
+            return
+    posterior, tempered = update()
+    assert tempered == expected_tempered
+    assert_same_bits(posterior.probabilities, expected.probabilities)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     beliefs_with_families(
@@ -213,21 +240,21 @@ def test_tempered_posteriors_bit_identical(case):
     """Accuracies 0 and 1 contradict whole patterns, so some draws
     reach the floored branch; the flag and bits match there too."""
     belief, family = case
-    posterior, tempered = tempered_update_with_family(belief, family)
-    expected, expected_tempered = reference.tempered_update_with_family(
-        belief, family
+    assert_tempered_matches(
+        belief,
+        lambda: tempered_update_with_family(belief, family),
+        reference.family_likelihood(belief, family),
+        lambda: reference.tempered_update_with_family(belief, family),
     )
-    assert tempered == expected_tempered
-    assert_same_bits(posterior.probabilities, expected.probabilities)
     for answer_set in family:
-        posterior, tempered = tempered_update_with_answer_set(
-            belief, answer_set
+        assert_tempered_matches(
+            belief,
+            lambda: tempered_update_with_answer_set(belief, answer_set),
+            reference.answer_set_likelihood(belief, answer_set),
+            lambda: reference.tempered_update_with_answer_set(
+                belief, answer_set
+            ),
         )
-        expected, expected_tempered = (
-            reference.tempered_update_with_answer_set(belief, answer_set)
-        )
-        assert tempered == expected_tempered
-        assert_same_bits(posterior.probabilities, expected.probabilities)
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,9 +420,9 @@ def test_update_allocates_only_its_output(positions, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the update built a 2**n likelihood")
 
-    for module in (answers, update):
+    for module in ("repro.core.answers", "repro.core.update"):
         for name in ("answer_set_likelihood", "family_likelihood"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
     update_with_family(belief, family)  # warm any lazy set-up
     tracemalloc.start()
     try:
