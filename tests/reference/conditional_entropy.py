@@ -1,6 +1,8 @@
 """The naive Eq. 34 double sum, kept as the reference the production
 ``conditional_entropy`` (chain-rule identity) is checked against.
 
+Its likelihoods and entropies are the truth-table formulas of
+``truth_tables.py``, so it does not move with the kernels it checks.
 Production code must not import this module.
 """
 
@@ -8,10 +10,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.answers import enumerate_answer_families, family_likelihood
-from repro.core.entropy import observation_entropy, shannon_entropy
+from repro.core.answers import enumerate_answer_families
 from repro.core.observations import BeliefState
 from repro.core.workers import Crowd
+
+from .truth_tables import family_likelihood, shannon_entropy
 
 
 def conditional_entropy_naive(
@@ -26,7 +29,7 @@ def conditional_entropy_naive(
     by the family probabilities.  Exponential; test/reference use only.
     """
     if not query_fact_ids:
-        return observation_entropy(belief)
+        return shannon_entropy(belief.probabilities)
     prior = belief.probabilities
     total = 0.0
     for family in enumerate_answer_families(query_fact_ids, experts):
