@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .facts import FactSet
 from .observations import (
     TRUTH_TABLE_MAX_FACTS,
     BeliefState,
@@ -288,38 +289,49 @@ def answer_set_likelihood(
     return _per_observation(belief, likelihood_table(belief, (answer_set,)))
 
 
-def log_answer_set_likelihood(
-    belief: BeliefState,
-    answer_set: AnswerSet,
-) -> np.ndarray:
-    """Log-space counterpart of :func:`answer_set_likelihood`.
-
-    Entry ``s`` is ``|T+| log Pr_cr + |T-| log (1 - Pr_cr)``; exact-zero
-    likelihoods (deterministic workers contradicted) come out as
-    ``-inf``.  Used by the underflow-proof update path: a large panel or
-    near-0/1 accuracies can drive the linear product below the float64
-    floor, but sums of logs cannot underflow.
-    """
-    return _per_observation(
-        belief, likelihood_table(belief, (answer_set,), log=True)
-    )
-
-
 def likelihood_table(
     belief: BeliefState,
     answer_sets: Iterable[AnswerSet],
     log: bool = False,
 ) -> np.ndarray:
     """``P(A | o)`` of independent answer sets to one query set (Lemma
+    2), or its log, shaped to broadcast against the probability tensor
+    (:func:`~repro.core.observations.tensor_shape`).
+
+    It holds :func:`pattern_table`'s ``2**|T|`` values with a 2-axis
+    for each queried position and a 1-axis for each unqueried one, down
+    to the low axis, over which it is spread out.  It has at most
+    ``2**|T| * 2**LOW_AXIS_FACTS`` entries, whatever the group size.
+    """
+    queried, table = pattern_table(belief.facts, answer_sets, log)
+    num_facts = belief.num_facts
+    high = len(tensor_shape(num_facts)) - 1
+    axes = tuple(
+        2 if position in queried else 1
+        for position in reversed(range(num_facts))
+    )
+    # The low positions are spread out so that broadcasting the table
+    # against the tensor runs along whole contiguous low-axis rows.
+    spread = np.empty(axes[:high] + (2,) * (num_facts - high))
+    spread[...] = table.reshape(axes)
+    return spread.reshape(axes[:high] + (-1,))
+
+
+def pattern_table(
+    facts: FactSet,
+    answer_sets: Iterable[AnswerSet],
+    log: bool = False,
+) -> tuple[list[int], np.ndarray]:
+    """``P(A | o)`` of independent answer sets to one query set (Lemma
     2), or its log, once per truth pattern of the queried facts.
 
     The likelihood depends on an observation only through the queried
-    facts' truth values, so ``2**|T|`` values hold all of it.  The table
-    is shaped to broadcast against the probability tensor
-    (:func:`~repro.core.observations.tensor_shape`): a 2-axis for each
-    queried position and a 1-axis for each unqueried one, down to the
-    low axis, over which it is spread out.  It has at most
-    ``2**|T| * 2**LOW_AXIS_FACTS`` entries, whatever the group size.
+    facts' truth values, so ``2**|T|`` values hold all of it.  Returns
+    the queried positions, ascending, and those values: bit ``i`` of a
+    pattern is the truth of the ``i``-th of them, so
+    :func:`~repro.core.kernel.pattern_indices` of states at those
+    positions indexes the table.  This is the one implementation of the
+    Lemma-2 factors; every likelihood and update reads it.
 
     The answer sets may list the facts in different orders.  Each
     combines its factors in its own key order, and the sets combine in
@@ -328,15 +340,14 @@ def likelihood_table(
     formulas give it.
     """
     answer_sets = tuple(answer_sets)
-    position_of = belief.facts.position_of
+    position_of = facts.position_of
     queried = sorted(
         position_of(fact_id)
         for fact_id in (answer_sets[0].query_fact_ids if answer_sets else ())
     )
     # factors[k, j, r]: the k-th factor, in key order, of answer set j
-    # at pattern r, where bit i of r is the truth of the i-th lowest
-    # queried position.  Key-major, each reduction over axis 0 combines
-    # its factors one after another, as the truth-table rows did.
+    # at pattern r.  Key-major, each reduction over axis 0 combines its
+    # factors one after another, as the truth-table rows did.
     ranks = np.array(
         [
             [queried.index(position_of(fact_id)) for fact_id in answer_set.answers]
@@ -359,18 +370,7 @@ def likelihood_table(
         combine = np.add
     bits = (np.arange(1 << len(queried)) >> ranks[:, :, None]) & 1
     factors = np.where(bits == answers[:, :, None], hit, miss)
-    table = combine.reduce(combine.reduce(factors, axis=0), axis=0)
-    num_facts = belief.num_facts
-    high = len(tensor_shape(num_facts)) - 1
-    axes = tuple(
-        2 if position in queried else 1
-        for position in reversed(range(num_facts))
-    )
-    # The low positions are spread out so that broadcasting the table
-    # against the tensor runs along whole contiguous low-axis rows.
-    spread = np.empty(axes[:high] + (2,) * (num_facts - high))
-    spread[...] = table.reshape(axes)
-    return spread.reshape(axes[:high] + (-1,))
+    return queried, combine.reduce(combine.reduce(factors, axis=0), axis=0)
 
 
 def _per_observation(belief: BeliefState, table: np.ndarray) -> np.ndarray:
@@ -379,21 +379,6 @@ def _per_observation(belief: BeliefState, table: np.ndarray) -> np.ndarray:
     likelihood = np.empty(belief.num_observations)
     likelihood.reshape(tensor_shape(belief.num_facts))[...] = table
     return likelihood
-
-
-def log_family_likelihood(
-    belief: BeliefState, family: AnswerFamily | PartialAnswerFamily
-) -> np.ndarray:
-    """Log-space counterpart of :func:`family_likelihood` (Lemma 2).
-
-    Conditional independence turns the per-worker product into a sum of
-    per-worker log-likelihoods, immune to underflow no matter the panel
-    size.  A partial family's answer sets may cover different facts.
-    """
-    total = np.zeros(belief.num_observations)
-    for answer_set in family:
-        total += log_answer_set_likelihood(belief, answer_set)
-    return total
 
 
 def answer_set_probability(belief: BeliefState, answer_set: AnswerSet) -> float:

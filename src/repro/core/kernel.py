@@ -1,19 +1,21 @@
 """Bit-packed, log-space, sparse belief kernel.
 
 The dense :class:`~repro.core.observations.BeliefState` materializes all
-``2**n`` observation probabilities and walks ``(2**n, n)`` boolean truth
-tables on every likelihood evaluation.  This module is the scale path:
+``2**n`` observation probabilities.  This module is the scale path:
 
 * **Bit-packed observation states.**  An observation index *is* its
   truth assignment (bit ``i`` of ``s`` is fact ``i``'s value,
   little-endian — the same encoding ``truth_table`` materializes), so
-  match counting against an answer set reduces to a popcount of
-  ``(s & query_mask) ^ answer_mask`` over a vector of packed states —
-  no ``(2**n, n)`` bool matrix, no fancy-indexed column gathers.
+  a state's truth pattern over a query set is a few shifts and masks
+  (:func:`pattern_indices`): support states read the answers'
+  likelihood from the per-pattern table the dense update uses
+  (:func:`~repro.core.answers.pattern_table`), with no ``(2**n, n)``
+  bool matrix and no second likelihood formula.
 * **Log-space updates.**  Posteriors are computed as
-  ``exp(log prior + log likelihood - logsumexp)``; the normalization
-  never leaves log space, so no evidence product can underflow and no
-  linear renormalization pass perturbs the result afterwards.
+  ``exp(log prior + log likelihood - logsumexp)`` by the one log-space
+  normalizer the dense fallback shares; the normalization never leaves
+  log space, so no evidence product can underflow and no linear
+  renormalization pass perturbs the result afterwards.
 * **Sparse truncated beliefs.**  :class:`SparseBeliefState` stores only
   the observations carrying mass.  With truncation budget ``epsilon``
   it drops the smallest states whose *total* mass stays ``<= epsilon``,
@@ -35,8 +37,8 @@ import numpy as np
 
 from .facts import FactSet
 from .observations import (
-    MAX_FACTS_PER_SPACE,
     BeliefState,
+    _exp_normalized,
     check_group_size,
     check_weights,
     checked_total,
@@ -45,13 +47,8 @@ from .observations import (
 __all__ = [
     "SparseBeliefState",
     "default_belief_epsilon",
-    "packed_states",
-    "popcount",
-    "pack_query",
     "pattern_indices",
     "sparse_from_marginals",
-    "sparse_log_answer_set_likelihood",
-    "sparse_log_family_likelihood",
     "state_wire_payload",
     "state_from_wire",
 ]
@@ -74,60 +71,6 @@ def default_belief_epsilon() -> float:
     return value
 
 
-if hasattr(np, "bitwise_count"):
-    def popcount(values: np.ndarray) -> np.ndarray:
-        """Per-element population count of packed observation states."""
-        return np.bitwise_count(values).astype(np.int64)
-else:  # pragma: no cover - numpy < 2.0 fallback
-    _POPCOUNT_LUT = np.array(
-        [bin(i).count("1") for i in range(1 << 16)], dtype=np.int64
-    )
-
-    def popcount(values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.int64)
-        total = np.zeros(values.shape, dtype=np.int64)
-        while np.any(values):
-            total += _POPCOUNT_LUT[values & 0xFFFF]
-            values = values >> 16
-        return total
-
-
-def packed_states(num_facts: int) -> np.ndarray:
-    """All ``2**n`` observations as packed masks (``uint64``).
-
-    The identity map — observation index *is* the packed assignment —
-    made explicit for callers that want the full space.
-    """
-    if not 0 <= num_facts <= MAX_FACTS_PER_SPACE:
-        raise ValueError(
-            f"num_facts must lie in [0, {MAX_FACTS_PER_SPACE}], "
-            f"got {num_facts}"
-        )
-    return np.arange(1 << num_facts, dtype=np.uint64)
-
-
-def pack_query(
-    facts: FactSet, answers: dict[int, bool] | Sequence[tuple[int, bool]]
-) -> tuple[int, int, int]:
-    """Pack a ``{fact_id: answer}`` query into bit masks.
-
-    Returns ``(query_mask, answer_mask, num_queries)``: bit ``p`` of
-    ``query_mask`` is set iff the fact at position ``p`` was queried,
-    and the corresponding bit of ``answer_mask`` carries the answer.
-    """
-    items = answers.items() if isinstance(answers, dict) else answers
-    query_mask = 0
-    answer_mask = 0
-    count = 0
-    for fact_id, answer in items:
-        position = facts.position_of(fact_id)
-        query_mask |= 1 << position
-        if answer:
-            answer_mask |= 1 << position
-        count += 1
-    return query_mask, answer_mask, count
-
-
 def pattern_indices(
     states: np.ndarray, positions: Sequence[int]
 ) -> np.ndarray:
@@ -141,59 +84,6 @@ def pattern_indices(
     for j, position in enumerate(positions):
         out |= ((states >> np.int64(position)) & np.int64(1)) << np.int64(j)
     return out
-
-
-def _match_log_terms(accuracy: float) -> tuple[float, float]:
-    with np.errstate(divide="ignore"):
-        log_hit = float(np.log(accuracy))
-        log_miss = float(np.log(1.0 - accuracy))
-    return log_hit, log_miss
-
-
-def _scaled(count: np.ndarray, log_term: float) -> np.ndarray:
-    """``count * log_term`` with the ``0 * -inf == 0`` convention."""
-    if np.isfinite(log_term):
-        return count * log_term
-    out = np.zeros(count.shape, dtype=np.float64)
-    out[count > 0] = log_term
-    return out
-
-
-def sparse_log_answer_set_likelihood(
-    facts: FactSet, states: np.ndarray, answer_set
-) -> np.ndarray:
-    """``log P(A_cr^T | o)`` at the given packed states only.
-
-    The bit-packed counterpart of
-    :func:`repro.core.answers.log_answer_set_likelihood`: with ``d`` the
-    popcount of ``(s & query_mask) ^ answer_mask``, the log-likelihood
-    is ``(|T| - d) log p + d log (1 - p)``.
-    """
-    query_mask, answer_mask, num_queries = pack_query(
-        facts, answer_set.answers
-    )
-    if num_queries == 0:
-        return np.zeros(np.asarray(states).shape, dtype=np.float64)
-    states = np.asarray(states, dtype=np.int64)
-    mismatches = popcount(
-        (states & np.int64(query_mask)) ^ np.int64(answer_mask)
-    )
-    log_hit, log_miss = _match_log_terms(answer_set.worker.accuracy)
-    return _scaled(num_queries - mismatches, log_hit) + _scaled(
-        mismatches, log_miss
-    )
-
-
-def sparse_log_family_likelihood(
-    facts: FactSet, states: np.ndarray, family
-) -> np.ndarray:
-    """``log P(A_C^T | o)`` at the given packed states (Lemma 2 sum)."""
-    total = np.zeros(np.asarray(states).shape, dtype=np.float64)
-    for answer_set in family:
-        total += sparse_log_answer_set_likelihood(
-            facts, states, answer_set
-        )
-    return total
 
 
 def _truncated(
@@ -411,17 +301,9 @@ class SparseBeliefState(BeliefState):
             self._facts, probabilities, epsilon=self._epsilon
         )
 
-    def reweighted(self, likelihood: np.ndarray) -> "SparseBeliefState":
-        likelihood = np.asarray(likelihood, dtype=np.float64)
-        if likelihood.shape != (self.num_observations,):
-            raise ValueError(
-                "likelihood must have one entry per observation"
-            )
-        with np.errstate(divide="ignore"):
-            log_likelihood = np.log(likelihood[self._support])
-        return self.log_posterior(log_likelihood)
-
     def log_reweighted(self, log_likelihood: np.ndarray) -> "SparseBeliefState":
+        """:meth:`log_posterior` of a log-likelihood with one entry per
+        observation, read at the support: the update stays sparse."""
         log_likelihood = np.asarray(log_likelihood, dtype=np.float64)
         if log_likelihood.shape != (self.num_observations,):
             raise ValueError(
@@ -442,15 +324,7 @@ class SparseBeliefState(BeliefState):
             raise ValueError(
                 "log likelihood must have one entry per support state"
             )
-        log_post = np.log(self._values) + log_likelihood
-        peak = float(log_post.max())
-        if not np.isfinite(peak):
-            raise ValueError(
-                "log likelihood is -inf everywhere the belief has mass; "
-                "posterior is undefined"
-            )
-        log_norm = peak + float(np.log(np.exp(log_post - peak).sum()))
-        values = np.exp(log_post - log_norm)
+        values = _exp_normalized(np.log(self._values) + log_likelihood)
         keep = values > 0.0
         support, values = _truncated(
             self._support[keep], values[keep], self._epsilon
@@ -496,8 +370,9 @@ def sparse_from_marginals(
     for position in range(len(facts)):
         bit = ((states >> np.int64(position)) & np.int64(1)).astype(bool)
         log_joint += np.where(bit, log_yes[position], log_no[position])
-    peak = float(log_joint.max())
-    if not np.isfinite(peak):
+    try:
+        values = _exp_normalized(log_joint)
+    except ValueError:
         warnings.warn(
             "degenerate marginals: the joint product has zero mass "
             "everywhere; falling back to the uniform belief",
@@ -510,8 +385,6 @@ def sparse_from_marginals(
         return SparseBeliefState(
             facts, np.full(size, 1.0 / size), epsilon=epsilon
         )
-    log_norm = peak + float(np.log(np.exp(log_joint - peak).sum()))
-    values = np.exp(log_joint - log_norm)
     keep = values > 0.0
     support, values = _truncated(
         states[keep], values[keep], float(epsilon)

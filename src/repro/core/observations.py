@@ -134,6 +134,23 @@ def _check_state_weights(facts: FactSet, probabilities: np.ndarray) -> float:
     return check_weights(probabilities)
 
 
+def _exp_normalized(log_weights: np.ndarray) -> np.ndarray:
+    """``exp(w - logsumexp(w))``: log weights normalized without
+    leaving log space, through the peak-shifted logsumexp, so no weight
+    underflows before the normalization.  The one log-space normalizer
+    behind every log-space update and the sparse initialization.
+    ``-inf`` entries are allowed; raises ``ValueError`` when every
+    entry is ``-inf``."""
+    peak = float(log_weights.max())
+    if not np.isfinite(peak):
+        raise ValueError(
+            "log likelihood is -inf everywhere the belief has mass; "
+            "posterior is undefined"
+        )
+    log_norm = peak + float(np.log(np.exp(log_weights - peak).sum()))
+    return np.exp(log_weights - log_norm)
+
+
 def observation_index(values: Sequence[bool]) -> int:
     """Encode a truth assignment (position order) into an observation index."""
     index = 0
@@ -384,46 +401,36 @@ class BeliefState:
         """A new belief over the same facts with different weights."""
         return BeliefState(self._facts, probabilities)
 
-    def reweighted(self, likelihood: np.ndarray) -> "BeliefState":
-        """Bayes update: posterior ∝ prior × likelihood over observations."""
-        likelihood = np.asarray(likelihood, dtype=np.float64)
-        if likelihood.shape != self._probs.shape:
-            raise ValueError("likelihood must have one entry per observation")
-        return BeliefState(self._facts, self._probs * likelihood)
-
     def log_reweighted(self, log_likelihood: np.ndarray) -> "BeliefState":
-        """Bayes update from a *log*-likelihood vector.
+        """Bayes update from a *log*-likelihood: one entry per
+        observation, or a log
+        :func:`~repro.core.answers.likelihood_table`, which broadcasts
+        against :func:`tensor_shape`.
 
-        The normalization never leaves log space: the posterior is
-        ``exp(lp - logsumexp(lp))`` with ``lp = log prior + log
-        likelihood``, computed with the peak-shifted logsumexp.  (The
-        previous implementation exponentiated the peak-shifted vector
-        and let ``__init__`` renormalize the result *in linear space* —
-        a round-trip that the guard path exists to avoid.)  Posteriors
-        therefore survive likelihoods whose linear products underflow
-        float64 — the large-panel / near-0/1-accuracy regime.  ``-inf``
-        entries (exactly-zero likelihood) are allowed; raises
-        ``ValueError`` when every entry is ``-inf`` (zero evidence, the
-        log-space analogue of a zero-sum posterior).
+        The posterior is ``exp(lp - logsumexp(lp))`` with ``lp = log
+        prior + log likelihood`` (:func:`_exp_normalized`), so it
+        survives likelihoods whose linear products underflow float64 —
+        the large-panel / near-0/1-accuracy regime.  The prior's log is
+        taken clipped at 0, as the linear update clips its product: an
+        entry ``from_normalized`` kept in (-1e-12, 0) has no mass, like
+        a zero.  ``-inf`` entries (exactly-zero likelihood) are
+        allowed; raises ``ValueError`` when every entry is ``-inf``
+        (zero evidence, the log-space analogue of a zero-sum
+        posterior).
         """
+        shape = tensor_shape(self.num_facts)
         log_likelihood = np.asarray(log_likelihood, dtype=np.float64)
-        if log_likelihood.shape != self._probs.shape:
+        if log_likelihood.shape == self._probs.shape:
+            log_likelihood = log_likelihood.reshape(shape)
+        elif np.broadcast_shapes(log_likelihood.shape, shape) != shape:
             raise ValueError(
                 "log likelihood must have one entry per observation"
             )
         with np.errstate(divide="ignore"):
-            log_posterior = np.log(self._probs) + log_likelihood
-        peak = float(log_posterior.max())
-        if not np.isfinite(peak):
-            raise ValueError(
-                "log likelihood is -inf everywhere the belief has mass; "
-                "posterior is undefined"
-            )
-        log_norm = peak + float(
-            np.log(np.exp(log_posterior - peak).sum())
-        )
+            log_prior = np.log(np.clip(self._probs, 0.0, None))
+        log_posterior = log_prior.reshape(shape) + log_likelihood
         return BeliefState._of_normalized(
-            self._facts, np.exp(log_posterior - log_norm)
+            self._facts, _exp_normalized(log_posterior.reshape(-1))
         )
 
     def __getstate__(self) -> dict:

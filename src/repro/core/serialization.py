@@ -982,7 +982,12 @@ def verify_journal(path: str | Path) -> JournalDamageReport:
     primed, as a cut does.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    return _verify_journal_bytes(path, path.read_bytes())
+
+
+def _verify_journal_bytes(path: Path, raw: bytes) -> JournalDamageReport:
+    """:func:`verify_journal` of ``raw``, the bytes just read from
+    ``path``; a salvage keeps them for its sidecar."""
     lines = raw.splitlines(keepends=True)
     records: list[dict] = []
     ends: list[int] = []

@@ -460,10 +460,10 @@ class TrustSupervisor:
         kernel's ``log(1 - p)`` mismatch term into ``-inf`` — making a
         single disagreeing expert zero out every observation it
         touches.  With the clamp, every log term the sparse and dense
-        log paths compute is finite, so the underflow guard in
-        :func:`~repro.core.update.tempered_posterior` resolves in log
-        space and never has to round-trip a flushed-to-zero linear
-        product.
+        log paths compute is finite, so the tempered update's underflow
+        guard (:func:`~repro.core.update.tempered_update_with_answer_set`)
+        resolves in log space and never has to round-trip a
+        flushed-to-zero linear product.
         """
         return {
             worker_id: clamp_accuracy(trust.mean, ACCURACY_EPSILON)

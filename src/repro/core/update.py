@@ -14,19 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .answers import (
-    AnswerFamily,
-    AnswerSet,
-    likelihood_table,
-    log_family_likelihood,
-)
+from .answers import AnswerFamily, AnswerSet, likelihood_table, pattern_table
 from .facts import FactSet
-from .kernel import (
-    SparseBeliefState,
-    sparse_from_marginals,
-    sparse_log_answer_set_likelihood,
-    sparse_log_family_likelihood,
-)
+from .kernel import SparseBeliefState, pattern_indices, sparse_from_marginals
 from .observations import _EPSILON, BeliefState, tensor_shape
 
 
@@ -102,14 +92,7 @@ def update_with_answer_set(
     belief: BeliefState, answer_set: AnswerSet
 ) -> BeliefState:
     """Posterior after one worker's answer set (Lemma 3, Eq. 19)."""
-    if isinstance(belief, SparseBeliefState):
-        return _sparse_posterior(
-            belief,
-            sparse_log_answer_set_likelihood(
-                belief.facts, belief.support, answer_set
-            ),
-        )
-    return _dense_update(belief, (answer_set,))[0]
+    return _update(belief, (answer_set,))[0]
 
 
 def update_with_family(belief: BeliefState, family: AnswerFamily) -> BeliefState:
@@ -118,73 +101,91 @@ def update_with_family(belief: BeliefState, family: AnswerFamily) -> BeliefState
     Workers are conditionally independent given the observation, so the
     family likelihood is the product of per-worker likelihoods.
     """
-    if isinstance(belief, SparseBeliefState):
-        return _sparse_posterior(
-            belief,
-            sparse_log_family_likelihood(
-                belief.facts, belief.support, family
-            ),
-        )
-    return _dense_update(belief, family)[0]
+    return _update(belief, family)[0]
 
 
-def _sparse_posterior(
-    belief: "SparseBeliefState", log_likelihood: np.ndarray
-) -> BeliefState:
-    """Pure log-space update on the sparse kernel (no guard band needed:
-    sums of logs cannot underflow, so zero evidence *is* inconsistency)."""
-    try:
-        return belief.log_posterior(log_likelihood)
-    except ValueError as error:
-        raise InconsistentEvidenceError(
-            "observed answers have zero probability under the current "
-            "belief"
-        ) from error
+#: Default likelihood floor used by the tempered updates.
+TEMPER_FLOOR = 1e-9
 
 
-def _dense_update(
+def tempered_update_with_answer_set(
+    belief: BeliefState, answer_set: AnswerSet, floor: float = TEMPER_FLOOR
+) -> tuple[BeliefState, bool]:
+    """:func:`update_with_answer_set` with the tempered fallback; the
+    second return value says whether the answers were tempered."""
+    return _update(belief, (answer_set,), floor)
+
+
+def tempered_update_with_family(
+    belief: BeliefState, family: AnswerFamily, floor: float = TEMPER_FLOOR
+) -> tuple[BeliefState, bool]:
+    """:func:`update_with_family` with the tempered fallback."""
+    return _update(belief, family, floor)
+
+
+def _update(
     belief: BeliefState, answer_sets, floor: float | None = None
 ) -> tuple[BeliefState, bool]:
-    """The dense Lemma-3 update, in one pass over the prior.
+    """The Lemma-3 update behind every entry point.
 
-    The answers' likelihood is computed once per truth pattern of the
-    queried facts (:func:`~repro.core.answers.likelihood_table`), the
-    prior is multiplied by it in one broadcast pass, and the product is
-    summed and normalized in place: element for element the
+    A dense state multiplies the prior by the answers' likelihood
+    (:func:`~repro.core.answers.likelihood_table`) in one broadcast
+    pass and normalizes the product in place: element for element the
     ``fl(prior * likelihood)``, sum and divide that
     ``BeliefState(facts, prior * likelihood)`` computes, which
-    checkpoint resume and every identity suite depend on.
+    checkpoint resume and every identity suite depend on.  Evidence
+    inside the ``EVIDENCE_UNDERFLOW_GUARD`` band retries with the log
+    table (:meth:`~repro.core.observations.BeliefState.log_reweighted`),
+    which tells "the product underflowed" from "the answers are truly
+    impossible".  A sparse state updates in log space only, reading the
+    same log table at its support's patterns: sums of logs cannot
+    underflow, so zero evidence there *is* inconsistency.
 
-    Evidence inside the ``EVIDENCE_UNDERFLOW_GUARD`` band retries in log
-    space, which tells "the product underflowed" from "the answers are
-    truly impossible".  Truly impossible answers raise
-    :class:`InconsistentEvidenceError`, or with a ``floor`` are
-    tempered (:func:`tempered_posterior`); the second return value says
-    whether they were.
+    Truly impossible answers raise :class:`InconsistentEvidenceError`,
+    or with a ``floor`` are tempered: the likelihood is floored at
+    ``floor`` times its largest entry (over the support states, for a
+    sparse state), or at ``floor`` outright where it is zero
+    everywhere, and renormalized.  That re-smooths the posterior
+    instead of crashing; the second return value says whether it
+    happened, so callers can record the incident.
     """
     if floor is not None and not 0.0 < floor < 1.0:
         raise ValueError(f"floor must lie in (0, 1), got {floor}")
     answer_sets = tuple(answer_sets)
-    table = likelihood_table(belief, answer_sets)
-    posterior = _normalized_product(belief, table, EVIDENCE_UNDERFLOW_GUARD)
-    if posterior is not None:
-        return posterior, False
+    sparse = isinstance(belief, SparseBeliefState)
+    if sparse:
+        queried, log_table = pattern_table(belief.facts, answer_sets, log=True)
+        log_likelihood = log_table[pattern_indices(belief.support, queried)]
+        log_update = belief.log_posterior
+    else:
+        table = likelihood_table(belief, answer_sets)
+        posterior = _normalized_product(belief, table, EVIDENCE_UNDERFLOW_GUARD)
+        if posterior is not None:
+            return posterior, False
+        log_likelihood = likelihood_table(belief, answer_sets, log=True)
+        log_update = belief.log_reweighted
     try:
-        return belief.log_reweighted(
-            log_family_likelihood(belief, answer_sets)
-        ), False
-    except ValueError:
-        pass
-    if floor is None:
-        raise InconsistentEvidenceError(
-            "observed answers have zero probability under the current belief"
-        )
-    scale = float(table.max())
-    floored = table + (scale if scale > 0.0 else 1.0) * floor
-    posterior = _normalized_product(belief, floored, _EPSILON)
+        return log_update(log_likelihood), False
+    except ValueError as error:
+        if floor is None:
+            raise InconsistentEvidenceError(
+                "observed answers have zero probability under the current "
+                "belief"
+            ) from error
+    if sparse:
+        floored = _floored(np.exp(log_likelihood), floor)
+        return log_update(np.log(floored)), True
+    posterior = _normalized_product(belief, _floored(table, floor), _EPSILON)
     if posterior is None:
         raise ValueError("probabilities sum to zero; belief is undefined")
     return posterior, True
+
+
+def _floored(likelihood: np.ndarray, floor: float) -> np.ndarray:
+    """``likelihood`` plus ``floor`` times its largest entry (or
+    ``floor`` itself when it is zero everywhere)."""
+    scale = float(likelihood.max())
+    return likelihood + (scale if scale > 0.0 else 1.0) * floor
 
 
 def _normalized_product(
@@ -208,107 +209,3 @@ def _normalized_product(
         return None
     weights /= total
     return BeliefState._of_normalized(belief.facts, weights)
-
-
-# ----------------------------------------------------------------------
-# tempered fallback (graceful degradation on zero evidence)
-# ----------------------------------------------------------------------
-
-#: Default likelihood floor used by the tempered updates.
-TEMPER_FLOOR = 1e-9
-
-
-def tempered_posterior(
-    belief: BeliefState,
-    likelihood: np.ndarray,
-    floor: float = TEMPER_FLOOR,
-    log_likelihood_fn=None,
-) -> tuple[BeliefState, bool]:
-    """Bayes update that survives zero-evidence answer patterns.
-
-    When ``P(A) > 0`` this is the exact Lemma-3 posterior and the second
-    return value is ``False``.  When the evidence is zero, the update
-    first retries in log space (when ``log_likelihood_fn`` is supplied)
-    to distinguish float64 underflow from genuine inconsistency; an
-    underflowed-but-consistent update stays exact and is *not* counted
-    as tempered.  Only when the answers truly contradict every
-    observation the belief still allows (e.g. an accuracy-1.0 worker
-    contradicting a point mass) is the likelihood floored at ``floor``
-    times its largest entry (or ``floor`` outright if it is identically
-    zero) and renormalized, which re-smooths the posterior marginals
-    instead of crashing; the second return value is then ``True`` so
-    callers can record the incident.
-    """
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must lie in (0, 1), got {floor}")
-    likelihood = np.asarray(likelihood, dtype=np.float64)
-    if isinstance(belief, SparseBeliefState):
-        with np.errstate(divide="ignore"):
-            log_likelihood = np.log(likelihood[belief.support])
-        return _sparse_tempered(belief, log_likelihood, floor)
-    evidence = float(belief.probabilities @ likelihood)
-    if evidence > EVIDENCE_UNDERFLOW_GUARD:
-        return belief.reweighted(likelihood), False
-    if log_likelihood_fn is not None:
-        try:
-            return belief.log_reweighted(log_likelihood_fn()), False
-        except ValueError:
-            pass
-    elif evidence > 0.0:
-        return belief.reweighted(likelihood), False
-    scale = float(likelihood.max())
-    floored = likelihood + (scale if scale > 0.0 else 1.0) * floor
-    return belief.reweighted(floored), True
-
-
-def _sparse_tempered(
-    belief: "SparseBeliefState",
-    log_likelihood: np.ndarray,
-    floor: float,
-) -> tuple[BeliefState, bool]:
-    """Sparse-kernel tempered update, fully in log space.
-
-    Log-space sums cannot underflow, so a failed update means the
-    answers genuinely contradict every supported observation; only then
-    is the (support-restricted) likelihood floored and retried.
-    """
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must lie in (0, 1), got {floor}")
-    try:
-        return belief.log_posterior(log_likelihood), False
-    except ValueError:
-        pass
-    likelihood = np.exp(log_likelihood)
-    scale = float(likelihood.max())
-    floored = likelihood + (scale if scale > 0.0 else 1.0) * floor
-    return belief.log_posterior(np.log(floored)), True
-
-
-def tempered_update_with_answer_set(
-    belief: BeliefState, answer_set: AnswerSet, floor: float = TEMPER_FLOOR
-) -> tuple[BeliefState, bool]:
-    """:func:`update_with_answer_set` with the tempered fallback."""
-    if isinstance(belief, SparseBeliefState):
-        return _sparse_tempered(
-            belief,
-            sparse_log_answer_set_likelihood(
-                belief.facts, belief.support, answer_set
-            ),
-            floor,
-        )
-    return _dense_update(belief, (answer_set,), floor)
-
-
-def tempered_update_with_family(
-    belief: BeliefState, family: AnswerFamily, floor: float = TEMPER_FLOOR
-) -> tuple[BeliefState, bool]:
-    """:func:`update_with_family` with the tempered fallback."""
-    if isinstance(belief, SparseBeliefState):
-        return _sparse_tempered(
-            belief,
-            sparse_log_family_likelihood(
-                belief.facts, belief.support, family
-            ),
-            floor,
-        )
-    return _dense_update(belief, family, floor)

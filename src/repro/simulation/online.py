@@ -436,9 +436,9 @@ class OnlineCheckingSession:
         temper:
             When ``True`` (default), a zero-evidence answer pattern is
             absorbed by the tempered update
-            (:func:`~repro.core.update.tempered_posterior`) and recorded
-            as a ``tempered_update`` fault event instead of raising
-            :class:`~repro.core.update.InconsistentEvidenceError`.
+            (:func:`~repro.core.update.tempered_update_with_answer_set`)
+            and recorded as a ``tempered_update`` fault event instead of
+            raising :class:`~repro.core.update.InconsistentEvidenceError`.
         fault_events:
             Incidents observed while collecting this round; stamped with
             the round index and stored on the returned record.

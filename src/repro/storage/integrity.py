@@ -68,6 +68,7 @@ from ..core.serialization import (
     JournalDamage,
     JournalDamageReport,
     _fsync_directory,
+    _verify_journal_bytes,
     verify_journal,
 )
 from ..obs import OBS
@@ -97,13 +98,15 @@ def recover_journal(path: str | Path) -> JournalDamageReport:
     salvage counts are mirrored into OBS counters when observability is
     on.  Idempotent: a second call on the recovered file reports clean
     (or, for legacy interior damage, the same verdict) and changes
-    nothing.
+    nothing.  The sidecar is written from the bytes the scan read, so
+    a salvage reads the journal once.
     """
     path = Path(path)
-    report = verify_journal(path)
+    raw = path.read_bytes()
+    report = _verify_journal_bytes(path, raw)
     if report.framed and not report.tail_only:
         sidecar = path.with_name(path.name + DAMAGED_SIDECAR_SUFFIX)
-        sidecar.write_bytes(path.read_bytes())
+        sidecar.write_bytes(raw)
         _fsync_directory(path.parent)
         report.sidecar = sidecar
     if not report.clean:

@@ -45,8 +45,10 @@ class ArrivalProcess:
     rate: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError("arrival rate must be positive")
+        if not 0.0 < self.rate < np.inf:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {self.rate}"
+            )
 
     def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(count, 1.0 / self.rate)
@@ -83,7 +85,7 @@ class BurstyArrivals(ArrivalProcess):
         super().__post_init__()
         if self.burst_size < 1:
             raise ValueError("burst_size must be at least 1")
-        if self.within_gap < 0.0:
+        if not self.within_gap >= 0.0:
             raise ValueError("within_gap must be non-negative")
 
     def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -111,7 +113,7 @@ class StalledArrivals(ArrivalProcess):
         super().__post_init__()
         if self.stall_every < 1:
             raise ValueError("stall_every must be at least 1")
-        if self.stall_duration < 0.0:
+        if not self.stall_duration >= 0.0:
             raise ValueError("stall_duration must be non-negative")
 
     def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:

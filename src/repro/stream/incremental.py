@@ -45,7 +45,7 @@ class WatermarkTracker:
     """
 
     def __init__(self, allowed_lateness: float = 5.0):
-        if allowed_lateness < 0.0:
+        if not allowed_lateness >= 0.0:
             raise ValueError("allowed_lateness must be non-negative")
         self._allowed_lateness = float(allowed_lateness)
         self._max_time = 0.0
@@ -130,7 +130,7 @@ class StreamingBeliefBuilder:
             raise ValueError("group_size must be at least 1")
         if target_votes < 0:
             raise ValueError("target_votes must be non-negative")
-        if straggler_timeout < 0.0:
+        if not straggler_timeout >= 0.0:
             raise ValueError("straggler_timeout must be non-negative")
         if not 0.0 <= belief_epsilon < 1.0:
             raise ValueError("belief_epsilon must lie in [0, 1)")

@@ -66,6 +66,7 @@ from ..simulation.resilient import (
     ResilientRunResult,
     RetryPolicy,
 )
+from .arrivals import make_arrivals
 from .chaos import StreamChaos
 from .events import StreamEvent
 from .incremental import StreamingBeliefBuilder, WatermarkTracker
@@ -158,10 +159,30 @@ class StreamSpec:
     belief_epsilon: float = field(default_factory=default_belief_epsilon)
 
     def __post_init__(self) -> None:
-        if self.rounds_per_event < 1:
-            raise ValueError("rounds_per_event must be at least 1")
-        if self.events_per_step < 1:
-            raise ValueError("events_per_step must be at least 1")
+        # Every value the runtime would refuse later, or misuse, is
+        # refused here, before a service admits the campaign.  The
+        # comparisons are written so that NaN fails them.
+        make_arrivals(self.arrival, self.rate)
+        for name, low in (
+            ("group_size", 1),
+            ("window", 1),
+            ("rounds_per_event", 1),
+            ("events_per_step", 1),
+            ("votes_per_fact", 0),
+            ("target_votes", 0),
+            ("seed", 0),
+        ):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low}")
+        for name in ("allowed_lateness", "straggler_timeout"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0, 1]")
+        if not 0.0 <= self.churn <= 1.0:
+            raise ValueError("churn must lie in [0, 1]")
+        if not 0.0 < self.smoothing < 0.5:
+            raise ValueError("smoothing must lie in (0, 0.5)")
         if not 0.0 <= self.belief_epsilon < 1.0:
             raise ValueError("belief_epsilon must lie in [0, 1)")
 

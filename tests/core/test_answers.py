@@ -18,12 +18,12 @@ from repro.core import (
     family_distribution,
     family_likelihood,
     family_probability,
-    log_answer_set_likelihood,
-    log_family_likelihood,
     observation_index,
     pattern_marginal,
     worker_response_matrix,
 )
+from repro.core.answers import likelihood_table
+from repro.core.observations import tensor_shape
 
 
 @pytest.fixture
@@ -354,6 +354,13 @@ class TestPartialAnswerFamily:
             )
 
 
+def log_likelihood(belief, answer_sets):
+    """The log :func:`likelihood_table` written out over every
+    observation."""
+    table = likelihood_table(belief, answer_sets, log=True)
+    return np.broadcast_to(table, tensor_shape(belief.num_facts)).reshape(-1)
+
+
 class TestLogLikelihoods:
     def test_log_answer_set_matches_linear(self, worker):
         belief = BeliefState.from_marginals(
@@ -361,7 +368,7 @@ class TestLogLikelihoods:
         )
         answer_set = AnswerSet(worker=worker, answers={1: True, 3: False})
         linear = answer_set_likelihood(belief, answer_set)
-        logged = log_answer_set_likelihood(belief, answer_set)
+        logged = log_likelihood(belief, (answer_set,))
         assert np.allclose(np.exp(logged), linear)
 
     def test_log_family_is_sum_of_sets(self, worker):
@@ -371,11 +378,9 @@ class TestLogLikelihoods:
         a = AnswerSet(worker=Worker("a", 0.9), answers={1: True, 2: False})
         b = AnswerSet(worker=Worker("b", 0.7), answers={1: False, 2: False})
         family = AnswerFamily(answer_sets=(a, b))
-        total = log_family_likelihood(belief, family)
+        total = log_likelihood(belief, family)
         assert np.allclose(
-            total,
-            log_answer_set_likelihood(belief, a)
-            + log_answer_set_likelihood(belief, b),
+            total, log_likelihood(belief, (a,)) + log_likelihood(belief, (b,))
         )
 
     def test_extreme_accuracy_stays_finite_in_log_space(self):
@@ -387,7 +392,7 @@ class TestLogLikelihoods:
                 for i in range(20)
             )
         )
-        logged = log_family_likelihood(belief, family)
+        logged = log_likelihood(belief, family)
         # the all-True row is a near-hit for every worker; the all-False
         # row collects 200 log(0.001) factors but remains representable
         assert np.isfinite(logged.max())
@@ -399,7 +404,7 @@ class TestLogLikelihoods:
         answer_set = AnswerSet(
             worker=Worker("oracle", 1.0), answers={1: True}
         )
-        logged = log_answer_set_likelihood(belief, answer_set)
+        logged = log_likelihood(belief, (answer_set,))
         assert np.isneginf(logged).any()  # the contradicted observation
         assert np.allclose(
             np.exp(logged), answer_set_likelihood(belief, answer_set)
@@ -409,5 +414,5 @@ class TestLogLikelihoods:
         belief = BeliefState.from_marginals(FactSet.from_ids([1]), [0.5])
         answer_set = AnswerSet(worker=worker, answers={})
         assert np.array_equal(
-            log_answer_set_likelihood(belief, answer_set), np.zeros(2)
+            log_likelihood(belief, (answer_set,)), np.zeros(2)
         )

@@ -6,28 +6,27 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AnswerFamily,
     AnswerSet,
     BeliefState,
     FactSet,
+    InconsistentEvidenceError,
     SparseBeliefState,
     Worker,
-    pack_query,
-    packed_states,
     pattern_indices,
-    popcount,
     sparse_from_marginals,
-    sparse_log_answer_set_likelihood,
-    sparse_log_family_likelihood,
     state_from_wire,
     state_wire_payload,
     update_with_answer_set,
     update_with_family,
 )
-from repro.core.answers import log_answer_set_likelihood, log_family_likelihood
+from repro.core.answers import likelihood_table
 from repro.core.kernel import _truncated
+from tests.reference import truth_tables as reference
 
 
 def _total_variation(dense: BeliefState, other: BeliefState) -> float:
@@ -41,53 +40,86 @@ def _sparse(facts: FactSet, probabilities, epsilon: float = 0.0):
 
 
 # ---------------------------------------------------------------------
-# bit packing primitives
+# packed states and the shared likelihood table
 # ---------------------------------------------------------------------
 
 
-def test_popcount_matches_python():
-    values = np.array([0, 1, 2, 3, 255, 2**40 - 1, 2**62], dtype=np.int64)
-    assert popcount(values).tolist() == [
-        bin(int(v)).count("1") for v in values
-    ]
-
-
-def test_packed_states_is_arange():
-    assert packed_states(3).tolist() == list(range(8))
-    assert packed_states(0).tolist() == [0]
-
-
-def test_pack_query_masks_follow_positions():
-    facts = FactSet.from_ids([10, 20, 30, 40])
-    query_mask, answer_mask, count = pack_query(
-        facts, {20: True, 40: False}
-    )
-    assert count == 2
-    # Fact 20 is position 1, fact 40 position 3.
-    assert query_mask == 0b1010
-    assert answer_mask == 0b0010
-
-
-def test_sparse_log_likelihood_matches_dense_log_kernel():
-    facts = FactSet.from_ids([1, 2, 3])
-    dense = BeliefState.uniform(facts)
-    worker = Worker("w0", 0.85)
-    answer_set = AnswerSet(worker, {1: True, 3: False})
-    states = packed_states(3)
-    via_kernel = sparse_log_answer_set_likelihood(facts, states, answer_set)
-    via_dense = log_answer_set_likelihood(dense, answer_set)
-    assert np.array_equal(via_kernel, via_dense)
-
-    family = AnswerFamily(
-        answer_sets=(
-            answer_set,
-            AnswerSet(Worker("w1", 0.7), {1: False, 3: True}),
+@st.composite
+def sparse_beliefs_with_families(draw):
+    """A sparse belief over 1..14 facts (epsilon 0 or 0.01) with shuffled
+    ids, and a family of 1..3 workers answering a query set, each
+    listing the queried facts in its own order, at accuracies that
+    include 0 and 1."""
+    num_facts = draw(st.integers(1, 14))
+    fact_ids = draw(
+        st.lists(
+            st.integers(0, 10_000),
+            min_size=num_facts,
+            max_size=num_facts,
+            unique=True,
         )
     )
-    assert np.array_equal(
-        sparse_log_family_likelihood(facts, states, family),
-        log_family_likelihood(dense, family),
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(1 << num_facts) ** draw(st.sampled_from([1.0, 40.0]))
+    weights[rng.random(weights.size) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    weights[rng.integers(weights.size)] += 1.0  # never all zero
+    belief = SparseBeliefState(
+        FactSet.from_ids(fact_ids),
+        weights,
+        epsilon=draw(st.sampled_from([0.0, 0.01])),
     )
+    query = draw(st.permutations(fact_ids))[: draw(st.integers(1, num_facts))]
+    accuracies = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    answer_sets = tuple(
+        AnswerSet(
+            worker=Worker(f"w{index}", draw(accuracies)),
+            answers={
+                fact_id: draw(st.booleans())
+                for fact_id in draw(st.permutations(query))
+            },
+        )
+        for index in range(draw(st.integers(1, 3)))
+    )
+    return belief, AnswerFamily(answer_sets=answer_sets)
+
+
+def assert_update_reads_reference(update, belief, log_likelihood):
+    """``update()`` is ``log_posterior`` of the reference's log
+    likelihood at the support, byte for byte, or fails where it does."""
+    try:
+        expected = belief.log_posterior(log_likelihood[belief.support])
+    except ValueError:
+        with pytest.raises(InconsistentEvidenceError):
+            update()
+        return
+    posterior = update()
+    assert isinstance(posterior, SparseBeliefState)
+    assert posterior.epsilon == belief.epsilon
+    assert posterior.support.tobytes() == expected.support.tobytes()
+    assert (
+        posterior.sparse_probabilities.tobytes()
+        == expected.sparse_probabilities.tobytes()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_beliefs_with_families())
+def test_sparse_log_likelihood_matches_dense_log_kernel(case):
+    """Sparse updates read the dense kernel's per-pattern log table at
+    their support, so they equal the truth-table log likelihood's
+    posterior exactly; there is no second likelihood formula."""
+    belief, family = case
+    assert_update_reads_reference(
+        lambda: update_with_family(belief, family),
+        belief,
+        reference.log_family_likelihood(belief, family),
+    )
+    for answer_set in family:
+        assert_update_reads_reference(
+            lambda: update_with_answer_set(belief, answer_set),
+            belief,
+            reference.log_answer_set_likelihood(belief, answer_set),
+        )
 
 
 def test_pattern_indices_compacts_selected_bits():
@@ -180,8 +212,8 @@ def test_sparse_family_update_matches_log_reference():
     )
     updated = update_with_family(sparse, family)
     dense = BeliefState(facts, probabilities)
-    reference = dense.log_reweighted(log_family_likelihood(dense, family))
-    assert _total_variation(reference, updated) <= 1e-12
+    logged = dense.log_reweighted(likelihood_table(dense, family, log=True))
+    assert _total_variation(logged, updated) <= 1e-12
 
 
 def test_sparse_pickle_round_trip_is_bitwise():

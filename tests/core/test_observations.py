@@ -211,17 +211,6 @@ class TestBeliefState:
     def test_map_labels(self, table1_belief):
         assert table1_belief.map_labels() == {1: True, 2: True, 3: False}
 
-    def test_reweighted_is_bayes(self, table1_belief):
-        likelihood = np.linspace(1.0, 2.0, 8)
-        posterior = table1_belief.reweighted(likelihood)
-        expected = table1_belief.probabilities * likelihood
-        expected /= expected.sum()
-        assert np.allclose(posterior.probabilities, expected)
-
-    def test_reweighted_wrong_shape(self, table1_belief):
-        with pytest.raises(ValueError):
-            table1_belief.reweighted(np.ones(4))
-
     def test_with_probabilities(self, table1_belief):
         updated = table1_belief.with_probabilities(np.ones(8))
         assert np.allclose(updated.probabilities, 1 / 8)
@@ -294,7 +283,7 @@ class TestLogReweighted:
     def test_matches_linear_reweighting(self):
         belief = self._belief()
         likelihood = np.array([0.9, 0.05, 0.4, 0.7])
-        linear = belief.reweighted(likelihood)
+        linear = BeliefState(belief.facts, belief.probabilities * likelihood)
         logged = belief.log_reweighted(np.log(likelihood))
         assert np.allclose(linear.probabilities, logged.probabilities)
 

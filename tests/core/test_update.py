@@ -1,5 +1,7 @@
 """Unit tests for repro.core.update (Lemma 3, Eq. 15-19)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from repro.core import (
     answer_set_likelihood,
     initialize_from_votes,
     observation_entropy,
-    tempered_posterior,
     tempered_update_with_answer_set,
     tempered_update_with_family,
     update_with_answer_set,
@@ -226,12 +227,13 @@ class TestUpdateWithFamily:
         assert posterior.probabilities.sum() == pytest.approx(1.0)
 
     def test_tempered_posterior_rejects_bad_floor(self, table1_belief):
-        with pytest.raises(ValueError, match="floor"):
-            tempered_posterior(
-                table1_belief,
-                np.ones_like(table1_belief.probabilities),
-                floor=0.0,
+        family = AnswerFamily(
+            answer_sets=(
+                AnswerSet(worker=Worker("w", 0.9), answers={1: True}),
             )
+        )
+        with pytest.raises(ValueError, match="floor"):
+            tempered_update_with_family(table1_belief, family, floor=0.0)
 
     def test_expected_posterior_entropy_drops(self, table1_belief):
         """Averaged over the family distribution, posterior entropy must
@@ -338,7 +340,7 @@ class TestLogSpaceUnderflow:
     ):
         """Same answers, healthy evidence: forcing the log path must
         agree with the linear path to float tolerance."""
-        from repro.core import log_family_likelihood
+        from repro.core.answers import likelihood_table
 
         family = AnswerFamily(
             answer_sets=(
@@ -350,7 +352,7 @@ class TestLogSpaceUnderflow:
         )
         linear = update_with_family(table1_belief, family)
         logged = table1_belief.log_reweighted(
-            log_family_likelihood(table1_belief, family)
+            likelihood_table(table1_belief, family, log=True)
         )
         assert np.allclose(linear.probabilities, logged.probabilities)
 
@@ -450,3 +452,33 @@ class TestExtremePanelLogGuard:
             belief, AnswerSet(worker=Worker("gold", perfect), answers=answers)
         )
         assert np.all(np.isfinite(posterior.probabilities))
+
+    def test_log_branch_clips_a_negative_prior_entry(self):
+        """``from_normalized`` keeps an entry in (-1e-12, 0); the log
+        branch takes the log of the prior clipped at 0, as the linear
+        branch clips its product, so the entry has no mass instead of a
+        NaN log that reads as "-inf everywhere".  200 workers split
+        100/100 on one fact underflow the product; the signed state
+        updates to the clean state's bytes, untempered, without an
+        ``invalid value encountered in log`` warning."""
+        facts = FactSet.from_ids([0, 1])
+        signed = BeliefState.from_normalized(facts, [0.5, 0.5, -1e-13, 0.0])
+        clean = BeliefState.from_normalized(facts, [0.5, 0.5, 0.0, 0.0])
+        family = AnswerFamily(
+            answer_sets=tuple(
+                AnswerSet(
+                    worker=Worker(f"w{index}", self.ACCURACY),
+                    answers={0: index < 100},
+                )
+                for index in range(200)
+            )
+        )
+        expected = update_with_family(clean, family).probabilities
+        np.testing.assert_allclose(expected, [0.5, 0.5, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            posterior = update_with_family(signed, family)
+            tempered, flag = tempered_update_with_family(signed, family)
+        assert posterior.probabilities.tobytes() == expected.tobytes()
+        assert not flag
+        assert tempered.probabilities.tobytes() == expected.tobytes()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,8 +40,6 @@ from repro.core import (
     answer_set_likelihood,
     family_distribution,
     family_likelihood,
-    log_answer_set_likelihood,
-    log_family_likelihood,
     observation_entropy,
     pattern_marginal,
     tempered_update_with_answer_set,
@@ -50,7 +49,8 @@ from repro.core import (
     worker_response_matrix,
 )
 from repro.core import observations
-from repro.core.observations import TRUTH_TABLE_MAX_FACTS
+from repro.core.answers import likelihood_table
+from repro.core.observations import TRUTH_TABLE_MAX_FACTS, tensor_shape
 
 from . import truth_tables as reference
 
@@ -156,6 +156,13 @@ def test_pattern_marginal(data):
     assert_sums_match(actual, expected, belief.num_facts)
 
 
+def log_likelihood(belief, answer_sets) -> np.ndarray:
+    """The log :func:`likelihood_table` written out over every
+    observation."""
+    table = likelihood_table(belief, answer_sets, log=True)
+    return np.broadcast_to(table, tensor_shape(belief.num_facts)).reshape(-1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(beliefs_with_families())
 def test_likelihoods_bit_identical(case):
@@ -166,7 +173,7 @@ def test_likelihoods_bit_identical(case):
             reference.answer_set_likelihood(belief, answer_set),
         )
         assert np.array_equal(
-            log_answer_set_likelihood(belief, answer_set),
+            log_likelihood(belief, (answer_set,)),
             reference.log_answer_set_likelihood(belief, answer_set),
         )
     assert np.array_equal(
@@ -174,7 +181,7 @@ def test_likelihoods_bit_identical(case):
         reference.family_likelihood(belief, family),
     )
     assert np.array_equal(
-        log_family_likelihood(belief, family),
+        log_likelihood(belief, family),
         reference.log_family_likelihood(belief, family),
     )
 
@@ -204,6 +211,19 @@ def test_posteriors_bit_identical(case):
     )
 
 
+def clipped_prior(belief):
+    """``belief`` with its prior clipped at 0, as the kernel's log
+    branch takes its log: a ``from_normalized`` entry in (-1e-12, 0)
+    has no mass there, where the reference's log of it is NaN.  The
+    reference's linear branch gives the same bits either way."""
+    return SimpleNamespace(
+        facts=belief.facts,
+        num_facts=belief.num_facts,
+        num_observations=belief.num_observations,
+        probabilities=np.clip(belief.probabilities, 0.0, None),
+    )
+
+
 def assert_tempered_matches(belief, update, likelihood, parent_update):
     """``update()`` gives the parent's tempered update, bit for bit (or
     its error), except where the one intended change decides: the
@@ -211,7 +231,8 @@ def assert_tempered_matches(belief, update, likelihood, parent_update):
     ``prior @ likelihood``.  Only a ``from_normalized`` prior's negative
     entries (or a sum within ulps of the guard) put them on opposite
     sides of the guard; there the kernel takes the linear branch the
-    product's own mass calls for."""
+    product's own mass calls for.  ``parent_update`` runs the
+    reference on the :func:`clipped_prior`."""
     parent_evidence = float(belief.probabilities @ likelihood)
     kernel_evidence = np.clip(belief.probabilities * likelihood, 0.0, None).sum()
     if kernel_evidence > reference.EVIDENCE_UNDERFLOW_GUARD >= parent_evidence:
@@ -240,11 +261,12 @@ def test_tempered_posteriors_bit_identical(case):
     """Accuracies 0 and 1 contradict whole patterns, so some draws
     reach the floored branch; the flag and bits match there too."""
     belief, family = case
+    clipped = clipped_prior(belief)
     assert_tempered_matches(
         belief,
         lambda: tempered_update_with_family(belief, family),
         reference.family_likelihood(belief, family),
-        lambda: reference.tempered_update_with_family(belief, family),
+        lambda: reference.tempered_update_with_family(clipped, family),
     )
     for answer_set in family:
         assert_tempered_matches(
@@ -252,7 +274,7 @@ def test_tempered_posteriors_bit_identical(case):
             lambda: tempered_update_with_answer_set(belief, answer_set),
             reference.answer_set_likelihood(belief, answer_set),
             lambda: reference.tempered_update_with_answer_set(
-                belief, answer_set
+                clipped, answer_set
             ),
         )
 

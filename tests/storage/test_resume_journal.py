@@ -38,6 +38,7 @@ from repro.simulation import (
     run_hc_session,
 )
 from repro.simulation.session import campaign_answer_source
+from repro.storage.integrity import recover_journal
 from repro.stream import (
     StreamChaos,
     StreamingCampaign,
@@ -179,6 +180,24 @@ class TestOneReadPerResume:
         campaign.run()
         assert campaign.finished
         assert _reads(counts, path) == 1
+
+    def test_salvage(self, dataset, tmp_path, monkeypatch):
+        """The ``.damaged`` sidecar is written from the bytes the scan
+        read, not from a second read."""
+        path = tmp_path / "run.jsonl"
+        run_hc_session(
+            dataset,
+            SessionConfig(budget=16.0, k=2, seed=3, journal_path=path),
+        )
+        _damage(path, 1.0, line=3)
+        damaged = path.read_bytes()
+        invalidate_journal_cache(path)
+        counts = _count_reads(monkeypatch)
+        report = recover_journal(path)
+        assert _reads(counts, path) == 1
+        monkeypatch.undo()
+        assert report.salvaged_bytes > 0
+        assert report.sidecar.read_bytes() == damaged
 
     def test_parallel_resume(self, dataset, tmp_path, monkeypatch):
         path = tmp_path / "run.jsonl"

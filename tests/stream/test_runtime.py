@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.stream import StreamChaos, StreamEvent, StreamingCampaign
+from repro.stream import StreamChaos, StreamEvent, StreamingCampaign, StreamSpec
 
 from .conftest import BUDGET, build_spec, events_for, experts_for
 
@@ -19,6 +19,39 @@ def _run_campaign(dataset, spec, **kwargs):
     )
     campaign.run()
     return campaign
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("arrival", "bogus"),
+        ("rate", NAN),
+        ("rate", 0.0),
+        ("rate", float("inf")),
+        ("theta", 1.5),
+        ("votes_per_fact", -1),
+        ("group_size", 0),
+        ("target_votes", -1),
+        ("smoothing", 0.7),
+        ("allowed_lateness", -1.0),
+        ("allowed_lateness", NAN),
+        ("straggler_timeout", NAN),
+        ("rounds_per_event", 0),
+        ("events_per_step", 0),
+        ("churn", 2.0),
+        ("window", 0),
+        ("seed", -1),
+        ("belief_epsilon", NAN),
+    ],
+)
+def test_spec_refuses_bad_values_where_it_is_built(field, value):
+    """A spec the runtime would refuse, or misuse, fails on
+    construction, before a service admits its campaign."""
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        StreamSpec(**{field: value})
 
 
 def test_every_delivery_slot_is_accounted_for(dataset):

@@ -75,6 +75,20 @@ class TestAggregate:
             ])
 
 
+class TestStream:
+    @pytest.mark.parametrize(
+        "flag", ["--rate", "--straggler-timeout", "--allowed-lateness"]
+    )
+    def test_nan_is_refused(self, data_dir, flag):
+        """NaN passes ``<=``/``<`` checks; the spec refuses it before
+        any event is generated, so the command exits non-zero."""
+        with pytest.raises(ValueError, match=flag.split("-")[2]):
+            main([
+                "stream", "--data", str(data_dir), "--group-size", "4",
+                "--theta", "0.85", "--budget", "10", flag, "nan",
+            ])
+
+
 class TestSession:
     def test_prints_trajectory(self, data_dir, capsys):
         code = main([
