@@ -348,13 +348,27 @@ def pattern_table(
     # factors[k, j, r]: the k-th factor, in key order, of answer set j
     # at pattern r.  Key-major, each reduction over axis 0 combines its
     # factors one after another, as the truth-table rows did.
-    ranks = np.array(
-        [
-            [queried.index(position_of(fact_id)) for fact_id in answer_set.answers]
+    try:
+        ranks = np.array(
+            [
+                [
+                    queried.index(position_of(fact_id))
+                    for fact_id in answer_set.answers
+                ]
+                for answer_set in answer_sets
+            ],
+            dtype=np.int64,
+        ).reshape(len(answer_sets), len(queried)).T
+    except ValueError:
+        # Only a partial family's answer sets can cover different facts.
+        covered = "; ".join(
+            f"{answer_set.worker.worker_id}: {sorted(answer_set.answers)}"
             for answer_set in answer_sets
-        ],
-        dtype=np.int64,
-    ).reshape(len(answer_sets), len(queried)).T
+        )
+        raise ValueError(
+            "the answer sets cover different facts "
+            f"({covered}); update with one answer set at a time"
+        ) from None
     answers = np.array(
         [list(answer_set.answers.values()) for answer_set in answer_sets],
         dtype=bool,

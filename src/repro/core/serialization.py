@@ -14,6 +14,8 @@ checkpoint support on these primitives.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import errno
 import json
 import math
@@ -22,6 +24,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -60,12 +63,24 @@ from .workers import Crowd, Worker
 #: :mod:`repro.storage.integrity`), not just torn tails.  v8 journals
 #: stay line-oriented JSONL — ``kind``-dispatching tooling reads them
 #: unchanged — and journals whose header predates v8 keep appending
-#: unframed lines so legacy byte-identity is preserved.
+#: unframed lines so legacy byte-identity is preserved;
+#: version 9 writes probabilities as base64 of their little-endian
+#: float64 bytes, and makes each checkpoint line of a v9 journal a
+#: delta against the journal's previous checkpoint line (the groups
+#: whose probabilities changed, the round records and ground-truth
+#: entries added; see :class:`CheckpointWriter`), which
+#: :func:`fold_checkpoints` folds back into the whole checkpoint.
+#: Journals whose header predates v9 keep receiving whole version-8
+#: checkpoint lines.
 #: Older payloads are still read transparently.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
+
+#: The payload version of the checkpoint lines appended to a journal
+#: whose header predates v9: whole lines, probabilities as JSON floats.
+_WHOLE_LINE_VERSION = 8
 
 #: Versions this build can read.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4, 5, 6, 7, 8})
+SUPPORTED_VERSIONS = frozenset(range(1, FORMAT_VERSION + 1))
 
 
 class SerializationError(ValueError):
@@ -158,29 +173,69 @@ def fact_set_from_dict(payload: dict) -> FactSet:
 # ----------------------------------------------------------------------
 
 
-def belief_state_to_dict(belief: BeliefState) -> dict:
-    payload = {
-        "version": FORMAT_VERSION,
-        "fact_set": fact_set_to_dict(belief.facts),
-        "probabilities": belief.probabilities.tolist(),
-    }
-    # Dense probabilities are the canonical stored form for both kernels
-    # (``tolist`` round-trips float64 exactly).  Sparse states add their
-    # truncation budget so resume rebuilds the same kernel; the key is
-    # emitted only for sparse states, keeping epsilon=0 journal bytes
-    # identical to the pre-kernel format.
+def _weights_to_dict(belief: BeliefState, version: int) -> dict:
+    """A state's ``"probabilities"`` (and sparse ``"epsilon"``) members.
+
+    Dense probabilities are the canonical stored form for both kernels:
+    from v9 the base64 (standard alphabet, padded) of their
+    little-endian float64 bytes, before it a JSON float list (``tolist``
+    round-trips float64 exactly too).  Sparse states add their
+    truncation budget so resume rebuilds the same kernel; the key is
+    emitted only for sparse states, keeping epsilon=0 bytes identical
+    to the pre-kernel format.
+    """
     from .kernel import SparseBeliefState
 
+    probabilities = belief.probabilities
+    payload: dict = {
+        "probabilities": (
+            base64.b64encode(
+                probabilities.astype("<f8", copy=False).tobytes()
+            ).decode("ascii")
+            if version >= 9
+            else probabilities.tolist()
+        )
+    }
     if isinstance(belief, SparseBeliefState):
         payload["epsilon"] = belief.epsilon
     return payload
 
 
+def belief_state_to_dict(
+    belief: BeliefState, version: int = FORMAT_VERSION
+) -> dict:
+    """``belief`` as payload ``version`` writes it (see
+    :func:`_weights_to_dict`)."""
+    return {
+        "version": version,
+        "fact_set": fact_set_to_dict(belief.facts),
+        **_weights_to_dict(belief, version),
+    }
+
+
+def _probabilities_from(value: Any, facts: FactSet) -> np.ndarray:
+    """Stored probabilities: v9 base64 float64, or a v1–v8 list."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=np.float64)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (binascii.Error, ValueError) as error:
+        raise SerializationError(
+            f"malformed field 'probabilities': {error}"
+        ) from None
+    if len(raw) != 8 << len(facts):
+        raise SerializationError(
+            f"malformed field 'probabilities': {len(raw)} bytes for "
+            f"{len(facts)} facts, expected {8 << len(facts)}"
+        )
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def belief_state_from_dict(payload: dict) -> BeliefState:
     check_version(payload)
     facts = fact_set_from_dict(_require(payload, "fact_set"))
-    probabilities = np.asarray(
-        _require(payload, "probabilities"), dtype=np.float64
+    probabilities = _probabilities_from(
+        _require(payload, "probabilities"), facts
     )
     epsilon = payload.get("epsilon")
     if epsilon is not None:
@@ -199,88 +254,13 @@ def belief_state_from_dict(payload: dict) -> BeliefState:
     return BeliefState.from_normalized(facts, probabilities)
 
 
-def factored_belief_to_dict(belief: FactoredBelief) -> dict:
+def factored_belief_to_dict(
+    belief: FactoredBelief, version: int = FORMAT_VERSION
+) -> dict:
     return {
-        "version": FORMAT_VERSION,
-        "groups": [belief_state_to_dict(group) for group in belief],
+        "version": version,
+        "groups": [belief_state_to_dict(group, version) for group in belief],
     }
-
-
-class EncodedJSON:
-    """JSON text standing in for a member value of a record passed to
-    :func:`encode_record`.  No decoded JSON value is an instance, so it
-    can never be mistaken for record content."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-_SEPARATORS = (",", ":")
-
-
-def encode_record(record: dict) -> str:
-    """``record`` as compact JSON text.
-
-    The text is ``json.dumps(record, separators=(",", ":"))``, except
-    that a member whose value is an :class:`EncodedJSON` contributes
-    that text verbatim.  The encoding is compositional (an object is
-    its members' key and value texts joined in order), so a value
-    encoded once and kept stands in exactly for encoding it again.
-    Members are spliced at the top level only; nest by encoding the
-    inner object first.
-    """
-    if not any(type(value) is EncodedJSON for value in record.values()):
-        return json.dumps(record, separators=_SEPARATORS)
-    # Each run of plain members between spliced ones is encoded as one
-    # object, braces dropped: one json.dumps call per run, not per member.
-    members: list[str] = []
-    run: dict = {}
-    for key, value in record.items():
-        if type(value) is not EncodedJSON:
-            run[key] = value
-            continue
-        if run:
-            members.append(json.dumps(run, separators=_SEPARATORS)[1:-1])
-            run = {}
-        members.append(json.dumps(key) + ":" + value.text)
-    if run:
-        members.append(json.dumps(run, separators=_SEPARATORS)[1:-1])
-    return "{" + ",".join(members) + "}"
-
-
-class BeliefTextCache:
-    """The JSON text of a factored belief, kept per group.
-
-    A checkpoint serializes the whole belief, but a checking round
-    replaces only the groups it queried.  Each group's text is kept
-    with the (immutable) state it encodes, keyed by group index, so
-    :meth:`encode` formats only the groups whose state object changed
-    since the last call — the :class:`~repro.core.hc.RoundScoreboard`
-    pattern.  The journaling session owns one; keeping the text on the
-    states themselves instead would pin it to every state anything
-    still references.
-    """
-
-    def __init__(self) -> None:
-        self._states: list[BeliefState | None] = []
-        self._texts: list[str] = []
-
-    def encode(self, belief: FactoredBelief) -> EncodedJSON:
-        """``factored_belief_to_dict(belief)`` as compact JSON text."""
-        states, texts = self._states, self._texts
-        for group_index, state in enumerate(belief):
-            if group_index == len(states):
-                states.append(None)
-                texts.append("")
-            if states[group_index] is not state:
-                states[group_index] = state
-                texts[group_index] = encode_record(belief_state_to_dict(state))
-        groups = EncodedJSON("[" + ",".join(texts) + "]")
-        return EncodedJSON(
-            encode_record({"version": FORMAT_VERSION, "groups": groups})
-        )
 
 
 def factored_belief_from_dict(payload: dict) -> FactoredBelief:
@@ -442,9 +422,9 @@ def load_belief(path: str | Path) -> FactoredBelief:
 # ----------------------------------------------------------------------
 
 
-def crowd_to_dict(crowd: Crowd) -> dict:
+def crowd_to_dict(crowd: Crowd, version: int = FORMAT_VERSION) -> dict:
     return {
-        "version": FORMAT_VERSION,
+        "version": version,
         "workers": [
             {"worker_id": worker.worker_id, "accuracy": worker.accuracy}
             for worker in crowd
@@ -562,12 +542,226 @@ def load_run_result(path: str | Path) -> RunResult:
 
 
 # ----------------------------------------------------------------------
+# session checkpoints
+# ----------------------------------------------------------------------
+
+
+def checkpoint_to_dict(state: dict, version: int = FORMAT_VERSION) -> dict:
+    """A session's durable state as payload ``version`` writes it whole.
+
+    ``state`` is
+    :meth:`~repro.simulation.online.OnlineCheckingSession.checkpoint_state`:
+    the checkpoint's members in order, with the belief, the ground-truth
+    mapping and the history's round records still objects.  This is
+    what ``to_checkpoint()`` returns, and what a journal whose header
+    predates v9 receives as each checkpoint line's ``"session"``.
+    """
+    truth = state["ground_truth"]
+    return {
+        "version": version,
+        **state,
+        "belief": factored_belief_to_dict(state["belief"], version),
+        "ground_truth": (
+            {str(key): value for key, value in truth.items()}
+            if truth is not None
+            else None
+        ),
+        "history": [
+            round_record_to_dict(record) for record in state["history"]
+        ],
+    }
+
+
+def payload_version(header_version: int) -> int:
+    """The payload version of what is appended to a journal whose header
+    is ``header_version``: the current one, or the whole-line version 8
+    on a journal that predates v9, so it continues as it was written."""
+    return (
+        FORMAT_VERSION
+        if header_version >= FORMAT_VERSION
+        else _WHOLE_LINE_VERSION
+    )
+
+
+def _same_weights(state: BeliefState, written: BeliefState) -> bool:
+    """Whether ``state`` encodes as ``written`` did: the same float64
+    bits (an exact test, unlike ``==`` on ``-0.0`` and ``0.0``) and the
+    same sparse ``epsilon``."""
+    if getattr(state, "epsilon", None) != getattr(written, "epsilon", None):
+        return False
+    return np.array_equal(
+        state.probabilities.view(np.int64),
+        written.probabilities.view(np.int64),
+    )
+
+
+class CheckpointWriter:
+    """The ``"session"`` member of one journal's checkpoint lines.
+
+    Each checkpoint line of a v9 journal is a delta against the
+    journal's previous checkpoint line:
+
+    * ``belief`` maps group indices to the groups whose probabilities
+      (or sparse ``epsilon``) differ from what the journal last wrote
+      for that index, as base64 float64.  A group new since the
+      previous line (every group, on the first line) carries its fact
+      set; a changed one does not, since a group's facts never change;
+    * ``history`` holds only the round records, and ``ground_truth``
+      only the entries, added since the previous line;
+    * every other member is written whole.
+
+    So a line costs O(groups changed), and a line depends only on the
+    values checkpointed: a state's identity is only the shortcut for
+    "unchanged", and serial, sharded and resumed runs of one campaign
+    write the same bytes.  :func:`fold_checkpoints` inverts it.  A
+    journal whose header predates v9 receives :func:`checkpoint_to_dict`
+    whole instead, as payload version 8, as it always did.
+
+    The writer keeps references to the states it last wrote (states
+    are immutable), never copies of them.
+    """
+
+    def __init__(self, header_version: int = FORMAT_VERSION) -> None:
+        #: The payload version of the lines (see :func:`payload_version`).
+        self.version = payload_version(header_version)
+        self._states: list[BeliefState] = []
+        self._history = 0
+        self._truth = 0
+
+    def session(self, state: dict) -> dict:
+        """The next line's ``"session"`` member for the session state
+        ``state`` (see :func:`checkpoint_to_dict`).  Call :meth:`wrote`
+        once the line is durable."""
+        if self.version < FORMAT_VERSION:
+            return checkpoint_to_dict(state, self.version)
+        truth = state["ground_truth"]
+        return {
+            "version": FORMAT_VERSION,
+            **state,
+            "belief": self._changed_groups(state["belief"]),
+            "ground_truth": (
+                {
+                    str(key): truth[key]
+                    for key in islice(truth, self._truth, None)
+                }
+                if truth is not None
+                else None
+            ),
+            "history": [
+                round_record_to_dict(record)
+                for record in state["history"][self._history :]
+            ],
+        }
+
+    def _changed_groups(self, belief: FactoredBelief) -> dict:
+        written = self._states
+        groups: dict[str, dict] = {}
+        for index, state in enumerate(belief):
+            if index >= len(written):
+                groups[str(index)] = {
+                    "fact_set": fact_set_to_dict(state.facts),
+                    **_weights_to_dict(state, FORMAT_VERSION),
+                }
+            elif state is not written[index] and not _same_weights(
+                state, written[index]
+            ):
+                groups[str(index)] = _weights_to_dict(state, FORMAT_VERSION)
+        return groups
+
+    def wrote(self, state: dict) -> None:
+        """Note that the journal's last checkpoint line holds ``state``:
+        the line was just appended, or a resume folded it back from the
+        journal, so the next line continues the uninterrupted run's."""
+        self._states = list(state["belief"])
+        self._history = len(state["history"])
+        self._truth = len(state["ground_truth"] or ())
+
+
+def _malformed(field: str, why: str) -> SerializationError:
+    return SerializationError(f"malformed checkpoint field {field!r}: {why}")
+
+
+def _fold_groups(groups: list[dict], written: Any) -> None:
+    """Apply one v9 line's ``belief`` member to the latest writes."""
+    if not isinstance(written, dict):
+        raise _malformed("belief", "not a mapping of group indices")
+    for key, entry in written.items():
+        index = int(key) if key.isdecimal() else -1
+        if str(index) != key or not 0 <= index <= len(groups):
+            raise _malformed(
+                "belief",
+                f"group index {key!r} is neither one of the {len(groups)} "
+                "known groups nor the next new one",
+            )
+        if not isinstance(entry, dict):
+            raise _malformed("belief", f"group {key} is not an object")
+        if index == len(groups):
+            if "fact_set" not in entry:
+                raise _malformed("belief", f"new group {key} has no fact set")
+            groups.append(entry)
+        groups[index] = {
+            "version": FORMAT_VERSION,
+            "fact_set": groups[index]["fact_set"],
+            **entry,
+        }
+
+
+def fold_checkpoints(records) -> dict:
+    """The dict ``to_checkpoint()`` returned when the last checkpoint
+    line among ``records`` was written.
+
+    ``records`` are a journal's records in order (other kinds are
+    skipped), as :func:`read_journal` returns them.  A v9 line is a
+    delta (see :class:`CheckpointWriter`): the fold keeps each group's
+    latest write, so the probabilities it returns are one belief's
+    worth however long the journal, and concatenates the history and
+    ground-truth additions.  An older line is whole and is returned as
+    it stands.  Malformed v9 members raise :class:`SerializationError`
+    naming the field.
+    """
+    last: Any = None
+    groups: list[dict] = []
+    history: list = []
+    truth: dict = {}
+    for record in records:
+        if record.get("kind") != "checkpoint":
+            continue
+        last = _require(record, "session")
+        if not isinstance(last, dict):
+            raise _malformed("session", "not an object")
+        if check_version(last) < FORMAT_VERSION:
+            continue
+        _fold_groups(groups, _require(last, "belief"))
+        added = _require(last, "history")
+        if not isinstance(added, list) or not all(
+            isinstance(entry, dict) for entry in added
+        ):
+            raise _malformed("history", "not a list of round records")
+        history.extend(added)
+        entries = _require(last, "ground_truth")
+        if entries is not None:
+            if not isinstance(entries, dict):
+                raise _malformed("ground_truth", "not a mapping")
+            truth.update(entries)
+    if last is None:
+        raise SerializationError("no checkpoint record to fold")
+    if check_version(last) < FORMAT_VERSION:
+        return last
+    return {
+        **last,
+        "belief": {"version": FORMAT_VERSION, "groups": groups},
+        "ground_truth": truth if last["ground_truth"] is not None else None,
+        "history": history,
+    }
+
+
+# ----------------------------------------------------------------------
 # session journal (format version 2)
 # ----------------------------------------------------------------------
 #
 # An append-only JSONL file: one JSON object per line.  The first line
 # is a ``{"kind": "header", "version": 2, ...}`` record; later lines
-# are ``"checkpoint"`` (full durable session state) and ``"event"``
+# are ``"checkpoint"`` (durable session state) and ``"event"``
 # (one fault incident) records.  A process killed mid-write leaves at
 # most one truncated final line, which :func:`read_journal` discards —
 # the previous checkpoint line is always intact, making resume
@@ -587,9 +781,15 @@ def load_run_result(path: str | Path) -> RunResult:
 # a resumed v7 journal keeps growing unframed, byte-identical to an
 # uninterrupted v7 run.
 #
+# Since format version 9 a checkpoint line carries only what changed
+# since the journal's previous checkpoint line (:class:`CheckpointWriter`)
+# and :func:`fold_checkpoints` rebuilds the whole checkpoint.  Which
+# lines a journal receives is decided by its header too: a journal
+# whose header predates v9 keeps receiving whole version-8 lines.
+#
 # Every reader goes through one scanner, :func:`verify_journal` — the
 # only code that splits a journal into lines and parses them, bar
-# ``_journal_next_seq``'s cold-cache peek at the last line.
+# ``_journal_state``'s cold-cache peek at the first and last lines.
 # :func:`read_journal` is its strict view, and every cut (repairing a
 # torn tail, trimming back to a checkpoint, salvaging a damaged prefix)
 # truncates at an offset it returned, through
@@ -598,13 +798,14 @@ def load_run_result(path: str | Path) -> RunResult:
 #: Fields reserved for the v8 integrity framing.
 _FRAME_FIELDS = ("_seq", "_crc")
 
-#: Per-path append cache: ``str(path) -> (file_size, next_seq)`` where
-#: ``next_seq`` is ``None`` for unframed journals.  Validated against
-#: the current file size on every append (an externally modified file
-#: misses and triggers a rescan), so appends stay O(1) without ever
-#: trusting a stale sequence number.  Appends, clean scans and cuts
-#: keep it primed.
-_SEQ_CACHE: dict[str, tuple[int, int | None]] = {}
+#: Per-path append cache: ``str(path) -> (file_size, next_seq,
+#: version)`` where ``next_seq`` is ``None`` for unframed journals and
+#: ``version`` is the header's.  Validated against the current file
+#: size on every append (an externally modified file misses and
+#: triggers a rescan), so appends stay O(1) without ever trusting a
+#: stale sequence number.  Appends, clean scans and cuts keep it
+#: primed.
+_SEQ_CACHE: dict[str, tuple[int, int | None, int]] = {}
 
 
 def invalidate_journal_cache(path: str | Path) -> None:
@@ -612,6 +813,8 @@ def invalidate_journal_cache(path: str | Path) -> None:
     file changed behind the cache)."""
     _SEQ_CACHE.pop(str(Path(path)), None)
 
+
+_SEPARATORS = (",", ":")
 
 #: Start of the fixed ``,"_crc":"xxxxxxxx"}`` tail of a framed line.
 _CRC_PREFIX = b',"_crc":"'
@@ -621,16 +824,16 @@ _CRC_TAIL_LENGTH = len(_CRC_PREFIX) + 8 + len(b'"}')
 def frame_journal_line(record: dict, seq: int) -> str:
     """``record`` as a v8-framed JSONL line (no trailing newline).
 
-    The body is the record's compact JSON (:func:`encode_record`, so
-    :class:`EncodedJSON` members splice in) with ``"_seq"`` appended
-    as its last member.  The CRC32 of the body's bytes is then written
+    The body is the record's compact JSON with ``"_seq"`` appended as
+    its last member.  The CRC32 of the body's bytes is then written
     as 8 lowercase hex digits in a final ``"_crc"`` member, so the
     line is the body minus its closing ``}`` followed by the fixed
     ``,"_crc":"xxxxxxxx"}`` tail.  :func:`verify_framed_record` checks
     exactly those bytes.  ``record`` must have at least one member and
     no frame fields.
     """
-    payload = f'{encode_record(record)[:-1]},"_seq":{int(seq)}}}'
+    body = json.dumps(record, separators=_SEPARATORS)
+    payload = f'{body[:-1]},"_seq":{int(seq)}}}'
     crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
     return f'{payload[:-1]},"_crc":"{crc:08x}"}}'
 
@@ -677,30 +880,38 @@ def strip_frame(record: dict) -> dict:
     }
 
 
-def _journal_next_seq(path: Path, record: dict) -> int | None:
+def _header_version(record: Any) -> int:
+    """The version a journal's first record declares (1 when it is not
+    a header with an integer version)."""
+    if isinstance(record, dict) and record.get("kind") == "header":
+        version = record.get("version", 1)
+        if _is_int(version):
+            return version
+    return 1
+
+
+def _journal_state(path: Path, record: dict) -> tuple[int | None, int]:
     """The sequence number the next append must carry (``None``:
-    journal is unframed).  New/empty files frame iff the first record
-    is a header of version >= 8; existing files follow the last
-    parseable line."""
+    journal is unframed) and the journal's header version.  New/empty
+    files frame iff the first record is a header of version >= 8 (and
+    take the current version until a header says otherwise); existing
+    files follow the last parseable line and their first line."""
     key = str(path)
     try:
         size = path.stat().st_size
     except OSError:
         size = 0
     if size == 0:
-        if record.get("kind") == "header":
-            try:
-                version = int(record.get("version", 1))
-            except (TypeError, ValueError):
-                version = 1
-            if version >= 8:
-                return 0
-        return None
+        if record.get("kind") != "header":
+            return None, FORMAT_VERSION
+        version = _header_version(record)
+        return (0 if version >= 8 else None), version
     cached = _SEQ_CACHE.get(key)
     if cached is not None and cached[0] == size:
-        return cached[1]
+        return cached[1], cached[2]
+    lines = path.read_bytes().splitlines()
     next_seq: int | None = None
-    for line in reversed(path.read_bytes().splitlines()):
+    for line in reversed(lines):
         if not line.strip():
             continue
         try:
@@ -712,8 +923,20 @@ def _journal_next_seq(path: Path, record: dict) -> int | None:
         ):
             next_seq = parsed["_seq"] + 1
         break
-    _SEQ_CACHE[key] = (size, next_seq)
-    return next_seq
+    try:
+        version = _header_version(json.loads(lines[0]))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        version = FORMAT_VERSION  # a damaged header; recovery decides
+    _SEQ_CACHE[key] = (size, next_seq, version)
+    return next_seq, version
+
+
+def journal_version(path: str | Path) -> int:
+    """The header version of the journal at ``path``, learned the way
+    its framing is (from the append cache, else from the file): what
+    :func:`payload_version` continues it in.  A missing or empty
+    journal takes the current version."""
+    return _journal_state(Path(path), {})[1]
 
 
 def append_journal_record(path: str | Path, record: dict) -> None:
@@ -722,9 +945,8 @@ def append_journal_record(path: str | Path, record: dict) -> None:
     The record is written as a single line, flushed and fsynced before
     returning, so at most the final in-flight line can be lost to a
     crash — and a completed append survives power loss, not just a
-    process kill.  On v8 journals the line carries the integrity
-    framing (see :func:`frame_journal_line`).  Member values may be
-    :class:`EncodedJSON` text (see :func:`encode_record`).
+    process kill.  On v8+ journals the line carries the integrity
+    framing (see :func:`frame_journal_line`).
 
     Transient storage faults retry with backoff after rolling the file
     back to its pre-append size; non-transient faults and exhausted
@@ -741,14 +963,16 @@ def append_journal_record(path: str | Path, record: dict) -> None:
             )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    seq = _journal_next_seq(path, record)
+    seq, version = _journal_state(path, record)
     line = (
         frame_journal_line(record, seq)
         if seq is not None
-        else encode_record(record)
+        else json.dumps(record, separators=_SEPARATORS)
     )
     size = _durable_append(path, (line + "\n").encode("utf-8"))
-    _SEQ_CACHE[str(path)] = (size, seq + 1 if seq is not None else None)
+    _SEQ_CACHE[str(path)] = (
+        size, seq + 1 if seq is not None else None, version
+    )
 
 
 def _durable_append(path: Path, data: bytes) -> int:
@@ -930,7 +1154,10 @@ class JournalDamageReport:
         # cut bytes on filesystems that journal directory metadata
         # lazily.
         _fsync_directory(self.path.parent)
-        _SEQ_CACHE[str(self.path)] = (end, kept if self.framed else None)
+        _SEQ_CACHE[str(self.path)] = (
+            end, kept if self.framed else None,
+            self.version or FORMAT_VERSION,
+        )
         return removed
 
     def cut_torn_tail(self) -> int:
@@ -1079,7 +1306,8 @@ def _verify_journal_bytes(path: Path, raw: bytes) -> JournalDamageReport:
     else:
         total_lines = len(records)
         _SEQ_CACHE[str(path)] = (
-            len(raw), len(records) if framed else None
+            len(raw), len(records) if framed else None,
+            version or FORMAT_VERSION,
         )
     if damage and not records and not framed:
         # The header vouched for nothing (unparseable or not a
@@ -1165,10 +1393,11 @@ def trim_journal_to_last_checkpoint(path: str | Path) -> int:
 
 
 def header_field(header: dict, name: str, kind: type = float):
-    """A journal header's numeric field (``budget_total``, ``k``) as
-    ``kind``: a missing, ``null`` or malformed value raises
-    :class:`SerializationError` naming the field instead of a raw
-    ``KeyError`` / ``TypeError`` / ``ValueError``."""
+    """A journal record's numeric field (the header's ``budget_total``
+    and ``k``, the engine record's ``jobs``) as ``kind``: a missing,
+    ``null`` or malformed value raises :class:`SerializationError`
+    naming the field instead of a raw ``KeyError`` / ``TypeError`` /
+    ``ValueError``."""
     value = header.get(name)
     if (
         not isinstance(value, (int, float))
@@ -1177,7 +1406,8 @@ def header_field(header: dict, name: str, kind: type = float):
         or (kind is int and not _is_int(value))
     ):
         raise SerializationError(
-            f"malformed journal header field {name!r}: {value!r}"
+            f"malformed journal {header.get('kind', 'header')} field "
+            f"{name!r}: {value!r}"
         )
     return kind(value)
 

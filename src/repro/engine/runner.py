@@ -33,6 +33,7 @@ from ..core.serialization import (
     SerializationError,
     crowd_from_dict,
     factored_belief_from_dict,
+    fold_checkpoints,
     header_field,
 )
 from ..core.workers import Crowd
@@ -309,6 +310,38 @@ def run_parallel_hc_session(
     return runner.run()
 
 
+def _journaled_layout(
+    record: dict, num_groups: int
+) -> tuple[list[tuple[int, ...]], tuple[bool, ...]]:
+    """A ``shard_incident`` record's failover layout: its partition,
+    which must cover every one of the belief's ``num_groups`` groups
+    exactly once, and its degraded flags.  A malformed one raises
+    :class:`SerializationError` naming the field."""
+    try:
+        partition = [
+            tuple(int(index) for index in shard)
+            for shard in record["partition"]
+        ]
+    except (TypeError, ValueError):
+        partition = None
+    if partition is None or sorted(
+        index for shard in partition for index in shard
+    ) != list(range(num_groups)):
+        raise SerializationError(
+            "malformed journal shard_incident field 'partition': "
+            f"{record['partition']!r} is not a cover of the "
+            f"{num_groups} groups by lists of group indices"
+        )
+    try:
+        degraded = tuple(bool(flag) for flag in record.get("degraded", ()))
+    except TypeError:
+        raise SerializationError(
+            "malformed journal shard_incident field 'degraded': "
+            f"{record['degraded']!r}"
+        ) from None
+    return partition, degraded
+
+
 def resume_parallel_session(
     journal_path: str | Path,
     *,
@@ -366,11 +399,20 @@ def resume_parallel_session(
         )
     budget_total = header_field(records[0], "budget_total")
     last = checkpoints[-1]
+    engine = engine_records[-1] if engine_records else {}
     if policy is None:
         policy = SupervisionPolicy.from_env()
-        if engine_records and "supervision" in engine_records[-1]:
-            policy = policy.with_overrides(engine_records[-1]["supervision"])
+        if "supervision" in engine:
+            try:
+                policy = policy.with_overrides(engine["supervision"])
+            except (TypeError, ValueError) as error:
+                raise SerializationError(
+                    "malformed journal engine field 'supervision': "
+                    f"{engine['supervision']!r} ({error})"
+                ) from None
     policy = policy.with_overrides(supervision_overrides)
+    checkpoint = fold_checkpoints(records)
+    belief = factored_belief_from_dict(checkpoint["belief"])
     partition = None
     degraded: tuple[bool, ...] = ()
     if jobs is None:
@@ -381,18 +423,16 @@ def resume_parallel_session(
             and record.get("partition") is not None
         ]
         if layout_records:
-            partition = [
-                tuple(int(index) for index in shard)
-                for shard in layout_records[-1]["partition"]
-            ]
-            degraded = tuple(
-                bool(flag)
-                for flag in layout_records[-1].get("degraded", ())
+            partition, degraded = _journaled_layout(
+                layout_records[-1], len(belief)
             )
-        jobs = int(engine_records[-1]["jobs"]) if engine_records else 1
+        jobs = header_field(engine, "jobs", int) if engine else 1
+        if jobs < 1:
+            raise SerializationError(
+                f"malformed journal engine field 'jobs': {jobs!r}"
+            )
     if inline is None:
         inline = jobs == 1 and partition is None
-    belief = factored_belief_from_dict(last["session"]["belief"])
     panel = crowd_from_dict(last["panel"])
     pool = ShardPool(
         belief,
@@ -417,6 +457,7 @@ def resume_parallel_session(
             update_engine=ShardedUpdateEngine(pool),
             budget_tracker=tracker,
             records=records,
+            checkpoint=checkpoint,
         )
     except BaseException:
         pool.close()

@@ -648,37 +648,26 @@ class OnlineCheckingSession:
         cost model) are supplied again at restore time — they are code,
         not state.
         """
-        from ..core.serialization import factored_belief_to_dict
+        from ..core.serialization import checkpoint_to_dict
 
-        return self.checkpoint_with_belief(
-            factored_belief_to_dict(self._belief)
-        )
+        return checkpoint_to_dict(self.checkpoint_state())
 
-    def checkpoint_with_belief(self, belief) -> dict:
-        """:meth:`to_checkpoint` with ``belief`` as its ``"belief"``
-        value.  A journaling session passes the belief as already
-        encoded text (:class:`~repro.core.serialization.EncodedJSON`)
-        built from per-group fragments, so it formats only the groups
-        a round changed."""
-        from ..core.serialization import FORMAT_VERSION, round_record_to_dict
-
+    def checkpoint_state(self) -> dict:
+        """The members of :meth:`to_checkpoint` in order, with the
+        belief, the ground-truth mapping and the history's round
+        records as the live objects (not copies): a journal's
+        :class:`~repro.core.serialization.CheckpointWriter` encodes
+        only what changed since its previous line."""
         return {
-            "version": FORMAT_VERSION,
-            "belief": belief,
+            "belief": self._belief,
             "budget_total": self._budget.total,
             "budget_spent": self._budget.spent,
             "k": self._k,
             "round_index": self._round_index,
             "pending": list(self._pending) if self._pending else None,
             "finished": self._finished,
-            "ground_truth": (
-                {str(key): value for key, value in self._ground_truth.items()}
-                if self._ground_truth is not None
-                else None
-            ),
-            "history": [
-                round_record_to_dict(record) for record in self.history
-            ],
+            "ground_truth": self._ground_truth,
+            "history": self.history,
         }
 
     @classmethod

@@ -48,15 +48,16 @@ from ..core.incidents import FaultEvent
 from ..core.observations import BeliefState, FactoredBelief
 from ..core.selection import Selector
 from ..core.serialization import (
-    BeliefTextCache,
-    EncodedJSON,
+    FORMAT_VERSION,
+    CheckpointWriter,
     SerializationError,
     append_journal_record,
     crowd_from_dict,
     crowd_to_dict,
-    encode_record,
     fault_event_from_dict,
     fault_event_to_dict,
+    fold_checkpoints,
+    journal_version,
     start_journal,
 )
 from ..core.trust import TrustPolicy, TrustReport, TrustSupervisor
@@ -240,6 +241,13 @@ class ResilientCheckingSession:
             sleep=sleep,
             supervisor=supervisor,
             checkpoint_extras=checkpoint_extras,
+            # A caller that wrote the header itself may be continuing a
+            # journal that predates this format.
+            header_version=(
+                journal_version(journal_path)
+                if journal_path is not None and not journal_header
+                else FORMAT_VERSION
+            ),
         )
         if self._journal_path is not None and journal_header:
             # Caller-provided runtime metadata (e.g. the parallel engine's
@@ -266,6 +274,7 @@ class ResilientCheckingSession:
         sleep: Callable[[float], None] | None,
         supervisor: TrustSupervisor | None = None,
         checkpoint_extras: Callable[[], dict] | None = None,
+        header_version: int = FORMAT_VERSION,
     ) -> None:
         self._inner = inner
         self._supervisor = supervisor
@@ -283,7 +292,7 @@ class ResilientCheckingSession:
         self._round_events: list[FaultEvent] = []
         self._halted = False
         self._pending_source_state: dict | None = None
-        self._belief_text = BeliefTextCache()
+        self._checkpoints = CheckpointWriter(header_version)
         #: Every incident survived so far, in order of occurrence.
         self.incidents: list[FaultEvent] = []
 
@@ -984,11 +993,13 @@ class ResilientCheckingSession:
             self._write_checkpoint(answer_source)
 
     def _write_checkpoint(self, answer_source) -> None:
+        writer = self._checkpoints
+        state = self._inner.checkpoint_state()
         record: dict = {
             "kind": "checkpoint",
-            "session": self._session_text(),
-            "panel": crowd_to_dict(self._inner.experts),
-            "reserve": crowd_to_dict(Crowd(self._reserve)),
+            "session": writer.session(state),
+            "panel": crowd_to_dict(self._inner.experts, writer.version),
+            "reserve": crowd_to_dict(Crowd(self._reserve), writer.version),
             "attempt": self._attempt,
             "reassignments_used": self._reassignments_used,
             "round_events": [
@@ -1006,16 +1017,7 @@ class ResilientCheckingSession:
         if self._checkpoint_extras is not None:
             record["stream"] = self._checkpoint_extras()
         append_journal_record(self._journal_path, record)
-
-    def _session_text(self) -> EncodedJSON:
-        """The inner session's checkpoint as JSON text, its belief
-        assembled from the per-group text cache: a checkpoint formats
-        only the groups changed since the previous one.  The bytes equal
-        those of encoding ``to_checkpoint()``."""
-        payload = self._inner.checkpoint_with_belief(
-            self._belief_text.encode(self._inner.belief)
-        )
-        return EncodedJSON(encode_record(payload))
+        writer.wrote(state)
 
     def rewind_source(self, answer_source) -> None:
         """Apply the journaled answer-source state immediately.
@@ -1066,6 +1068,7 @@ class ResilientCheckingSession:
         update_engine=None,
         budget_tracker: "CheckingBudget | None" = None,
         records: list[dict] | None = None,
+        checkpoint: dict | None = None,
     ) -> "ResilientCheckingSession":
         """Restore a session from its journal, mid-round if need be.
 
@@ -1079,7 +1082,12 @@ class ResilientCheckingSession:
         uninterrupted run.  ``records`` are the journal's records from a
         resume that already ran
         :func:`~repro.storage.integrity.recover_for_resume` on it (the
-        parallel and streaming resumes), so the file is not read twice.
+        parallel and streaming resumes), so the file is not read twice;
+        ``checkpoint`` is their
+        :func:`~repro.core.serialization.fold_checkpoints` when the
+        caller has folded them already (the parallel resume).  The
+        session's journal writer is primed from the fold, so its next
+        checkpoint line is the one the uninterrupted run wrote.
         """
         if records is None:
             # Salvage first (a torn trailing line; on v8 journals also
@@ -1101,6 +1109,8 @@ class ResilientCheckingSession:
             )
         last_index = checkpoint_indices[-1]
         last = records[last_index]
+        if checkpoint is None:
+            checkpoint = fold_checkpoints(records)
         try:
             panel = (
                 experts
@@ -1108,7 +1118,7 @@ class ResilientCheckingSession:
                 else crowd_from_dict(last["panel"])
             )
             inner = OnlineCheckingSession.from_checkpoint(
-                last["session"],
+                checkpoint,
                 panel,
                 selector=selector,
                 cost_model=cost_model,
@@ -1138,7 +1148,9 @@ class ResilientCheckingSession:
                 rng=rng,
                 sleep=sleep,
                 supervisor=supervisor,
+                header_version=records[0].get("version", 1),
             )
+            session._checkpoints.wrote(inner.checkpoint_state())
             session._attempt = int(last.get("attempt", 0))
             session._reassignments_used = int(
                 last.get("reassignments_used", 0)

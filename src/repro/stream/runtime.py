@@ -55,6 +55,8 @@ from ..core.serialization import (
     crowd_from_dict,
     crowd_to_dict,
     header_field,
+    journal_version,
+    payload_version,
     start_journal,
 )
 from ..core.trust import TrustPolicy
@@ -374,8 +376,11 @@ class StreamingCampaign:
             "stats": dict(self._stats),
         }
         if self._session is None:
+            # Bootstrap records only; a journal that predates v9 keeps
+            # its version-8 crowds.
             extras["experts"] = crowd_to_dict(
-                Crowd(self._bootstrap_experts)
+                Crowd(self._bootstrap_experts),
+                payload_version(journal_version(self._journal_path)),
             )
         return extras
 

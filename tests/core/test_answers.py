@@ -353,6 +353,46 @@ class TestPartialAnswerFamily:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "entry_point",
+        ["update_with_family", "tempered_update_with_family",
+         "family_likelihood", "family_probability"],
+    )
+    @pytest.mark.parametrize(
+        "first, second",
+        [({1: True}, {2: False, 3: True}), ({1: True, 2: True}, {1: False})],
+        ids=["disjoint", "subset"],
+    )
+    def test_answer_sets_over_different_facts_fail_clearly(
+        self, entry_point, first, second
+    ):
+        """Each answer set of a family is folded in over the same
+        queried facts, so sets that cover different facts are refused
+        with a message naming each set's facts, not a bare lookup
+        error."""
+        from repro.core import PartialAnswerFamily, update
+
+        family = PartialAnswerFamily(
+            intended_query_fact_ids=(1, 2, 3),
+            intended_worker_ids=("e0", "e1"),
+            answer_sets=(
+                AnswerSet(worker=Worker("e0", 0.8), answers=first),
+                AnswerSet(worker=Worker("e1", 0.9), answers=second),
+            ),
+        )
+        belief = BeliefState.uniform(FactSet.from_ids([1, 2, 3]))
+        call = {
+            "update_with_family": update.update_with_family,
+            "tempered_update_with_family": update.tempered_update_with_family,
+            "family_likelihood": family_likelihood,
+            "family_probability": family_probability,
+        }[entry_point]
+        covered = f"e0: {sorted(first)}; e1: {sorted(second)}"
+        with pytest.raises(ValueError, match="different facts") as error:
+            call(belief, family)
+        assert covered in str(error.value)
+        assert "one answer set at a time" in str(error.value)
+
 
 def log_likelihood(belief, answer_sets):
     """The log :func:`likelihood_table` written out over every

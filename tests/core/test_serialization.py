@@ -183,15 +183,30 @@ class TestSessionCheckpoint:
 
 
 class TestFormatVersions:
-    """v8 is written; v1–v7 payloads still read."""
+    """v9 is written; v8 still is for journals that predate v9; v1–v8
+    payloads still read."""
 
-    def test_payloads_are_tagged_v8(self, belief, factored):
+    def test_payloads_are_tagged_v9(self, belief, factored):
         from repro.core import FORMAT_VERSION
 
-        assert FORMAT_VERSION == 8
-        assert belief_state_to_dict(belief)["version"] == 8
-        assert factored_belief_to_dict(factored)["version"] == 8
-        assert crowd_to_dict(Crowd.from_accuracies([0.9]))["version"] == 8
+        assert FORMAT_VERSION == 9
+        assert belief_state_to_dict(belief)["version"] == 9
+        assert factored_belief_to_dict(factored)["version"] == 9
+        assert crowd_to_dict(Crowd.from_accuracies([0.9]))["version"] == 9
+        assert isinstance(belief_state_to_dict(belief)["probabilities"], str)
+
+    def test_payloads_are_tagged_v8(self, belief, factored):
+        """What a journal whose header predates v9 still receives: the
+        version-8 payloads with JSON float probabilities."""
+        payload = belief_state_to_dict(belief, 8)
+        assert payload["version"] == 8
+        assert payload["probabilities"] == belief.probabilities.tolist()
+        assert factored_belief_to_dict(factored, 8)["version"] == 8
+        assert crowd_to_dict(Crowd.from_accuracies([0.9]), 8)["version"] == 8
+        restored = belief_state_from_dict(payload)
+        assert (
+            restored.probabilities.tobytes() == belief.probabilities.tobytes()
+        )
 
     def test_v2_payload_still_loads(self, belief):
         payload = belief_state_to_dict(belief)

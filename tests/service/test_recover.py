@@ -219,5 +219,5 @@ class TestRecoverScenarios:
             service.recover(specs=specs)
             service.run_until_idle()
         records = read_journal(root / "tenant0" / "job.jsonl")
-        assert records[0]["version"] == 8
+        assert records[0]["version"] == 9
         assert records[-1]["kind"] == "checkpoint"

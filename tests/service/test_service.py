@@ -130,7 +130,7 @@ class TestMultiTenantBitIdentity:
             service.run_until_idle()
             records = read_journal(handle.journal_path)
         assert records[0]["kind"] == "header"
-        assert records[0]["version"] == 8
+        assert records[0]["version"] == 9
         tenant_records = [
             record for record in records if record.get("kind") == "tenant"
         ]

@@ -430,7 +430,7 @@ class TestJournalResume:
         records = read_journal(path)
         kinds = {record["kind"] for record in records}
         assert records[0]["kind"] == "header"
-        assert records[0]["version"] == 8
+        assert records[0]["version"] == 9
         assert "checkpoint" in kinds
         checkpoints = [r for r in records if r["kind"] == "checkpoint"]
         # every checkpoint carries full durable state

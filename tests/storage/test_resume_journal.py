@@ -6,13 +6,17 @@ salvages the journal, cuts it back to that record and takes its
 records from one scan — and leaves the append cache primed, so even
 the first append after the cut reads nothing.  These tests count
 whole-file reads (``Path.read_bytes``) of each journal from a cold
-append cache, and check that the header fields a resume needs
-(``budget_total``, ``k``) fail as typed
-:class:`~repro.core.serialization.SerializationError` when malformed.
+append cache, and check that what a resume reads fails as a typed
+:class:`~repro.core.serialization.SerializationError` naming the field
+when malformed: the header fields (``budget_total``, ``k``), the engine
+record's ``jobs`` and ``supervision``, a failover record's
+``partition``, and the members of a v9 checkpoint line that
+:func:`~repro.core.serialization.fold_checkpoints` folds.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import os
 from collections import Counter
@@ -24,6 +28,7 @@ from repro.cli import main
 from repro.core.selection import LazyGreedySelector
 from repro.core.serialization import (
     SerializationError,
+    fold_checkpoints,
     frame_journal_line,
     invalidate_journal_cache,
     read_journal,
@@ -31,6 +36,7 @@ from repro.core.serialization import (
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
 from repro.engine import resume_parallel_session, run_parallel_hc_session
 from repro.service import CampaignService, CampaignSpec
+from repro.service.errors import CampaignQuarantinedError
 from repro.simulation import (
     FaultModel,
     ResilientCheckingSession,
@@ -290,39 +296,40 @@ def _attach_via_cli(path: Path, *, data_dir, **_):
     ])
 
 
-class TestHeaderFields:
-    @pytest.fixture
-    def journals(self, dataset, stream_dataset, tmp_path):
-        batch = tmp_path / "batch.jsonl"
-        run_parallel_hc_session(
-            dataset,
-            SessionConfig(budget=8.0, k=2, seed=3, journal_path=batch),
-            jobs=2,
-            inline=True,
-        )
-        spec = _stream_spec()
-        stream = tmp_path / "stream.jsonl"
-        StreamingCampaign(
-            _events(stream_dataset, spec),
-            stream_dataset.split_crowd(spec.theta)[0],
-            40.0,
-            spec=spec,
-            journal_path=stream,
-        ).run(max_events=10)
-        data_dir = tmp_path / "data"
-        assert main([
-            "generate", "--out", str(data_dir), "--groups", "6",
-            "--group-size", "4", "--answers", "5", "--seed", "1",
-        ]) == 0
-        cli = tmp_path / "cli.jsonl"
-        assert main([
-            "session", "--data", str(data_dir), "--budget", "10",
-            "--group-size", "4", "--theta", "0.85",
-            "--journal", str(cli), "--seed", "1",
-        ]) == 0
-        return {"batch": batch, "stream": stream, "cli": cli,
-                "data_dir": data_dir}
+@pytest.fixture
+def journals(dataset, stream_dataset, tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    run_parallel_hc_session(
+        dataset,
+        SessionConfig(budget=8.0, k=2, seed=3, journal_path=batch),
+        jobs=2,
+        inline=True,
+    )
+    spec = _stream_spec()
+    stream = tmp_path / "stream.jsonl"
+    StreamingCampaign(
+        _events(stream_dataset, spec),
+        stream_dataset.split_crowd(spec.theta)[0],
+        40.0,
+        spec=spec,
+        journal_path=stream,
+    ).run(max_events=25)
+    data_dir = tmp_path / "data"
+    assert main([
+        "generate", "--out", str(data_dir), "--groups", "6",
+        "--group-size", "4", "--answers", "5", "--seed", "1",
+    ]) == 0
+    cli = tmp_path / "cli.jsonl"
+    assert main([
+        "session", "--data", str(data_dir), "--budget", "10",
+        "--group-size", "4", "--theta", "0.85",
+        "--journal", str(cli), "--seed", "1",
+    ]) == 0
+    return {"batch": batch, "stream": stream, "cli": cli,
+            "data_dir": data_dir}
 
+
+class TestHeaderFields:
     @pytest.mark.parametrize("value", [..., None, "x"],
                              ids=["missing", "null", "string"])
     @pytest.mark.parametrize(
@@ -348,6 +355,192 @@ class TestHeaderFields:
                 stream_dataset=stream_dataset,
                 data_dir=journals["data_dir"],
             )
+
+
+def _edit_last_checkpoint(path: Path, member: str, value) -> None:
+    """Re-frame ``path`` with ``member`` of its last checkpoint's
+    session set to ``value`` (a callable gets the folded group count)."""
+    records = [dict(record) for record in read_journal(path)]
+    last = max(
+        index for index, record in enumerate(records)
+        if record["kind"] == "checkpoint"
+    )
+    if callable(value):
+        value = value(len(fold_checkpoints(records)["belief"]["groups"]))
+    records[last]["session"] = dict(
+        records[last]["session"], **{member: value}
+    )
+    path.write_bytes(b"".join(
+        (frame_journal_line(record, seq) + "\n").encode("utf-8")
+        for seq, record in enumerate(records)
+    ))
+
+
+def _resume_session(path: Path, **_):
+    ResilientCheckingSession.resume(path)
+
+
+def _resume_session_via_cli(path: Path, *, data_dir, **_):
+    main([
+        "session", "--data", str(data_dir), "--group-size", "4",
+        "--theta", "0.85", "--resume", str(path),
+    ])
+
+
+_EIGHT_BYTES = base64.b64encode(bytes(8)).decode()
+
+
+class TestCheckpointMembers:
+    """A malformed member of a v9 checkpoint line fails every resume
+    with a typed error naming the field, not a raw ``KeyError``,
+    ``IndexError`` or ``binascii.Error``."""
+
+    @pytest.mark.parametrize(
+        "member, value, field",
+        [
+            ("belief", lambda groups: {str(groups + 1): {}}, "belief"),
+            ("belief", lambda groups: {"x": {}}, "belief"),
+            ("belief", lambda groups: {str(groups): {
+                "probabilities": _EIGHT_BYTES}}, "belief"),
+            ("belief", lambda groups: {"0": "abc"}, "belief"),
+            ("belief", [], "belief"),
+            ("belief", {"0": {"probabilities": "@@@@"}}, "probabilities"),
+            ("belief", {"0": {"probabilities": _EIGHT_BYTES}},
+             "probabilities"),
+            ("history", "x", "history"),
+            ("history", [1], "history"),
+            ("ground_truth", [True], "ground_truth"),
+        ],
+        ids=["unknown-group", "non-index-key", "new-group-without-facts",
+             "group-not-object", "belief-not-mapping", "bad-base64",
+             "wrong-length-base64", "history-not-list",
+             "history-not-records", "truth-not-mapping"],
+    )
+    @pytest.mark.parametrize(
+        "reader, journal",
+        [
+            (_resume_session, "cli"),
+            (_resume_session_via_cli, "cli"),
+            (_resume_parallel, "batch"),
+            (_resume_stream, "stream"),
+            (_attach_via_cli, "cli"),
+        ],
+        ids=["ResilientCheckingSession.resume", "session --resume",
+             "resume_parallel_session", "StreamingCampaign.resume",
+             "session --attach"],
+    )
+    def test_malformed_v9_member_is_a_typed_error(
+        self, journals, stream_dataset, reader, journal, member, value,
+        field,
+    ):
+        path = journals[journal]
+        attach = reader is _attach_via_cli
+        if attach:
+            _rewrite_header(path, "budget_total", 10.0, tenant=True)
+        _edit_last_checkpoint(path, member, value)
+        # The service quarantines the campaign with the typed error as
+        # the reason, rather than dying on it.
+        with pytest.raises(
+            CampaignQuarantinedError if attach else SerializationError,
+            match=f"malformed (checkpoint )?field {field!r}",
+        ):
+            reader(
+                path,
+                stream_dataset=stream_dataset,
+                data_dir=journals["data_dir"],
+            )
+
+
+def _edit_engine_records(path: Path, name: str, value, *, tenant: bool):
+    """Re-frame ``path`` with ``name`` set to ``value`` on its engine
+    record (``jobs``, ``supervision``) or on a failover
+    ``shard_incident`` record inserted after it (``partition``),
+    optionally adding a tenant record."""
+    records = [dict(record) for record in read_journal(path)]
+    engine = next(
+        index for index, record in enumerate(records)
+        if record["kind"] == "engine"
+    )
+    if name == "partition":
+        records.insert(engine + 1, {
+            "kind": "shard_incident", "incident": "failover", "shard": 0,
+            "command": "update", "restarts": 0, "groups": [], "detail": "",
+            "partition": value, "degraded": [False],
+        })
+    else:
+        records[engine][name] = value
+    if tenant:
+        records.insert(
+            1,
+            {"kind": "tenant", "tenant": "acme", "name": "job",
+             "priority": 0, "weight": 1.0},
+        )
+    path.write_bytes(b"".join(
+        (frame_journal_line(record, seq) + "\n").encode("utf-8")
+        for seq, record in enumerate(records)
+    ))
+
+
+def _resume_via_cli(path: Path, *, data_dir, **_):
+    main([
+        "session", "--data", str(data_dir), "--group-size", "4",
+        "--theta", "0.85", "--jobs", "2", "--resume", str(path),
+    ])
+
+
+class TestEngineRecords:
+    """The engine record's ``jobs`` and ``supervision`` and a failover
+    record's ``partition`` fail as typed errors naming the field, on
+    every reader that restores the journaled shard layout."""
+
+    @pytest.fixture
+    def journal(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main([
+            "generate", "--out", str(data_dir), "--groups", "6",
+            "--group-size", "4", "--answers", "5", "--seed", "1",
+        ]) == 0
+        path = tmp_path / "batch.jsonl"
+        assert main([
+            "session", "--data", str(data_dir), "--budget", "10",
+            "--group-size", "4", "--theta", "0.85", "--jobs", "2",
+            "--journal", str(path), "--seed", "1",
+        ]) == 0
+        return path, data_dir
+
+    @pytest.mark.parametrize(
+        "reader, name, value",
+        [
+            (reader, name, value)
+            for reader in (_resume_parallel, _resume_via_cli, _attach_via_cli)
+            for name, value in [
+                ("jobs", "x"),
+                ("jobs", None),
+                ("jobs", 0),
+                ("supervision", 5),
+                ("supervision", {"deadline": "soon"}),
+                ("partition", 7),
+                ("partition", [["a"]]),
+                ("partition", [[0]]),
+            ]
+            # the service supplies its own supervision policy
+            if not (reader is _attach_via_cli and name == "supervision")
+        ],
+    )
+    def test_malformed_engine_fields_are_typed_errors(
+        self, journal, reader, name, value
+    ):
+        path, data_dir = journal
+        attach = reader is _attach_via_cli
+        _edit_engine_records(path, name, value, tenant=attach)
+        # The service quarantines the campaign with the typed error as
+        # the reason, rather than dying on it.
+        with pytest.raises(
+            CampaignQuarantinedError if attach else SerializationError,
+            match=f"{'SerializationError: ' if attach else ''}"
+            f"malformed journal \\w+ field {name!r}",
+        ):
+            reader(path, data_dir=data_dir)
 
 
 def _damage(path: Path, fraction: float, line: int) -> None:
