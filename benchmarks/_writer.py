@@ -7,7 +7,8 @@ pulled from CI could not be compared across commits or machines.
 :func:`write_bench` centralizes the tail and stamps each payload with
 an ``environment`` block — git SHA, Python version, CPU count, and a
 schema version for the block itself — so a downloaded artifact is
-self-describing.
+self-describing.  The root copy holds the committed full-scale
+numbers, so a smoke run writes only under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ def bench_environment() -> dict:
 
 
 def write_bench(name: str, result: dict, results_dir) -> str:
-    """Stamp ``result`` and write ``BENCH_<name>.json`` to the repo
-    root (the CI artifact path) and to ``results_dir``; returns the
+    """Stamp ``result`` and write ``BENCH_<name>.json`` to
+    ``results_dir`` (the CI artifact path) and, unless
+    ``result["scale"]["smoke"]`` is set, to the repo root; returns the
     serialized payload for the benchmark's own printing."""
     stamped = dict(result)
     stamped["environment"] = bench_environment()
     payload = json.dumps(stamped, indent=2)
-    (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
     (Path(results_dir) / f"BENCH_{name}.json").write_text(payload)
+    if not result["scale"]["smoke"]:
+        (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
     return payload

@@ -174,7 +174,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
         )
     from .core.selection import make_selector
 
-    jobs = args.jobs or 1
+    jobs = args.jobs
     if jobs > 1 and args.selector != "lazy":
         print(
             "error: --jobs shards the lazy-greedy selector itself; "
@@ -355,7 +355,7 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
         name=identity["name"],
         dataset=dataset,
         config=config,
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         priority=int(identity.get("priority", 0)),
         weight=identity.get("weight"),
     )
@@ -717,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
              "with far fewer entropy evaluations)",
     )
     session.add_argument(
-        "--jobs", "--shards", type=int, default=1, metavar="N",
+        "--jobs", "--shards", type=_positive_int, default=1, metavar="N",
         help="run the campaign on N shard workers (the sharded engine; "
              "results are bit-identical for any N)",
     )
@@ -792,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: budget * campaigns)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="shard workers per campaign pool",
     )
     serve.add_argument(
@@ -939,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--out", default="results")
     reproduce.add_argument("--only", nargs="*", default=None)
     reproduce.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="fan independent experiments across N worker processes",
     )
     _add_supervision_arguments(reproduce)
@@ -1012,6 +1012,20 @@ def _belief_epsilon(args: argparse.Namespace) -> float:
     value = float(args.belief_epsilon)
     if not 0.0 <= value < 1.0:
         raise SystemExit("error: --belief-epsilon must lie in [0, 1)")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """The ``--jobs`` type: an integer of at least 1 (argparse names
+    the flag in its error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 

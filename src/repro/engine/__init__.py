@@ -21,8 +21,9 @@ reservation/refund semantics:
   merge of per-shard CELF selections) and :class:`ShardedUpdateEngine`
   (two-phase stage/commit belief updates);
 * :mod:`~repro.engine.sources` — :class:`KeyedExpertPanel`, an answer
-  source whose streams are keyed per ``(fact, ask, worker)`` so sharded
-  collection is bit-identical to serial collection;
+  source whose streams are keyed per ``(fact, ask, worker)``, and
+  :class:`ConcurrentAnswerSource`, which collects a round's queries on
+  several threads bit-identically to one serial call;
 * :mod:`~repro.engine.runner` — :class:`ParallelCampaignRunner` /
   :func:`run_parallel_hc_session`, the
   :func:`~repro.simulation.session.run_hc_session`-compatible entry
@@ -39,8 +40,7 @@ Everything the coordinator journals goes through the serial code paths,
 so a parallel campaign's results, histories and journals are
 bit-identical to the serial runtime's — with any worker count, and
 (because recovery rebuilds workers from the coordinator's authoritative
-state and keyed answers are replay-independent) under worker kills,
-hangs and protocol corruption too.
+state) under worker kills, hangs and protocol corruption too.
 """
 
 import importlib
@@ -66,8 +66,8 @@ _EXPORTS = {
     "InlineShard": "shards",
     "ProcessShard": "shards",
     "ShardPool": "shards",
+    "ConcurrentAnswerSource": "sources",
     "KeyedExpertPanel": "sources",
-    "ShardedAnswerSource": "sources",
     "stable_worker_digest": "sources",
     "ShardFailureError": "supervisor",
     "ShardIncident": "supervisor",
@@ -99,6 +99,7 @@ __all__ = [
     "BudgetLedger",
     "ChaosPlan",
     "ChaosTransport",
+    "ConcurrentAnswerSource",
     "IdleWorkers",
     "InlineShard",
     "KeyedExpertPanel",
@@ -112,7 +113,6 @@ __all__ = [
     "ShardPool",
     "ShardRespawnError",
     "ShardSupervisor",
-    "ShardedAnswerSource",
     "ShardedSelector",
     "ShardedUpdateEngine",
     "SupervisionPolicy",

@@ -48,7 +48,7 @@ from ..simulation.session import (
 from .ledger import BudgetLedger, LedgerBudget
 from .sharded import ShardedSelector, ShardedUpdateEngine
 from .shards import IdleWorkers, ShardPool
-from .sources import KeyedExpertPanel, ShardedAnswerSource
+from .sources import ConcurrentAnswerSource, KeyedExpertPanel
 from .supervisor import SupervisionPolicy
 
 
@@ -61,6 +61,10 @@ class ParallelCampaignRunner:
         Exactly as in :func:`~repro.simulation.session.run_hc_session`.
     jobs:
         Number of shard workers (clamped to the number of task groups).
+        On the plain (non-resilient) path a
+        :class:`~repro.engine.sources.KeyedExpertPanel` source is also
+        collected on that many threads
+        (:class:`~repro.engine.sources.ConcurrentAnswerSource`).
     inline:
         ``True`` runs shards in-process (no multiprocessing; what tests
         use), ``False`` in spawn-safe child processes; ``None`` (default)
@@ -69,11 +73,6 @@ class ParallelCampaignRunner:
         Optional shared :class:`~repro.engine.ledger.BudgetLedger`;
         concurrent campaigns passing the same ledger draw on one budget
         pool without double-spending.  Defaults to a private ledger.
-    sharded_collection:
-        Fan answer collection out to shard-local panel replicas.
-        Requires a partition-independent source and the plain (non-
-        resilient) path; ``None`` auto-enables for a
-        :class:`~repro.engine.sources.KeyedExpertPanel` there.
     start_method:
         Multiprocessing start method for process shards (spawn-safe
         default).
@@ -104,7 +103,6 @@ class ParallelCampaignRunner:
         answer_source=None,
         inline: bool | None = None,
         ledger: BudgetLedger | None = None,
-        sharded_collection: bool | None = None,
         start_method: str = "spawn",
         policy: SupervisionPolicy | None = None,
         chaos=None,
@@ -118,7 +116,6 @@ class ParallelCampaignRunner:
         self._answer_source = answer_source
         self._inline = inline
         self._ledger = ledger
-        self._sharded_collection = sharded_collection
         self._start_method = start_method
         self._policy = policy
         self._chaos = chaos
@@ -151,18 +148,6 @@ class ParallelCampaignRunner:
         experts, belief, answer_source = campaign_inputs(
             dataset, config, self._aggregator, self._answer_source
         )
-        sharded_collection = self._sharded_collection
-        if sharded_collection is None:
-            sharded_collection = (
-                not config.resilient
-                and isinstance(answer_source, KeyedExpertPanel)
-            )
-        if sharded_collection and config.resilient:
-            raise ValueError(
-                "sharded collection requires the plain path: the "
-                "resilient runtime journals/faults the coordinator-side "
-                "answer source"
-            )
         inline = self._inline if self._inline is not None else self._jobs == 1
         tracker = LedgerBudget(config.budget, ledger=self._ledger)
         self.ledger = tracker.ledger
@@ -177,21 +162,24 @@ class ParallelCampaignRunner:
             experts,
             self._jobs,
             inline=inline,
-            answer_source=answer_source if sharded_collection else None,
             start_method=self._start_method,
             policy=policy,
             chaos=self._chaos,
             idle_workers=self._idle_workers,
         )
         self.jobs_used = pool.jobs
+        source = answer_source
+        if (
+            pool.jobs > 1
+            and not config.resilient
+            and isinstance(answer_source, KeyedExpertPanel)
+        ):
+            # A resilient session checkpoints its source's state, which
+            # the wrapper does not carry.
+            source = ConcurrentAnswerSource(answer_source, pool.jobs)
         try:
             selector = ShardedSelector(pool)
             engine = ShardedUpdateEngine(pool)
-            source = (
-                ShardedAnswerSource(pool)
-                if sharded_collection
-                else answer_source
-            )
             if config.resilient:
                 session = resilient_session(
                     dataset, config, belief, experts, tracker, selector,
@@ -458,6 +446,7 @@ def resume_parallel_session(
             budget_tracker=tracker,
             records=records,
             checkpoint=checkpoint,
+            belief=belief,
         )
     except BaseException:
         pool.close()

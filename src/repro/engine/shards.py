@@ -23,14 +23,6 @@ a tiny command protocol:
 ``release``
     The end of a campaign on a worker that is kept for the next one
     (see :class:`IdleWorkers`).
-``collect`` / ``collect_scatter``
-    Sharded answer collection.  ``collect`` answers the shard-owned
-    subset of a broadcast query set from the replica's own ask
-    counters; ``collect_scatter`` answers an explicit chunk of
-    ``(fact_id, ask_index)`` pairs statelessly (the coordinator owns
-    the counters), which is what
-    :class:`~repro.engine.sources.ShardedAnswerSource` scatters for
-    balanced latency overlap.
 
 Two transports implement the protocol: :class:`InlineShard` executes
 commands in the calling process (fast, used by tests and ``--jobs 1``)
@@ -62,7 +54,6 @@ inline execution once the restart budget runs out.
 
 from __future__ import annotations
 
-import copy
 import gc
 import multiprocessing
 import pickle
@@ -125,10 +116,6 @@ class ShardState:
     gain_tolerance:
         Forwarded to the shard's
         :class:`~repro.core.selection.LazyGreedySelector`.
-    answer_source:
-        Optional shard-local answer source for sharded collection; must
-        produce partition-independent answers (see
-        :class:`~repro.engine.sources.KeyedExpertPanel`).
     """
 
     def __init__(
@@ -137,7 +124,6 @@ class ShardState:
         states: Sequence[BeliefState],
         experts: Crowd,
         gain_tolerance: float = 1e-12,
-        answer_source=None,
     ):
         if len(group_indices) != len(states) or not group_indices:
             raise ValueError("need one state per owned group (and >= 1)")
@@ -147,7 +133,6 @@ class ShardState:
         self._experts = experts
         self._selector = LazyGreedySelector(gain_tolerance)
         self._staged: dict[int, BeliefState] | None = None
-        self._source = answer_source
         # Worker-local observability aggregation: command counts and
         # busy seconds, drained as a delta piggybacked on ``commit``
         # replies (never a dedicated round-trip; see
@@ -281,7 +266,7 @@ class ShardState:
             raise ShardProtocolError("no staged update to abort")
         self._staged = None
 
-    # -- resume / collection -------------------------------------------
+    # -- resume ---------------------------------------------------------
 
     def _cmd_sync_groups(self, groups: dict) -> None:
         """Overwrite owned groups from ``{global_index: wire payload}``
@@ -299,46 +284,6 @@ class ShardState:
             )
             touched.append(local)
         self._selector.invalidate_groups(touched)
-
-    def _cmd_collect(self, query_fact_ids: tuple) -> dict:
-        """Collect shard-owned answers; reply ``{worker_id: {fact: bool}}``.
-
-        Only meaningful with a partition-independent answer source.
-        """
-        if self._source is None:
-            raise ShardProtocolError("shard has no answer source")
-        owned = [
-            fact_id for fact_id in query_fact_ids
-            if fact_id in self._fact_ids
-        ]
-        if not owned:
-            return {}
-        family = self._source.collect(owned, self._experts)
-        return {
-            answer_set.worker.worker_id: dict(answer_set.answers)
-            for answer_set in family
-        }
-
-    def _cmd_collect_scatter(self, indexed_queries: tuple) -> dict:
-        """Answer an explicit ``(fact_id, ask_index)`` chunk; reply
-        ``{worker_id: {fact: bool}}``.
-
-        Stateless on the shard side: the coordinator assigned the ask
-        indices, so the chunk may contain *any* fact (not just owned
-        ones) and re-executing the command after a respawn re-draws
-        byte-identical answers with no replayed counter state.
-        """
-        if self._source is None:
-            raise ShardProtocolError("shard has no answer source")
-        if not indexed_queries:
-            return {}
-        family = self._source.collect_indexed(
-            indexed_queries, self._experts
-        )
-        return {
-            answer_set.worker.worker_id: dict(answer_set.answers)
-            for answer_set in family
-        }
 
     def _cmd_ping(self) -> str:
         return "pong"
@@ -435,12 +380,12 @@ class SharedCampaignPayload:
     """The pool-wide slice of the shard init payload, serialized once.
 
     Historically every :class:`ProcessShard` re-pickled the full expert
-    panel and answer-source replica at spawn, so startup pipe bytes
-    scaled with ``jobs x panel size``.  The pool now pickles the shared
-    part exactly once (``HIGHEST_PROTOCOL``) and publishes the bytes
-    through a :mod:`multiprocessing.shared_memory` segment that every
-    worker maps read-only; each init frame then carries only the tiny
-    segment reference plus the shard's own group slice.  Where shared
+    panel at spawn, so startup pipe bytes scaled with ``jobs x panel
+    size``.  The pool now pickles the shared part exactly once
+    (``HIGHEST_PROTOCOL``) and publishes the bytes through a
+    :mod:`multiprocessing.shared_memory` segment that every worker maps
+    read-only; each init frame then carries only the tiny segment
+    reference plus the shard's own group slice.  Where shared
     memory is unavailable the bytes ride inline in each init frame —
     still serialized once, merely transported per worker.
 
@@ -449,13 +394,12 @@ class SharedCampaignPayload:
     reclaims it even if the coordinator is SIGKILLed.
     """
 
-    def __init__(self, experts: Crowd, answer_source=None):
-        #: Kept as references so transports can detect when a caller's
-        #: current panel/source has drifted from the shared snapshot
-        #: (a respawn after a panel swap must override, not reuse).
+    def __init__(self, experts: Crowd):
+        #: Kept as a reference so transports can detect when a caller's
+        #: current panel has drifted from the shared snapshot (a
+        #: respawn after a panel swap must override, not reuse).
         self.experts = experts
-        self.answer_source = answer_source
-        blob = _dumps((experts, answer_source))
+        blob = _dumps(experts)
         self.size = len(blob)
         self._segment = None
         self._blob: bytes | None = None
@@ -541,17 +485,14 @@ def _serve_campaign(connection, init) -> bool:
     kind, shared_ref, shard_payload = init
     if kind != "init":
         raise ShardProtocolError(f"expected init, got {kind!r}")
-    experts, source = _load_shared_payload(shared_ref)
+    experts = _load_shared_payload(shared_ref)
     if shard_payload.get("experts") is not None:
         experts = shard_payload["experts"]
-    if shard_payload.get("override_source"):
-        source = shard_payload.get("source")
     state = ShardState(
         shard_payload["indices"],
         shard_payload["states"],
         experts,
         shard_payload["gain_tolerance"],
-        source,
     )
     _send(connection, ("ok", None))
     while True:
@@ -666,11 +607,11 @@ class ProcessShard:
 
     ``shared`` is the pool's :class:`SharedCampaignPayload`; when it is
     omitted (tests building a lone shard) a private one is created and
-    owned.  The positional ``experts`` / ``answer_source`` are the
-    *current* values: whenever they differ from the shared snapshot
-    (panel swap before a respawn, rebuilt source replica) they ride in
-    the per-shard init frame as overrides.  ``idle_workers`` is an
-    :class:`IdleWorkers` set to adopt the worker from and release it to.
+    owned.  The positional ``experts`` is the *current* panel: whenever
+    it differs from the shared snapshot (a panel swap before a respawn)
+    it rides in the per-shard init frame as an override.
+    ``idle_workers`` is an :class:`IdleWorkers` set to adopt the worker
+    from and release it to.
     """
 
     def __init__(
@@ -679,7 +620,6 @@ class ProcessShard:
         states,
         experts,
         gain_tolerance=1e-12,
-        answer_source=None,
         start_method: str = "spawn",
         *,
         shared: SharedCampaignPayload | None = None,
@@ -687,19 +627,13 @@ class ProcessShard:
     ):
         self._owned_shared: SharedCampaignPayload | None = None
         if shared is None:
-            shared = SharedCampaignPayload(experts, answer_source)
+            shared = SharedCampaignPayload(experts)
             self._owned_shared = shared
         shard_payload = {
             "indices": tuple(group_indices),
             "states": tuple(states),
             "gain_tolerance": gain_tolerance,
             "experts": None if experts is shared.experts else experts,
-            "override_source": answer_source is not shared.answer_source,
-            "source": (
-                answer_source
-                if answer_source is not shared.answer_source
-                else None
-            ),
         }
         self._start_method = start_method
         self._idle = idle_workers
@@ -907,9 +841,8 @@ class ShardPool:
 
     The pool is the authoritative side of every shard's state: it keeps
     a reference to the campaign belief (kept current by the update
-    engine's mirror calls and :meth:`sync_groups`) and, for sharded
-    collection, a per-shard mirror of the answer-source counters —
-    enough to rebuild any worker's :class:`ShardState` from scratch.
+    engine's mirror calls and :meth:`sync_groups`) — enough to rebuild
+    any worker's :class:`ShardState` from scratch.
     All commands are dispatched through a
     :class:`~repro.engine.supervisor.ShardSupervisor` (deadline, respawn
     and failover; see that module for why recovery preserves
@@ -931,9 +864,6 @@ class ShardPool:
         ``True`` runs every shard in-process (no multiprocessing);
         bit-identical to process shards by construction, and what
         ``--jobs 1`` and the fast tests use.
-    answer_source:
-        Optional picklable, partition-independent source replicated
-        into every shard for sharded collection.
     gain_tolerance, start_method:
         Forwarded to the shard selector / transport.
     policy:
@@ -963,7 +893,6 @@ class ShardPool:
         jobs: int,
         *,
         inline: bool = False,
-        answer_source=None,
         gain_tolerance: float = 1e-12,
         start_method: str = "spawn",
         policy=None,
@@ -1016,23 +945,6 @@ class ShardPool:
         )
         plan = chaos if chaos is not None else ChaosPlan.from_env()
         self._chaos = plan if plan is not None and plan.enabled else None
-        self._answer_source = answer_source
-        self._pristine_source = (
-            copy.deepcopy(answer_source)
-            if answer_source is not None
-            else None
-        )
-        source_state = None
-        if answer_source is not None:
-            get_state = getattr(answer_source, "get_state", None)
-            if callable(get_state):
-                source_state = get_state()
-        self._initial_source_state = copy.deepcopy(source_state)
-        self._source_mirrors = (
-            [copy.deepcopy(source_state) for _ in self.partition]
-            if source_state is not None
-            else None
-        )
         self.shard_ids = list(range(len(self.partition)))
         self._degraded: set[int] = set()
         for position, flag in enumerate(degraded):
@@ -1043,9 +955,7 @@ class ShardPool:
         self.shards = []
         try:
             for position in range(len(self.partition)):
-                self.shards.append(
-                    self._build_transport(position, answer_source)
-                )
+                self.shards.append(self._build_transport(position))
             for shard in self.shards:
                 shard.ensure_ready(self._policy.startup_deadline)
         except BaseException as error:
@@ -1067,7 +977,7 @@ class ShardPool:
     # transport construction / repair
     # ------------------------------------------------------------------
 
-    def _build_transport(self, position: int, source):
+    def _build_transport(self, position: int):
         """A transport for ``self.partition[position]`` with states
         rebuilt from the authoritative belief mirror.  Degraded slices
         run inline and are never chaos-wrapped, so an injection plan
@@ -1078,20 +988,16 @@ class ShardPool:
         states = [self._belief[index] for index in indices]
         if self.inline or degraded:
             shard = InlineShard(
-                indices, states, self._experts,
-                self._gain_tolerance, source,
+                indices, states, self._experts, self._gain_tolerance
             )
         else:
             if self._shared_payload is None:
                 # Pickled once for the whole pool; every worker (initial
                 # spawn and later respawns) maps the same bytes instead
-                # of re-serializing the panel/source per process.
-                self._shared_payload = SharedCampaignPayload(
-                    self._experts, self._answer_source
-                )
+                # of re-serializing the panel per process.
+                self._shared_payload = SharedCampaignPayload(self._experts)
             shard = ProcessShard(
-                indices, states, self._experts,
-                self._gain_tolerance, source,
+                indices, states, self._experts, self._gain_tolerance,
                 start_method=self._start_method,
                 shared=self._shared_payload,
                 idle_workers=self._idle_workers,
@@ -1106,19 +1012,6 @@ class ShardPool:
                 self._chaos_counts.get(shard_id, 0),
             )
         return shard
-
-    def _rebuild_source(self, position: int):
-        """A fresh answer-source replica at the position's mirror state
-        (a rebuilt worker must re-draw exactly the answers whose replies
-        were never consumed)."""
-        if self._answer_source is None:
-            return None
-        source = copy.deepcopy(self._pristine_source)
-        if self._source_mirrors is not None:
-            set_state = getattr(source, "set_state", None)
-            if callable(set_state):
-                set_state(copy.deepcopy(self._source_mirrors[position]))
-        return source
 
     def _remember_chaos_count(self, shard) -> None:
         commands_seen = getattr(shard, "commands_seen", None)
@@ -1139,15 +1032,13 @@ class ShardPool:
         startup_deadline: float | None = None,
     ) -> None:
         """Replace a destroyed worker with a fresh one rebuilt from the
-        coordinator's authoritative state (belief mirror + answer-source
-        mirror).  ``degraded=True`` permanently fails the slice over to
-        an unsupervised :class:`InlineShard`."""
+        coordinator's authoritative belief mirror.  ``degraded=True``
+        permanently fails the slice over to an unsupervised
+        :class:`InlineShard`."""
         shard_id = self.shard_ids[position]
         if degraded:
             self._degraded.add(shard_id)
-        shard = self._build_transport(
-            position, self._rebuild_source(position)
-        )
+        shard = self._build_transport(position)
         shard.ensure_ready(startup_deadline)
         self.shards[position] = shard
 
@@ -1168,55 +1059,20 @@ class ShardPool:
         merged_groups = tuple(
             sorted(self.partition[target] + self.partition[source])
         )
-        merged_mirror = None
-        if self._source_mirrors is not None:
-            merged_mirror = self._merge_mirrors(
-                self._source_mirrors[target],
-                self._source_mirrors[source],
-                self._initial_source_state,
-            )
         self.destroy_shard(target)
         self.destroy_shard(source)
         removed_id = self.shard_ids[source]
         del self.partition[source]
         del self.shards[source]
         del self.shard_ids[source]
-        if self._source_mirrors is not None:
-            del self._source_mirrors[source]
         self._degraded.discard(removed_id)
         self._chaos_counts.pop(removed_id, None)
         if source < target:
             target -= 1
         self.partition[target] = merged_groups
-        if merged_mirror is not None:
-            self._source_mirrors[target] = merged_mirror
         self.jobs = len(self.partition)
         self.respawn_shard(target, startup_deadline=startup_deadline)
         return target
-
-    @staticmethod
-    def _merge_mirrors(first: dict, second: dict, initial: dict | None) -> dict:
-        """Merge two per-shard answer-source mirrors.
-
-        Each fact is owned by exactly one shard, so only its owner's
-        mirror advanced its ask count past the (shared) initial state —
-        the per-fact max is the merged count.  ``answers_served``
-        started at the initial value in both replicas, so the merged
-        total adds the two deltas onto it once.
-        """
-        counts = {
-            key: int(value)
-            for key, value in first.get("ask_counts", {}).items()
-        }
-        for key, value in second.get("ask_counts", {}).items():
-            counts[key] = max(counts.get(key, 0), int(value))
-        initial_served = int((initial or {}).get("answers_served", 0))
-        served = (
-            int(first.get("answers_served", 0))
-            + int(second.get("answers_served", 0))
-            - initial_served
-        )
-        return {"ask_counts": counts, "answers_served": served}
 
     # ------------------------------------------------------------------
     # authoritative coordinator-side state
@@ -1227,32 +1083,6 @@ class ShardPool:
         by the update engine *before* ``commit`` is broadcast, so a
         worker rebuilt during the commit already reflects it)."""
         self._belief.replace_group(global_index, state)
-
-    def _owned_fact_ids(self, position: int) -> set[int]:
-        owned: set[int] = set()
-        for index in self.partition[position]:
-            owned.update(self._belief[index].facts.fact_ids)
-        return owned
-
-    def advance_source_mirror(
-        self, position: int, query_fact_ids, reply: dict
-    ) -> None:
-        """Advance the position's answer-source mirror as its consumed
-        ``collect`` reply advanced the worker's replica."""
-        if self._source_mirrors is None:
-            return
-        owned = self._owned_fact_ids(position)
-        asked = [
-            fact_id for fact_id in query_fact_ids if fact_id in owned
-        ]
-        if not asked:
-            return
-        from .sources import KeyedExpertPanel
-
-        served = sum(len(answers) for answers in reply.values())
-        self._source_mirrors[position] = KeyedExpertPanel.advance_state(
-            self._source_mirrors[position], asked, served
-        )
 
     def layout(self) -> dict:
         """The current shard layout, as journaled on failover (resume
@@ -1324,7 +1154,7 @@ class ShardPool:
 
         ``shared_payload_bytes`` is counted once however many workers
         exist — the regression test for startup cost asserts the
-        per-worker ``init_bytes`` stay free of the panel/source payload.
+        per-worker ``init_bytes`` stay free of the panel payload.
         """
         unwrapped = [
             getattr(shard, "inner", shard) for shard in self.shards

@@ -1,32 +1,22 @@
-"""Partition-independent answer sources for sharded collection.
+"""Partition-independent answer sources and concurrent collection.
 
 :class:`~repro.simulation.oracle.SimulatedExpertPanel` draws all
 answers from one sequential RNG stream, so the answers depend on the
-order facts are asked in — collecting a query set shard-by-shard would
+order facts are asked in — collecting a query set in pieces would
 change every draw.  :class:`KeyedExpertPanel` removes that coupling:
 the answer for ``(worker, fact, ask_index)`` is drawn from its own
 ``SeedSequence([seed, fact_id, ask_index, worker_digest])`` stream, so
-any partition of a query set across shards collects byte-identical
-answers.
+any split of a query set collects byte-identical answers.
 
 ``latency`` models the human in the loop: ``collect`` sleeps
 ``latency * len(query_fact_ids)`` before answering, the wall-clock cost
-of sequentially waiting on experts.  Sharded collection overlaps these
-waits — each shard sleeps only for its chunk of the round's queries,
-concurrently — which is where the engine's speedup comes from on
+of sequentially waiting on experts.  :class:`ConcurrentAnswerSource`
+overlaps these waits: it owns the global per-fact ask counters, splits
+each round's ``(fact_id, ask_index)`` pairs into balanced contiguous
+chunks and answers every chunk with ``collect_indexed`` on its own
+thread, so a round waits for its largest chunk instead of all its
+queries — which is where the engine's speedup comes from on
 latency-bound campaigns.
-
-:class:`ShardedAnswerSource` is the coordinator-side adapter.  It owns
-the *global* per-fact ask counters, splits each round's query set into
-balanced contiguous chunks of explicit ``(fact_id, ask_index)`` pairs,
-scatters one chunk per shard, and merges the replies back into the
-exact family a serial panel would return.  Scattering by balanced
-chunk rather than by group ownership matters twice over: the
-per-round query load of the owning shards can be skewed (capping the
-latency overlap well below ``jobs``), and carrying the ask index in
-the command payload makes a re-executed ``collect_scatter`` trivially
-byte-identical — a respawned worker needs no replayed counter state to
-re-draw the same answers.
 """
 
 from __future__ import annotations
@@ -40,15 +30,13 @@ import numpy as np
 from ..core.answers import AnswerFamily, AnswerSet
 from ..core.workers import Crowd, Worker
 from ..obs import OBS
-from .shards import ShardPool
 
 
 def stable_worker_digest(worker_id: str) -> int:
     """A 64-bit integer key for a worker id, stable across processes.
 
     ``hash()`` is salted per interpreter (``PYTHONHASHSEED``), which
-    would make spawn-children disagree with the coordinator; sha256 is
-    not.
+    would make a resumed run draw different answers; sha256 is not.
     """
     digest = hashlib.sha256(worker_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -123,12 +111,10 @@ class KeyedExpertPanel:
     ) -> AnswerFamily:
         """Answer explicit ``(fact_id, ask_index)`` pairs.
 
-        Pure with respect to the panel's own counters: the caller (the
-        coordinator-side :class:`ShardedAnswerSource`) owns the global
-        ask counts, so neither ``_ask_counts`` nor ``answers_served``
-        moves here and re-invoking with the same pairs re-draws the
-        same answers — which is exactly what makes a re-executed
-        ``collect_scatter`` command safe after a worker respawn.
+        Pure with respect to the panel's own counters: the caller
+        (:class:`ConcurrentAnswerSource`) owns the global ask counts, so
+        neither ``_ask_counts`` nor ``answers_served`` moves here, and
+        calls on disjoint chunks can run on concurrent threads.
         Latency is still paid per queried fact, as in :meth:`collect`.
         """
         if self.latency > 0:
@@ -162,104 +148,83 @@ class KeyedExpertPanel:
         }
         self.answers_served = int(state.get("answers_served", 0))
 
-    @staticmethod
-    def advance_state(
-        state: dict, asked_fact_ids: Sequence[int], answers_served: int
-    ) -> dict:
-        """Return ``state`` advanced as one :meth:`collect` call over
-        ``asked_fact_ids`` would advance it.
 
-        The shard supervisor keeps a coordinator-side mirror of each
-        shard's panel state and advances it with this helper only when
-        a ``collect`` reply is *consumed*; a worker rebuilt from the
-        mirror then re-draws byte-identical answers for any reply that
-        was lost in flight.
-        """
-        counts = dict(state.get("ask_counts", {}))
-        for fact_id in asked_fact_ids:
-            key = str(int(fact_id))
-            counts[key] = int(counts.get(key, 0)) + 1
-        return {
-            "ask_counts": counts,
-            "answers_served": (
-                int(state.get("answers_served", 0)) + int(answers_served)
-            ),
-        }
+class ConcurrentAnswerSource:
+    """Collects each round's queries from a keyed source on ``threads``
+    threads at once.
 
+    The wrapper advances its global per-fact ask counters exactly as
+    one serial :meth:`KeyedExpertPanel.collect` call would, splits the
+    round's ``(fact_id, ask_index)`` pairs into at most ``threads``
+    balanced contiguous chunks, and answers each chunk with
+    ``source.collect_indexed`` on its own thread of a per-round pool.
+    The keyed draws depend only on ``(seed, fact, ask_index, worker)``,
+    so the merged family is byte-identical to the serial panel's.  An
+    exception raised in one chunk surfaces from :meth:`collect` once
+    the other chunks have finished.
 
-class ShardedAnswerSource:
-    """Collects a query set via the pool's shard-local panel replicas.
-
-    The coordinator advances the global per-fact ask counters exactly
-    as one serial :class:`KeyedExpertPanel` call would, then scatters
-    the round's ``(fact_id, ask_index)`` pairs in balanced contiguous
-    chunks — one per shard, each shard sleeping only for its chunk,
-    concurrently.  Because the keyed draws depend only on
-    ``(seed, fact, ask_index, worker)``, any shard can answer any
-    fact, so chunking is free to balance the latency instead of
-    following group ownership; the merged family is byte-identical to
-    the serial panel's by the keying argument in the module docstring.
+    The wrapper carries no journaled state, so only the plain checking
+    loop uses it: a resilient session checkpoints its source.
     """
 
-    def __init__(self, pool: ShardPool):
-        self._pool = pool
+    def __init__(self, source: KeyedExpertPanel, threads: int):
+        if threads < 1:
+            raise ValueError("threads must be at least 1")
+        self._source = source
+        self._threads = int(threads)
         self._ask_counts: dict[int, int] = {}
+        #: Total answers served, as the serial panel counts them.
         self.answers_served = 0
-
-    @staticmethod
-    def _balanced_chunks(
-        pairs: Sequence[tuple[int, int]], num_shards: int
-    ) -> list[tuple]:
-        """Split ``pairs`` into ``num_shards`` contiguous chunks whose
-        sizes differ by at most one (earlier chunks take the extras)."""
-        base, extra = divmod(len(pairs), num_shards)
-        chunks, start = [], 0
-        for position in range(num_shards):
-            size = base + (1 if position < extra else 0)
-            chunks.append(tuple(pairs[start:start + size]))
-            start += size
-        return chunks
 
     def collect(
         self, query_fact_ids: Sequence[int], experts: Crowd
     ) -> AnswerFamily:
-        self._pool.ensure_experts(experts)
-        # Advance the global counters exactly as the serial panel does
-        # (repeats within one round keep the last index, dict-style).
+        # Repeats within one round keep the last index, dict-style, as
+        # in the serial panel.
         ask_index: dict[int, int] = {}
         for fact_id in query_fact_ids:
             fact_id = int(fact_id)
-            current = self._ask_counts.get(fact_id, 0)
-            ask_index[fact_id] = current
-            self._ask_counts[fact_id] = current + 1
-        pairs = [(fact_id, index) for fact_id, index in ask_index.items()]
-        chunks = self._balanced_chunks(pairs, len(self._pool.shards))
+            ask_index[fact_id] = self._ask_counts.get(fact_id, 0)
+            self._ask_counts[fact_id] = ask_index[fact_id] + 1
+        pairs = list(ask_index.items())
+        # Contiguous chunks whose sizes differ by at most one (earlier
+        # chunks take the extras).
+        count = min(self._threads, len(pairs)) or 1
+        base, extra = divmod(len(pairs), count)
+        starts = [p * base + min(p, extra) for p in range(count + 1)]
+        chunks = [pairs[starts[p]:starts[p + 1]] for p in range(count)]
+
+        from concurrent.futures.thread import ThreadPoolExecutor
+
         with OBS.tracer.span(
-            "collect.scatter", queries=len(pairs), shards=len(chunks)
+            "collect.concurrent", queries=len(pairs), threads=count
         ):
-            replies = self._pool.supervisor.scatter(
-                "collect_scatter", chunks
-            )
+            # Leaving the block waits for every chunk, so an error
+            # raised in one surfaces only after the others finished.
+            with ThreadPoolExecutor(count) as pool:
+                futures = [
+                    pool.submit(self._source.collect_indexed, chunk, experts)
+                    for chunk in chunks
+                ]
+            families = [future.result() for future in futures]
         if OBS.enabled:
-            OBS.registry.counter(
+            queries = OBS.registry.counter(
                 "repro_collect_queries_total",
-                "Queries scattered to shard-local panels",
-            ).inc(len(pairs))
-            OBS.registry.histogram(
+                "Queries answered on collection threads",
+            )
+            sizes = OBS.registry.histogram(
                 "repro_collect_chunk_size",
-                "Per-shard chunk sizes of scattered collection rounds",
+                "Per-thread chunk sizes of concurrent collection rounds",
                 bounds=tuple(float(2 ** n) for n in range(0, 12)),
-            ).observe(max(len(chunk) for chunk in chunks) if chunks else 0)
-        by_worker: dict[str, dict[int, bool]] = {}
-        for reply in replies:
-            for worker_id, answers in reply.items():
-                by_worker.setdefault(worker_id, {}).update(answers)
+            )
+            for chunk in chunks:
+                queries.inc(len(chunk))
+                sizes.observe(len(chunk))
         answer_sets = []
-        for worker in experts:
-            collected = by_worker.get(worker.worker_id, {})
-            answers = {
-                fact_id: collected[fact_id] for fact_id in query_fact_ids
-            }
+        for position, worker in enumerate(experts):
+            answers: dict[int, bool] = {}
+            for family in families:
+                answers.update(family.answer_sets[position].answers)
             answer_sets.append(AnswerSet(worker=worker, answers=answers))
             self.answers_served += len(answers)
         return AnswerFamily(answer_sets=tuple(answer_sets))

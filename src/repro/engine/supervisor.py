@@ -20,17 +20,8 @@ The checking loop is stateless per round over independent groups
 classes:
 
 * **Re-executable** (``select``, ``stage_partial``, ``stage_family``,
-  ``collect``, ``collect_scatter``, ``sync_groups``,
-  ``replace_experts``, ``stats``, ``ping``): pure reads,
-  staged-on-copies updates, or idempotent overwrites.  Collection is
-  re-executable because answers come from a
-  :class:`~repro.engine.sources.KeyedExpertPanel`, whose per
-  ``(seed, fact, ask, worker)`` keying makes replies replay-independent.
-  ``collect_scatter`` carries its ask indices in the command payload,
-  so a re-execution is byte-identical by construction; the legacy
-  ``collect`` relies on replica-local counters, which the supervisor
-  mirrors coordinator-side (advancing them only when a reply is
-  *consumed*) so a rebuilt worker re-draws byte-identical answers.
+  ``sync_groups``, ``replace_experts``, ``stats``, ``ping``): pure
+  reads, staged-on-copies updates, or idempotent overwrites.
 * **Subsumed by the rebuild** (``commit``, ``abort``): the coordinator
   mirrors staged posteriors into its own belief *before* broadcasting
   ``commit`` (see :meth:`~repro.engine.sharded.ShardedUpdateEngine`),
@@ -39,11 +30,11 @@ classes:
 
 Group migration (restart with the same groups, failover to inline,
 rebalance onto a survivor) cannot change results either: selection
-merge, staged updates and keyed collection are all partition-
-independent, which PR 4's equivalence suite pins for every worker
-count.  Supervision therefore turns infrastructure faults into pure
-wall-clock cost — the final beliefs, selections, budget trajectory and
-journal bytes stay identical to a fault-free serial run.
+merge and staged updates are partition-independent, which the
+equivalence suite pins for every worker count.  Supervision therefore
+turns infrastructure faults into pure wall-clock cost — the final
+beliefs, selections, budget trajectory and journal bytes stay
+identical to a fault-free serial run.
 
 Every intervention is counted in :class:`SupervisorStats`, recorded as
 a :class:`ShardIncident` (also exposed as a
@@ -65,14 +56,12 @@ from ..core.serialization import append_journal_record
 from ..obs import OBS
 
 #: Commands safe to re-execute on a rebuilt worker (pure, staged on
-#: copies, idempotent, or replay-independent by keyed answers).
+#: copies, or idempotent).
 REEXECUTABLE_COMMANDS = frozenset(
     {
         "select",
         "stage_partial",
         "stage_family",
-        "collect",
-        "collect_scatter",
         "sync_groups",
         "replace_experts",
         "stats",
@@ -292,9 +281,8 @@ class ShardSupervisor:
     slices back onto a surviving worker.
 
     The pool owns the structure (transports, partition, degraded
-    flags, the authoritative belief mirror and the answer-source state
-    mirror); the supervisor owns the policy, the failure handling, the
-    counters and the incident log.
+    flags and the authoritative belief mirror); the supervisor owns the
+    policy, the failure handling, the counters and the incident log.
     """
 
     def __init__(self, pool, policy: SupervisionPolicy):
@@ -437,7 +425,7 @@ class ShardSupervisor:
                 failure = (kind, repr(error))
             if reply is not _NO_REPLY:
                 try:
-                    return self._consume(position, command, payload, reply)
+                    return self._consume(reply)
                 except ProtocolFailure as error:
                     failure = ("protocol", str(error))
             if failure is None:
@@ -476,7 +464,8 @@ class ShardSupervisor:
                     position, command, "death", f"submit failed: {error!r}"
                 )
 
-    def _consume(self, position, command, payload, reply):
+    @staticmethod
+    def _consume(reply):
         """Validate a raw protocol reply; raise the worker's own
         exception for well-formed error replies, :class:`ProtocolFailure`
         for garbled ones."""
@@ -493,11 +482,6 @@ class ShardSupervisor:
             raise ProtocolFailure(
                 f"error reply without an exception: {value!r}"
             )
-        if command == "collect":
-            # Advance the coordinator-side answer-source mirror only on
-            # *consumed* replies: a lost reply is re-collected from the
-            # pre-advance state, reproducing byte-identical answers.
-            self._pool.advance_source_mirror(position, payload[0], value)
         return value
 
     # -- failure handling ----------------------------------------------

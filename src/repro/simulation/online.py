@@ -679,6 +679,7 @@ class OnlineCheckingSession:
         cost_model: CostModel | None = None,
         update_engine=None,
         budget_tracker: "CheckingBudget | None" = None,
+        belief: FactoredBelief | None = None,
     ) -> "OnlineCheckingSession":
         """Rebuild a session from :meth:`to_checkpoint` output.
 
@@ -686,7 +687,9 @@ class OnlineCheckingSession:
         selector / cost model / update engine / budget tracker) that
         were in use; pending queries and spent budget are restored
         exactly.  A supplied ``budget_tracker`` must carry the
-        checkpoint's total.
+        checkpoint's total.  ``belief`` is the checkpoint's belief when
+        the caller has decoded it already (the parallel resume hands
+        over its shard pool's), so it is not decoded twice.
         """
         from ..core.serialization import (
             SerializationError,
@@ -697,7 +700,8 @@ class OnlineCheckingSession:
 
         check_version(payload)
         try:
-            belief = factored_belief_from_dict(payload["belief"])
+            if belief is None:
+                belief = factored_belief_from_dict(payload["belief"])
             ground_truth = payload.get("ground_truth")
             if ground_truth is not None:
                 ground_truth = {

@@ -1069,6 +1069,7 @@ class ResilientCheckingSession:
         budget_tracker: "CheckingBudget | None" = None,
         records: list[dict] | None = None,
         checkpoint: dict | None = None,
+        belief: FactoredBelief | None = None,
     ) -> "ResilientCheckingSession":
         """Restore a session from its journal, mid-round if need be.
 
@@ -1084,10 +1085,12 @@ class ResilientCheckingSession:
         :func:`~repro.storage.integrity.recover_for_resume` on it (the
         parallel and streaming resumes), so the file is not read twice;
         ``checkpoint`` is their
-        :func:`~repro.core.serialization.fold_checkpoints` when the
-        caller has folded them already (the parallel resume).  The
-        session's journal writer is primed from the fold, so its next
-        checkpoint line is the one the uninterrupted run wrote.
+        :func:`~repro.core.serialization.fold_checkpoints` and
+        ``belief`` the fold's decoded belief when the caller has them
+        already (the parallel resume, whose shard pool then holds the
+        session's group states, as in a fresh campaign).  The session's
+        journal writer is primed from the fold, so its next checkpoint
+        line is the one the uninterrupted run wrote.
         """
         if records is None:
             # Salvage first (a torn trailing line; on v8 journals also
@@ -1124,6 +1127,7 @@ class ResilientCheckingSession:
                 cost_model=cost_model,
                 update_engine=update_engine,
                 budget_tracker=budget_tracker,
+                belief=belief,
             )
             session = cls.__new__(cls)
             reserve = (

@@ -25,9 +25,10 @@ def dataset():
 
 
 def test_spawned_shards_match_serial(dataset):
-    """2 spawned worker processes, sharded collection included: the
-    full IPC path (pickled beliefs, staged posteriors, keyed answers)
-    must reproduce the serial run bit for bit."""
+    """2 spawned worker processes, concurrent collection included: the
+    full IPC path (pickled beliefs, staged posteriors) and keyed
+    answers collected on threads must reproduce the serial run bit for
+    bit."""
     config = SessionConfig(budget=14.0, k=2, seed=1)
     serial = run_hc_session(
         dataset,
@@ -75,12 +76,11 @@ class TestStartupBytes:
     """Satellite regression: the crowd/panel payload is pickled once.
 
     Before the pre-serialized transport, every ``ProcessShard`` init
-    frame re-pickled the full expert panel and answer source, so
-    startup payload bytes grew linearly with ``jobs``.  Now the
-    (experts, answer_source) blob is serialized once at
-    ``HIGHEST_PROTOCOL`` into a shared segment and every worker's init
-    frame carries only a reference plus its own group slice — total
-    init bytes must stay flat as jobs grow.
+    frame re-pickled the full expert panel, so startup payload bytes
+    grew linearly with ``jobs``.  Now the panel blob is serialized once
+    at ``HIGHEST_PROTOCOL`` into a shared segment and every worker's
+    init frame carries only a reference plus its own group slice —
+    total init bytes must stay flat as jobs grow.
     """
 
     #: Per-worker framing slack (command tag, shared-segment ref,
@@ -102,19 +102,13 @@ class TestStartupBytes:
     def _pool(self, dataset, jobs):
         from repro.aggregation.registry import make_aggregator
         from repro.datasets.grouping import initialize_belief
-        from repro.engine import KeyedExpertPanel, ShardPool
+        from repro.engine import ShardPool
 
         experts, _ = dataset.split_crowd(0.9)
         belief, _ = initialize_belief(
             dataset, make_aggregator("EBCC"), 0.9, smoothing=0.01
         )
-        return ShardPool(
-            belief,
-            experts,
-            jobs,
-            inline=False,
-            answer_source=KeyedExpertPanel(dataset.ground_truth, seed=1),
-        )
+        return ShardPool(belief, experts, jobs, inline=False)
 
     def test_payload_bytes_do_not_scale_with_jobs(self, wide_dataset):
         totals = {}

@@ -119,6 +119,41 @@ class TestTornJournalResume:
             assert pool.jobs == 3  # from the engine record, not a default
             session.run(_fresh_panel(dataset))
 
+    def test_resume_decodes_each_group_once(self, tmp_path, monkeypatch):
+        """The shard pool and the resumed session share the group
+        states decoded once from the folded checkpoint, as a fresh
+        campaign's do (the session keeps its own shallow copy of the
+        belief container)."""
+        from repro.core import serialization
+
+        dataset = _dataset()
+        reference = tmp_path / "reference.jsonl"
+        run_parallel_hc_session(
+            dataset, _config(reference), jobs=2, inline=True
+        )
+        lines = reference.read_bytes().splitlines(keepends=True)
+        killed = tmp_path / "killed.jsonl"
+        killed.write_bytes(b"".join(lines[: len(lines) // 2]))
+        decoded = []
+        real_decode = serialization.belief_state_from_dict
+
+        def counting_decode(payload):
+            decoded.append(payload)
+            return real_decode(payload)
+
+        monkeypatch.setattr(
+            serialization, "belief_state_from_dict", counting_decode
+        )
+        session, pool = resume_parallel_session(killed, inline=True)
+        with pool:
+            assert len(decoded) == len(session.belief) == 6
+            assert all(
+                pool._belief[index] is state
+                for index, state in enumerate(session.belief)
+            )
+            session.run(_fresh_panel(dataset))
+        assert killed.read_bytes() == reference.read_bytes()
+
     def test_resume_without_checkpoint_is_rejected(self, tmp_path):
         dataset = _dataset()
         journal = tmp_path / "campaign.jsonl"

@@ -1,11 +1,15 @@
 """API tests for ParallelCampaignRunner / run_parallel_hc_session."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.trust import TrustPolicy
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
 from repro.engine import (
     BudgetLedger,
+    ConcurrentAnswerSource,
     KeyedExpertPanel,
     LedgerError,
     ParallelCampaignRunner,
@@ -61,36 +65,112 @@ def test_theta_without_experts_raises(dataset):
         )
 
 
-def test_sharded_collection_requires_plain_path(dataset, tmp_path):
-    runner = ParallelCampaignRunner(
-        dataset,
-        SessionConfig(budget=8.0, journal_path=tmp_path / "j.jsonl"),
-        jobs=2,
-        inline=True,
-        answer_source=KeyedExpertPanel(dataset.ground_truth, seed=1),
-        sharded_collection=True,
+def _signature(result):
+    return (
+        [tuple(record.query_fact_ids) for record in result.history],
+        [record.budget_spent for record in result.history],
+        [state.probabilities.tobytes() for state in result.belief],
     )
-    with pytest.raises(ValueError, match="plain path"):
-        runner.prepare()
 
 
-def test_sharded_collection_auto_enables_for_keyed_panel(dataset):
+def test_concurrent_collection_enables_for_keyed_panel(dataset, tmp_path):
+    def runner(config):
+        return ParallelCampaignRunner(
+            dataset,
+            config,
+            answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
+            jobs=3,
+            inline=True,
+        )
+
     serial = run_hc_session(
         dataset,
         SessionConfig(budget=16.0, k=2),
         answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
     )
+    plain = runner(SessionConfig(budget=16.0, k=2)).prepare()
+    assert isinstance(plain._prepared["source"], ConcurrentAnswerSource)
+    assert _signature(plain.run()) == _signature(serial)
+    # A resilient session checkpoints its source, so it keeps the panel.
+    journaled = runner(
+        SessionConfig(budget=16.0, k=2, journal_path=tmp_path / "j.jsonl")
+    ).prepare()
+    assert isinstance(journaled._prepared["source"], KeyedExpertPanel)
+    journaled.run()
+
+
+def _four_pick_rounds() -> SessionConfig:
+    """Three rounds of four picks each on ``dataset``.  The dense kernel
+    is pinned: under a sparse ``REPRO_BELIEF_EPSILON`` default the third
+    round finds fewer than four facts with positive gain."""
+    return SessionConfig(budget=36.0, k=4, belief_epsilon=0.0)
+
+
+#: Four parties: each round's four collection chunks must all be
+#: waiting at once for any of them to pass.
+_ROUND_BARRIER = threading.Barrier(4, timeout=10)
+
+
+class _RendezvousPanel(KeyedExpertPanel):
+    def collect_indexed(self, indexed_queries, experts):
+        _ROUND_BARRIER.wait()
+        return super().collect_indexed(indexed_queries, experts)
+
+
+def test_collection_chunks_run_on_concurrent_threads(dataset):
+    """jobs=4 inline shards: every round's four single-query chunks
+    meet at a barrier, which only threads that overlap can pass."""
+    config = _four_pick_rounds()
+    serial = run_hc_session(
+        dataset,
+        config,
+        answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
+    )
     parallel = run_parallel_hc_session(
         dataset,
-        SessionConfig(budget=16.0, k=2),
-        answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
-        jobs=3,
+        config,
+        answer_source=_RendezvousPanel(dataset.ground_truth, seed=4),
+        jobs=4,
         inline=True,
     )
-    assert [tuple(r.query_fact_ids) for r in parallel.history] == [
-        tuple(r.query_fact_ids) for r in serial.history
-    ]
-    assert parallel.final_labels == serial.final_labels
+    assert _signature(parallel) == _signature(serial)
+
+
+class _FailingChunkPanel(KeyedExpertPanel):
+    """The first chunk to arrive raises; the others finish later."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.finished = 0
+
+    def collect_indexed(self, indexed_queries, experts):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            raise RuntimeError("expert platform dropped a chunk")
+        time.sleep(0.05)
+        family = super().collect_indexed(indexed_queries, experts)
+        with self._lock:
+            self.finished += 1
+        return family
+
+
+def test_chunk_error_surfaces_after_the_other_chunks(dataset):
+    panel = _FailingChunkPanel(dataset.ground_truth, seed=4)
+    runner = ParallelCampaignRunner(
+        dataset,
+        _four_pick_rounds(),
+        answer_source=panel,
+        jobs=4,
+        inline=True,
+    )
+    with pytest.raises(RuntimeError, match="dropped a chunk"):
+        runner.run()
+    assert panel.finished == 3
+    assert runner.ledger.open_reservations == 0
 
 
 def test_ledger_reports_committed_spending(dataset):

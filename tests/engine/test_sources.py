@@ -1,13 +1,14 @@
-"""Tests for the partition-independent keyed answer source."""
+"""Tests for the partition-independent keyed answer source and its
+concurrent collection."""
 
-import numpy as np
+import pickle
+
 import pytest
 
-from repro.core import BeliefState, Crowd, FactSet, FactoredBelief
+from repro.core import Crowd
 from repro.engine import (
+    ConcurrentAnswerSource,
     KeyedExpertPanel,
-    ShardPool,
-    ShardedAnswerSource,
     stable_worker_digest,
 )
 
@@ -54,8 +55,8 @@ class TestKeyedExpertPanel:
         )
         split_panel = KeyedExpertPanel(TRUTH, seed=3)
         first = _family_as_dict(split_panel.collect([0, 1, 2], experts))
-        # A fresh panel for the other half: shard replicas never see
-        # each other's facts, so their ask counters must still agree.
+        # A fresh panel for the other half: panels that never see each
+        # other's facts must still draw the same answers.
         other_panel = KeyedExpertPanel(TRUTH, seed=3)
         second = _family_as_dict(other_panel.collect([3, 4, 5], experts))
         merged = {
@@ -98,39 +99,51 @@ class TestKeyedExpertPanel:
         assert panel.answers_served == 9
 
 
-class TestShardedAnswerSource:
+class TestConcurrentAnswerSource:
     def test_matches_one_serial_panel(self):
-        rng = np.random.default_rng(0)
-        groups = [
-            BeliefState(
-                FactSet.from_ids(range(start, start + 3)),
-                rng.dirichlet(np.ones(8)),
-            )
-            for start in range(0, 12, 3)
-        ]
-        belief = FactoredBelief(groups)
         experts = _experts()
         serial = KeyedExpertPanel(TRUTH, seed=3)
+        concurrent = ConcurrentAnswerSource(KeyedExpertPanel(TRUTH, seed=3), 3)
         queries = [0, 4, 5, 9, 11]
-        with ShardPool(
-            belief,
-            experts,
-            3,
-            inline=True,
-            answer_source=KeyedExpertPanel(TRUTH, seed=3),
-        ) as pool:
-            sharded = ShardedAnswerSource(pool)
-            for _ in range(3):  # repeat so ask counters advance in sync
-                ours = sharded.collect(queries, experts)
+        for _ in range(3):  # repeat so ask counters advance in sync
+            ours = concurrent.collect(queries, experts)
+            theirs = serial.collect(queries, experts)
+            assert _family_as_dict(ours) == _family_as_dict(theirs)
+            # And the family structure (worker order, fact order) must
+            # match exactly, not just the values.
+            assert [
+                answer_set.worker.worker_id for answer_set in ours.answer_sets
+            ] == [
+                answer_set.worker.worker_id
+                for answer_set in theirs.answer_sets
+            ]
+        assert concurrent.answers_served == serial.answers_served
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 5])
+    def test_every_chunking_matches_one_serial_collect(self, threads):
+        """1 to k+1 queries (k = 4) on 1 to 5 threads: fewer queries
+        than threads, uneven chunks and one chunk per query all give
+        the serial family byte for byte, round after round."""
+        experts = _experts()
+        for count in range(1, 6):
+            queries = [(3 * position) % 12 for position in range(count)]
+            serial = KeyedExpertPanel(TRUTH, seed=3)
+            concurrent = ConcurrentAnswerSource(
+                KeyedExpertPanel(TRUTH, seed=3), threads
+            )
+            for _ in range(3):
+                ours = concurrent.collect(queries, experts)
                 theirs = serial.collect(queries, experts)
-                assert _family_as_dict(ours) == _family_as_dict(theirs)
-                # And the family structure (worker order, fact order)
-                # must match exactly, not just the values.
-                assert [
-                    answer_set.worker.worker_id
-                    for answer_set in ours.answer_sets
-                ] == [
-                    answer_set.worker.worker_id
-                    for answer_set in theirs.answer_sets
-                ]
-            assert sharded.answers_served == serial.answers_served
+                assert pickle.dumps(ours) == pickle.dumps(theirs), (
+                    count, threads
+                )
+            assert concurrent.answers_served == serial.answers_served
+
+    def test_repeated_fact_keeps_the_last_ask_index(self):
+        experts = _experts()
+        serial = KeyedExpertPanel(TRUTH, seed=3)
+        concurrent = ConcurrentAnswerSource(KeyedExpertPanel(TRUTH, seed=3), 2)
+        for queries in ([1, 2, 1], [2, 1, 5]):
+            assert pickle.dumps(
+                concurrent.collect(queries, experts)
+            ) == pickle.dumps(serial.collect(queries, experts))

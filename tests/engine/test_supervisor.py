@@ -150,7 +150,12 @@ class TestShardIncident:
 
 
 class TestInlineChaosEquivalence:
-    """The full recovery matrix on inline shards (fast)."""
+    """The full recovery matrix on inline shards (fast).
+
+    On the plain path each shard sees ``select``, ``stage_family`` and
+    ``commit`` per round, so command 1 is the first round's staged
+    update and command 2 its commit.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_kill_hang_corrupt(
@@ -184,7 +189,7 @@ class TestInlineChaosEquivalence:
             policy=SupervisionPolicy(
                 deadline=0.2, poll_interval=0.01, max_restarts=2
             ),
-            chaos=ChaosPlan(schedule={(0, 3): "hang"}),
+            chaos=ChaosPlan(schedule={(0, 2): "hang"}),
         )
         result = runner.run()
         assert _signature(result) == serial_signature
@@ -205,7 +210,7 @@ class TestInlineChaosEquivalence:
             inline=True,
             policy=SupervisionPolicy(deadline=5.0, poll_interval=0.01),
             chaos=ChaosPlan(
-                schedule={(1, 2): "delay"}, delay_duration=0.1
+                schedule={(1, 1): "delay"}, delay_duration=0.1
             ),
         )
         result = runner.run()
@@ -223,7 +228,7 @@ class TestInlineChaosEquivalence:
             jobs=2,
             inline=False,
             policy=SupervisionPolicy(deadline=30.0, max_restarts=0),
-            chaos=ChaosPlan(schedule={(1, 2): "kill"}),
+            chaos=ChaosPlan(schedule={(1, 1): "kill"}),
         )
         result = runner.run()
         assert _signature(result) == serial_signature
@@ -247,7 +252,7 @@ class TestInlineChaosEquivalence:
                 jobs=2,
                 inline=True,
                 policy=SupervisionPolicy(max_restarts=0, failover=False),
-                chaos=ChaosPlan(schedule={(1, 2): "kill"}),
+                chaos=ChaosPlan(schedule={(1, 1): "kill"}),
             )
 
     def test_exhausted_inline_pool_degrades_to_serial(
@@ -374,7 +379,9 @@ class TestProcessShardRecovery:
             jobs=2,
             inline=False,
             policy=SupervisionPolicy(deadline=60.0, max_restarts=2),
-            chaos=ChaosPlan(schedule={(1, 2): "kill"}),
+            # Command 1 is the first round's stage_family (see
+            # TestInlineChaosEquivalence).
+            chaos=ChaosPlan(schedule={(1, 1): "kill"}),
         )
         result = runner.run()
         assert _signature(result) == serial_signature
@@ -392,8 +399,8 @@ class TestProcessShardRecovery:
         """A worker process is SIGKILLed from outside, mid-campaign:
         the run completes with selections, ledger trajectory and final
         beliefs bit-identical to the fault-free serial run."""
-        # Latency slows shard-side collection enough for the kill to
-        # land mid-campaign without changing any answer bytes.
+        # Latency slows collection enough for the kill to land
+        # mid-campaign without changing any answer bytes.
         panel = KeyedExpertPanel(
             dataset.ground_truth, seed=1, latency=0.05
         )

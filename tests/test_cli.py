@@ -219,6 +219,21 @@ class TestSupervisionFlags:
         assert trajectory == serial
 
 
+class TestJobsFlag:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["session", "serve", "reproduce"])
+    def test_jobs_below_one_is_refused(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--jobs", jobs])
+        assert exit_info.value.code != 0
+        assert "argument --jobs" in capsys.readouterr().err
+
+    def test_jobs_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--jobs", "two"])
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_single_small_experiment(self, tmp_path, capsys):
         code = main([
