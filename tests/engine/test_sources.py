@@ -139,6 +139,30 @@ class TestConcurrentAnswerSource:
                 )
             assert concurrent.answers_served == serial.answers_served
 
+    def test_metrics_count_each_thread_chunk(self):
+        from repro.obs import OBS
+
+        OBS.reset()
+        OBS.enable()
+        try:
+            ConcurrentAnswerSource(KeyedExpertPanel(TRUTH, seed=3), 2).collect(
+                [0, 4, 5, 9, 11], _experts()
+            )
+            metrics = OBS.registry.snapshot()["metrics"]
+            spans = [
+                span for span in OBS.tracer.spans()
+                if span["name"] == "collect.concurrent"
+            ]
+        finally:
+            OBS.reset()
+        (queries,) = metrics["repro_collect_queries_total"]["series"]
+        (sizes,) = metrics["repro_collect_chunk_size"]["series"]
+        assert queries["value"] == 5
+        assert (sizes["count"], sizes["sum"]) == (2, 5)  # chunks of 3 and 2
+        assert [(span["queries"], span["threads"]) for span in spans] == [
+            (5, 2)
+        ]
+
     def test_repeated_fact_keeps_the_last_ask_index(self):
         experts = _experts()
         serial = KeyedExpertPanel(TRUTH, seed=3)
