@@ -1,31 +1,29 @@
-"""Benchmark: serial vs sharded (multi-process) campaign execution.
+"""Benchmark: serial vs threaded answer collection on the serial loop.
 
 Runs the same checking campaign three times — serially through
-``run_hc_session`` and on 2- and 4-worker :class:`ParallelCampaignRunner`
-process pools — asserts the runs are *bit-identical* (same per-round
-selections, same budget trajectory, same final belief arrays), and
-records wall-clock to ``BENCH_engine.json`` under
+``run_hc_session`` and through :class:`ParallelCampaignRunner` with 2
+and 4 collection threads — asserts the runs are *bit-identical* (same
+per-round selections, same budget trajectory, same final belief
+arrays), and records wall-clock to ``BENCH_engine.json`` under
 ``benchmarks/results/`` (and, for a full-scale run, at the repository
 root).
 
 The campaign scale is 160 groups x 8 facts (1280 facts, 10x the
-pre-kernel benchmark): the bit-packed log-space kernel and the
-pre-serialized shard transport are what keep startup and per-round
+pre-kernel benchmark): the bit-packed log-space kernel keeps per-round
 compute flat enough to measure latency overlap at this size.
 
 The answer source is a :class:`KeyedExpertPanel` whose per-query latency
-simulates real crowd turnaround; the runner collects each round's
-queries in balanced ``(fact, ask_index)`` chunks, one per coordinator
-thread (:class:`~repro.engine.sources.ConcurrentAnswerSource`), so the
-threads overlap those latencies — that overlap is the speedup being
-measured, not shard compute.  Worker startup (process spawn +
-interpreter imports) is one-time cost and is reported separately as
-``startup_seconds`` with its own ceiling: the pre-serialized transport
-pickles the shared panel payload once, so startup must stay flat as
-jobs grow.
+simulates real crowd turnaround.  Every campaign runs the serial
+checking loop — selection and belief updates in the calling thread —
+and the runner collects each round's queries in balanced
+``(fact, ask_index)`` chunks, one per thread
+(:class:`~repro.engine.sources.ConcurrentAnswerSource`), so the threads
+overlap those latencies; that overlap is the speedup being measured,
+not compute.  Set-up (crowd split and belief initialization) is
+reported separately as ``startup_seconds`` with its own ceiling.
 
 Set ``BENCH_ENGINE_SMOKE=1`` for the reduced CI version: the same
-10x dataset, but a short low-latency campaign on a 2-worker pool —
+10x dataset, but a short low-latency campaign with 2 threads —
 equivalence assertions and the peak-RSS guard only, no speedup floor.
 """
 
@@ -51,16 +49,16 @@ LATENCY = 0.02 if SMOKE else 0.2
 JOB_COUNTS = (2,) if SMOKE else (2, 4)
 
 #: Ceilings enforced on the full (non-smoke) run.  The speedup floor is
-#: met by overlapping expert latency on the coordinator's collection
-#: threads, not by shard compute.
+#: met by overlapping expert latency on the collection threads, not by
+#: compute.
 MAX_STARTUP_SECONDS = 1.5
 MIN_SPEEDUP_JOBS4 = 3.0
 
 #: Peak-RSS guard (enforced in smoke mode too — it is what the CI
-#: engine-smoke leg is for).  The coordinator at 160x8 holds 160 dense
-#: 256-state groups plus the pool's belief mirror — a few MB of arrays
-#: on top of the interpreter + numpy baseline; 600 MB is an order of
-#: magnitude of headroom that still catches an accidental per-shard
+#: engine-smoke leg is for).  The process at 160x8 holds 160 dense
+#: 256-state groups — a few MB of arrays on top of the interpreter +
+#: numpy baseline; 600 MB is an order of
+#: magnitude of headroom that still catches an accidental per-thread
 #: belief copy or a dense-matrix blowup in the kernel.
 MAX_PEAK_RSS_MB = 600
 
@@ -115,7 +113,6 @@ def test_bench_engine(results_dir):
             config,
             jobs=jobs,
             answer_source=_panel(dataset),
-            inline=False,
         )
         started = time.perf_counter()
         runner.prepare()
@@ -129,7 +126,7 @@ def test_bench_engine(results_dir):
         assert _signature(parallel) == reference
         assert parallel.final_labels == serial.final_labels
         runs[jobs] = {
-            "jobs": runner.jobs_used,
+            "jobs": jobs,
             "startup_seconds": startup_seconds,
             "campaign_seconds": campaign_seconds,
             "speedup": serial_seconds / campaign_seconds,
@@ -139,16 +136,15 @@ def test_bench_engine(results_dir):
     assert peak_rss_mb < MAX_PEAK_RSS_MB
 
     if not SMOKE:
-        # Startup is one-time (pre-serialized shared payload; flat in
-        # jobs) but must stay sub-interactive even at 4 workers on the
-        # 1-core CI box, where the spawns serialize.
+        # Set-up is one-time and flat in jobs (threads start per
+        # round), but must stay sub-interactive.
         assert runs[4]["startup_seconds"] < MAX_STARTUP_SECONDS
         # Four collection threads must overlap enough expert latency
         # for a 3x campaign speedup (startup excluded: it amortizes
         # over a campaign; campaign time does not).  Balanced chunks
         # make each thread's sleep ~k/4 queries; the gap to the ideal
         # 4x is the round's serial compute (selection, updates,
-        # scoring) and per-round dispatch overhead.
+        # scoring) and per-round thread start-up.
         assert runs[4]["speedup"] >= MIN_SPEEDUP_JOBS4
 
     result = {

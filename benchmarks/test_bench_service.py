@@ -48,7 +48,6 @@ NUM_TENANTS = 2 if SMOKE else 3
 NUM_GROUPS = 4 if SMOKE else 8
 BUDGET = 12.0 if SMOKE else 24.0
 SLOTS = 2 if SMOKE else 4
-JOBS = 2
 
 from _writer import write_bench
 
@@ -83,10 +82,7 @@ def _percentile(values: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(values), q))
 
 
-def test_bench_service(results_dir, tmp_path, monkeypatch):
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_SHARD_DEADLINE"):
-        monkeypatch.delenv(name, raising=False)
-
+def test_bench_service(results_dir, tmp_path):
     datasets = {index: _dataset(seed=200 + index)
                 for index in range(NUM_CAMPAIGNS)}
 
@@ -97,9 +93,7 @@ def test_bench_service(results_dir, tmp_path, monkeypatch):
             seed=index, journal_path=tmp_path / f"solo-{index}.jsonl"
         )
         solo[index] = _signature(
-            run_parallel_hc_session(
-                dataset, solo_config, jobs=JOBS, inline=True
-            )
+            run_parallel_hc_session(dataset, solo_config)
         )
 
     # A pool sized for all planned campaigns plus ~20% headroom, but
@@ -121,7 +115,6 @@ def test_bench_service(results_dir, tmp_path, monkeypatch):
                 name=f"campaign-{index}",
                 dataset=dataset,
                 config=_config(seed=index),
-                jobs=JOBS,
                 # Stagger weights so the scheduler's weighted-fair path
                 # is exercised, not just round-robin.
                 weight=1.0 + (index % NUM_TENANTS),
@@ -139,7 +132,6 @@ def test_bench_service(results_dir, tmp_path, monkeypatch):
                     name=f"extra-{extra}",
                     dataset=datasets[extra % NUM_CAMPAIGNS],
                     config=_config(seed=1000 + extra),
-                    jobs=JOBS,
                 )
             )
         except ServiceSaturatedError:
@@ -176,7 +168,6 @@ def test_bench_service(results_dir, tmp_path, monkeypatch):
             "budget_per_campaign": BUDGET,
             "budget_pool": pool_budget,
             "slots": SLOTS,
-            "jobs": JOBS,
             "smoke": SMOKE,
         },
         "rounds": rounds_run,

@@ -22,9 +22,8 @@ import importlib
 __version__ = "1.0.0"
 
 # Subpackages resolve lazily (PEP 562): the aggregation baselines pull
-# scipy, which costs ~0.8 s per interpreter — paid by every spawned
-# shard worker if the package root imports it eagerly.  Workers import
-# repro.engine.shards only, so the root must not decide for them.
+# scipy, which costs ~0.8 s per interpreter — paid by every command
+# that never aggregates if the package root imports it eagerly.
 _SUBPACKAGES = (
     "aggregation",
     "analysis",

@@ -174,21 +174,13 @@ def _cmd_session(args: argparse.Namespace) -> int:
         )
     from .core.selection import make_selector
 
-    jobs = args.jobs
-    if jobs > 1 and args.selector != "lazy":
-        print(
-            "error: --jobs shards the lazy-greedy selector itself; "
-            "other --selector choices only run serially",
-            file=sys.stderr,
-        )
-        return 2
     selector = make_selector(args.selector, seed=args.seed)
     if args.attach:
         result = _attach_session(args, dataset, faults)
         if result is None:
             return 2
     elif args.resume:
-        result = _resume_session(args, dataset, faults, selector, jobs=jobs)
+        result = _resume_session(args, dataset, faults, selector)
     else:
         config = SessionConfig(
             theta=args.theta,
@@ -201,16 +193,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
             trust_policy=trust_policy,
             belief_epsilon=_belief_epsilon(args),
         )
-        if jobs > 1:
-            from .engine import ParallelCampaignRunner
-
-            runner = ParallelCampaignRunner(
-                dataset, config, jobs=jobs, policy=_shard_policy(args)
-            )
-            result = runner.run()
-            _print_supervisor_stats(runner.supervisor_stats)
-        else:
-            result = run_hc_session(dataset, config, selector=selector)
+        result = run_hc_session(dataset, config, selector=selector)
     stats = getattr(selector, "stats", None)
     if stats is not None and args.selector_stats:
         print(
@@ -256,38 +239,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_policy(args: argparse.Namespace):
-    """Supervision policy for the sharded engine: environment defaults
-    (``REPRO_SHARD_*``) with the command line's flags on top."""
-    from .engine import SupervisionPolicy
-
-    return SupervisionPolicy.from_env().with_overrides(
-        _supervision_overrides(args)
-    )
-
-
-def _supervision_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.shard_deadline is not None:
-        overrides["deadline"] = args.shard_deadline
-    if args.max_shard_restarts is not None:
-        overrides["max_restarts"] = args.max_shard_restarts
-    if args.no_failover:
-        overrides["failover"] = False
-    return overrides
-
-
-def _print_supervisor_stats(stats: dict | None) -> None:
-    if stats and any(stats.values()):
-        summary = ", ".join(
-            f"{name}={count}" for name, count in stats.items() if count
-        )
-        print(f"supervisor: {summary}")
-
-
-def _resume_session(
-    args: argparse.Namespace, dataset, faults, selector=None, jobs: int = 1
-):
+def _resume_session(args: argparse.Namespace, dataset, faults, selector=None):
     """Restore a crashed ``session --journal`` run and drive it on."""
     from .simulation import ResilientCheckingSession
     from .simulation.session import campaign_answer_source
@@ -295,20 +247,6 @@ def _resume_session(
     answer_source = campaign_answer_source(
         dataset, SessionConfig(seed=args.seed, faults=faults)
     )
-    if jobs > 1:
-        from .engine import resume_parallel_session
-
-        # ``jobs=None`` restores the journaled shard layout (including
-        # any failover-degraded slices) and the engine record's
-        # supervision settings; the flags below override the latter.
-        session, pool = resume_parallel_session(
-            args.resume,
-            supervision_overrides=_supervision_overrides(args),
-        )
-        with pool:
-            result = session.run(answer_source)
-        _print_supervisor_stats(pool.supervisor_stats())
-        return result
     session = ResilientCheckingSession.resume(args.resume, selector=selector)
     return session.run(answer_source)
 
@@ -355,7 +293,6 @@ def _attach_session(args: argparse.Namespace, dataset, faults):
         name=identity["name"],
         dataset=dataset,
         config=config,
-        jobs=args.jobs,
         priority=int(identity.get("priority", 0)),
         weight=identity.get("weight"),
     )
@@ -512,7 +449,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         round_deadline=args.round_deadline,
         max_strikes=args.max_strikes,
-        supervision=_shard_policy(args),
     )
     default_quota = TenantQuota(
         max_active=args.quota_active, max_budget=args.quota_budget
@@ -551,7 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 name=f"campaign-{index}",
                 dataset=dataset,
                 config=config,
-                jobs=1 if args.stream else args.jobs,
                 stream=(
                     None
                     if stream_spec is None
@@ -600,19 +535,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    import os
-
     from .experiments.reproduce import run_all
 
-    # Supervision flags travel to the spawned experiment workers (and
-    # any shard pools they build) through the environment — the same
-    # hook SupervisionPolicy.from_env reads everywhere.
-    if args.shard_deadline is not None:
-        os.environ["REPRO_SHARD_DEADLINE"] = str(args.shard_deadline)
-    if args.max_shard_restarts is not None:
-        os.environ["REPRO_MAX_SHARD_RESTARTS"] = str(args.max_shard_restarts)
-    if args.no_failover:
-        os.environ["REPRO_SHARD_FAILOVER"] = "off"
     run_all(
         scale_name=args.scale,
         out_dir=args.out,
@@ -716,12 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
              "lazy greedy, which picks the same facts as 'greedy' "
              "with far fewer entropy evaluations)",
     )
-    session.add_argument(
-        "--jobs", "--shards", type=_positive_int, default=1, metavar="N",
-        help="run the campaign on N shard workers (the sharded engine; "
-             "results are bit-identical for any N)",
-    )
-    _add_supervision_arguments(session)
     _add_belief_epsilon_argument(session)
     _add_observability_arguments(session)
     session.add_argument(
@@ -792,12 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: budget * campaigns)",
     )
     serve.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="shard workers per campaign pool",
-    )
-    serve.add_argument(
         "--slots", type=int, default=4,
-        help="campaigns with a live shard pool at once",
+        help="campaigns with a live runtime at once",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=16,
@@ -844,7 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a one-line service health summary (active/queued "
              "campaigns, shed count, p95 round latency) every N rounds",
     )
-    _add_supervision_arguments(serve)
     _add_belief_epsilon_argument(serve)
     _add_observability_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
@@ -942,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="fan independent experiments across N worker processes",
     )
-    _add_supervision_arguments(reproduce)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
     soak = commands.add_parser(
@@ -989,8 +901,8 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="append every span (select/collect/update/commit/journal "
-             "timings and shard dispatches) as JSON lines to PATH",
+        help="append every span (select/collect/update/journal "
+             "timings) as JSON lines to PATH",
     )
 
 
@@ -1027,25 +939,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shard-supervision flags shared by ``session`` and ``reproduce``."""
-    parser.add_argument(
-        "--shard-deadline", type=float, default=None, metavar="SECONDS",
-        help="seconds a shard worker may take to answer one command "
-             "before it is declared hung and respawned (default 60)",
-    )
-    parser.add_argument(
-        "--max-shard-restarts", type=int, default=None, metavar="N",
-        help="in-place respawns granted per shard worker before its "
-             "groups fail over to a surviving shard (default 2)",
-    )
-    parser.add_argument(
-        "--no-failover", action="store_true",
-        help="abort the campaign when a shard exhausts its restart "
-             "budget instead of failing its groups over",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

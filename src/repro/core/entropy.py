@@ -213,7 +213,7 @@ def first_step_gains_many(
     prior_entropies: Iterable[float] | None = None,
     max_family_bits: int = MAX_FAMILY_BITS,
 ) -> list[np.ndarray]:
-    """:func:`first_step_gains` for a whole shard of groups at once.
+    """:func:`first_step_gains` for many groups at once.
 
     Stacks every group's ``(n_g, 2)`` pattern-marginal block into one
     ``(sum n_g, 2) @ (2, 2**|CE|)`` matmul against the shared crowd

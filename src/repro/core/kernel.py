@@ -49,8 +49,6 @@ __all__ = [
     "default_belief_epsilon",
     "pattern_indices",
     "sparse_from_marginals",
-    "state_wire_payload",
-    "state_from_wire",
 ]
 
 def default_belief_epsilon() -> float:
@@ -191,8 +189,8 @@ class SparseBeliefState(BeliefState):
 
         Trusts the values verbatim (no renormalization, no truncation) —
         the sparse analogue of ``BeliefState.from_normalized``, used by
-        checkpoint restores and shard-commit mirrors so serialization
-        round-trips are bitwise exact.
+        checkpoint restores so serialization round-trips are bitwise
+        exact.
         """
         check_group_size(len(facts))
         support = np.asarray(support, dtype=np.int64).copy()
@@ -390,37 +388,3 @@ def sparse_from_marginals(
         states[keep], values[keep], float(epsilon)
     )
     return SparseBeliefState.from_support(facts, support, values, epsilon)
-
-
-# ----------------------------------------------------------------------
-# wire / checkpoint payloads
-# ----------------------------------------------------------------------
-
-
-def state_wire_payload(state: BeliefState):
-    """The exact cross-process payload of a belief state.
-
-    Dense states travel as their raw probability array (the historical
-    wire shape, byte-pinned by the engine equivalence suites); sparse
-    states travel as a tagged (support, values, epsilon) triple so a
-    commit mirror or a respawned shard reconstructs the *same* sparse
-    state instead of a dense approximation of it.
-    """
-    if isinstance(state, SparseBeliefState):
-        return (
-            "sparse",
-            state.support,
-            state.sparse_probabilities,
-            state.epsilon,
-        )
-    return state.probabilities
-
-
-def state_from_wire(facts: FactSet, payload) -> BeliefState:
-    """Inverse of :func:`state_wire_payload` (bitwise exact)."""
-    if isinstance(payload, tuple) and payload and payload[0] == "sparse":
-        _tag, support, values, epsilon = payload
-        return SparseBeliefState.from_support(
-            facts, support, values, epsilon
-        )
-    return BeliefState.from_normalized(facts, payload)

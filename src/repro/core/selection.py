@@ -292,9 +292,7 @@ class GreedySelector(Selector):
     ) -> list[tuple[int, float]]:
         """Like :meth:`select` but also return each pick's marginal gain.
 
-        The gain sequence is non-increasing (submodularity), which is
-        what licenses merging per-shard sequences by a k-way merge in
-        the parallel engine.
+        The gain sequence is non-increasing (submodularity).
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -475,8 +473,7 @@ class LazyGreedySelector(Selector):
 
         A fresh heap pop *is* the argmax, so its bound is the exact gain
         of the pick; the resulting gain sequence is non-increasing
-        (submodularity), licensing the parallel engine's k-way merge of
-        per-shard sequences.
+        (submodularity).
         """
         if k < 0:
             raise ValueError("k must be non-negative")

@@ -41,11 +41,12 @@ from .workers import Crowd, Worker
 #: fault events on round records and the append-only session journal;
 #: version 3 adds the trust-supervision state (worker posteriors,
 #: circuit breakers, pending gold probes) to session checkpoints;
-#: version 4 adds the parallel engine's ``{"kind": "engine"}`` journal
-#: record (shard layout + jobs) and durable (fsynced) journal appends;
-#: version 5 adds ``{"kind": "shard_incident"}`` journal records (shard
-#: supervision audit trail + failover layout for resume) and the
-#: supervision settings on the engine record;
+#: version 4 adds the process-shard engine's ``{"kind": "engine"}``
+#: journal record (shard layout + jobs) and durable (fsynced) journal
+#: appends; version 5 adds ``{"kind": "shard_incident"}`` journal
+#: records (shard supervision audit trail + failover layout) and the
+#: supervision settings on the engine record — that engine is gone, and
+#: resumes read past both records;
 #: version 6 adds the campaign service's ``{"kind": "tenant"}`` journal
 #: record (tenant id, campaign name, priority, scheduling weight) so a
 #: detached campaign can be re-admitted under the same identity;
@@ -612,8 +613,8 @@ class CheckpointWriter:
 
     So a line costs O(groups changed), and a line depends only on the
     values checkpointed: a state's identity is only the shortcut for
-    "unchanged", and serial, sharded and resumed runs of one campaign
-    write the same bytes.  :func:`fold_checkpoints` inverts it.  A
+    "unchanged", and fresh and resumed runs of one campaign write the
+    same bytes.  :func:`fold_checkpoints` inverts it.  A
     journal whose header predates v9 receives :func:`checkpoint_to_dict`
     whole instead, as payload version 8, as it always did.
 
@@ -1394,7 +1395,7 @@ def trim_journal_to_last_checkpoint(path: str | Path) -> int:
 
 def header_field(header: dict, name: str, kind: type = float):
     """A journal record's numeric field (the header's ``budget_total``
-    and ``k``, the engine record's ``jobs``) as ``kind``: a missing,
+    and ``k``) as ``kind``: a missing,
     ``null`` or malformed value raises :class:`SerializationError`
     naming the field instead of a raw ``KeyError`` / ``TypeError`` /
     ``ValueError``."""

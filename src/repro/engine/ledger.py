@@ -1,4 +1,4 @@
-"""The cross-shard budget ledger: reserve → commit/release accounting.
+"""The shared budget ledger: reserve → commit/release accounting.
 
 The serial runtimes charge a :class:`~repro.core.budget.CheckingBudget`
 *after* answers arrive.  That is sound for one sequential campaign, but
@@ -11,9 +11,9 @@ explicit: money is *reserved* when a round is dispatched, *committed*
 and *released* when the round is abandoned.  Trust-layer gold probes
 are stripped before the charge, so they never touch the ledger at all.
 
-:class:`BudgetLedger` is the invariant-enforcing book (thread-safe; the
-coordinator is the only writer in a parallel campaign, but concurrent
-campaigns may share one ledger).  :class:`LedgerBudget` adapts it to
+:class:`BudgetLedger` is the invariant-enforcing book (thread-safe; a
+campaign writes it from its one loop, but concurrent campaigns may
+share one ledger).  :class:`LedgerBudget` adapts it to
 the exact :class:`~repro.core.budget.CheckingBudget` interface the
 sessions use — every float operation is delegated to the parent class,
 so the ``spent`` trajectory (and therefore every checkpoint and journal

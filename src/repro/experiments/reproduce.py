@@ -174,6 +174,8 @@ def run_all(
 
 
 def main(argv: list[str] | None = None) -> None:
+    from ..cli import _positive_int
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="paper",
                         choices=("paper", "small"))
@@ -183,7 +185,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--table3-facts", type=int, default=20)
     parser.add_argument("--table3-max-k", type=int, default=10)
     parser.add_argument("--table3-timeout", type=float, default=60.0)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes to fan experiments across")
     args = parser.parse_args(argv)
     run_all(

@@ -1,8 +1,7 @@
 """The seeded fault-plan primitive under every fault injector.
 
-The crowd (:class:`~repro.simulation.faults.FaultModel`), shard
-transport (:class:`~repro.engine.chaos.ChaosPlan`), event delivery
-(:class:`~repro.stream.chaos.StreamChaos`) and disk
+The crowd (:class:`~repro.simulation.faults.FaultModel`), event
+delivery (:class:`~repro.stream.chaos.StreamChaos`) and disk
 (:class:`~repro.storage.chaos.StorageChaos`) fault injectors are frozen
 dataclasses of rates over :class:`FaultPlan`, which owns what they
 share: validation where a plan is built, the keyed draw
@@ -19,7 +18,6 @@ consults the storage plan on every append, so this module sits below
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from typing import ClassVar
@@ -33,16 +31,14 @@ class FaultPlan:
     A subclass declares its dataclass fields (``seed`` among them) and:
     ``ACTIONS``, the mutually exclusive per-draw rate fields in the
     order the draw checks them; ``RATES``, further independent rates;
-    ``DURATIONS``, fields that must be finite and >= 0; ``SALT``, key
-    parts separating its draw streams from other plans'; ``ENV``, the
-    variable :meth:`from_env` reads; and, for a plan with a
+    ``SALT``, key parts separating its draw streams from other plans';
+    ``ENV``, the variable :meth:`from_env` reads; and, for a plan with a
     ``schedule`` of ``{key: action}`` overrides, ``KIND`` (its name in
     errors) and ``SCHEDULE_KEY`` (the types of a key's parts).
     """
 
     ACTIONS: ClassVar[tuple[str, ...]] = ()
     RATES: ClassVar[tuple[str, ...]] = ()
-    DURATIONS: ClassVar[tuple[str, ...]] = ()
     SALT: ClassVar[tuple[int, ...]] = ()
     ENV: ClassVar[str | None] = None
     KIND: ClassVar[str] = "fault"
@@ -67,12 +63,6 @@ class FaultPlan:
                 f"{' + '.join(self.ACTIONS)} must not exceed 1 (they are "
                 "mutually exclusive per draw)"
             )
-        for name in self.DURATIONS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {value}"
-                )
         if self.SCHEDULE_KEY:
             schedule = {}
             for key, action in dict(self.schedule).items():
@@ -115,7 +105,7 @@ class FaultPlan:
     def parse(cls, spec: str, seed: int = 0):
         """Build a plan from a ``name=rate,...`` CLI/env spec that names
         each fault at most once."""
-        allowed = cls.ACTIONS + cls.RATES + cls.DURATIONS
+        allowed = cls.ACTIONS + cls.RATES
         rates: dict[str, float] = {}
         for part in spec.split(","):
             part = part.strip()

@@ -16,11 +16,7 @@ patterns, both free when observability is off:
 
 The hard contract, enforced by ``tests/obs/test_zero_perturbation.py``:
 enabling any of this never touches an RNG stream and never changes a
-journal byte.  Everything here observes; nothing decides.  Shard
-worker processes never see this module's global state — they aggregate
-local counters inside :class:`~repro.engine.shards.ShardState` and
-piggyback deltas on existing ``commit`` replies, which the coordinator
-folds into the registry (no added pipe round-trips).
+journal byte.  Everything here observes; nothing decides.
 """
 
 from __future__ import annotations
@@ -239,34 +235,6 @@ class Observability:
             )
             family.labels(**labels).set(value)
 
-    def consume_worker_delta(self, shard: str, delta) -> None:
-        """Fold a shard worker's piggybacked metric delta in.
-
-        ``delta`` is what :meth:`ShardState.take_metrics_delta` built:
-        ``{"commands": {cmd: n}, "busy_seconds": {cmd: s}}``.  Rebuilt
-        workers reply ``None`` for subsumed commits — skipped here.
-        """
-        if not self.enabled or not isinstance(delta, dict):
-            return
-        commands = self.registry.counter(
-            "repro_shard_commands_total",
-            "Commands handled inside shard workers",
-            labels=("shard", "command"),
-        )
-        busy = self.registry.counter(
-            "repro_shard_busy_seconds_total",
-            "Seconds shard workers spent executing commands",
-            labels=("shard", "command"),
-        )
-        for command in sorted(delta.get("commands", {})):
-            commands.labels(shard=shard, command=command).inc(
-                delta["commands"][command]
-            )
-        for command in sorted(delta.get("busy_seconds", {})):
-            busy.labels(shard=shard, command=command).inc(
-                delta["busy_seconds"][command]
-            )
-
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -280,8 +248,7 @@ class Observability:
             self.tracer.close()
 
 
-#: The process-wide instance every instrumented seam reads.  Shard
-#: worker processes get a fresh, disabled one on spawn — by design.
+#: The process-wide instance every instrumented seam reads.
 OBS = Observability()
 
 

@@ -4,11 +4,9 @@ The observability layer is deliberately *boring*: counters, gauges and
 histograms are plain Python objects mutated in place, families are
 dicts keyed by label-value tuples, and the registry is a sorted
 namespace of families.  There is no background thread, no sampling, no
-locking beyond what CPython's attribute stores give for free — the
-engine is single-writer per process, and shard workers keep their own
-local counters and piggyback deltas on existing replies (see
-:mod:`repro.engine.shards`), so nothing here ever crosses a process
-boundary on its own.
+locking beyond what CPython's attribute stores give for free — every
+instrumented seam writes from the coordinator thread, and nothing here
+ever crosses a process boundary.
 
 Determinism is load-bearing.  Histograms use **fixed log-spaced bucket
 bounds** computed once at import time, so two runs that observe the
@@ -34,7 +32,7 @@ __all__ = [
 ]
 
 #: Log-spaced histogram bounds: four buckets per decade from 10 us to
-#: 100 s.  Latencies in this codebase span shard pings (~100 us) to
+#: 100 s.  Latencies in this codebase span single updates (~100 us) to
 #: whole streamed campaigns (~10 s); the fixed grid keeps snapshots
 #: deterministic and cross-run diffable, at the cost of ~±30% quantile
 #: resolution — fine for attribution ("where did the round go"), not

@@ -1,6 +1,6 @@
 """Per-round latency attribution: where did the wall-clock go.
 
-The engine stamps every instrumented phase into one histogram family,
+Every instrumented phase is stamped into one histogram family,
 ``repro_phase_seconds{phase, tenant}`` (see
 :meth:`repro.obs.Observability.phase`).  This module folds that family
 into the question operators actually ask — *which phase dominates, and
@@ -22,7 +22,6 @@ PHASE_ORDER = (
     "select",
     "collect",
     "update",
-    "commit",
     "journal",
     "admit",
     "seal",

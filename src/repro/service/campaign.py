@@ -60,7 +60,11 @@ class CampaignSpec:
         ``config.journal_path`` may be left unset — the service derives
         ``journal_root/tenant/name.jsonl``.
     jobs, inline:
-        Shard layout for the campaign's pool; ``jobs`` is an int >= 1.
+        Select nothing: service campaigns always journal, so they never
+        take the runner's threaded collection path.  Kept for callers
+        written against the removed process-shard engine (the
+        benchmark's ``durable`` workload passes ``jobs=2,
+        inline=False``); ``jobs`` is still checked to be an int >= 1.
     priority:
         Admission priority, an int; larger values are more important.
         Under saturation, strictly lower-priority *pending* campaigns
@@ -69,10 +73,6 @@ class CampaignSpec:
         Scheduling weight, finite and > 0 (service rate is
         proportional to it); ``None`` inherits the tenant quota's
         weight.
-    chaos, policy:
-        Per-campaign fault injection and supervision overrides — chaos
-        plans are deliberately per-campaign so one tenant's injected
-        faults cannot leak into another tenant's transports.
     source_factory:
         ``spec -> answer source`` building the *raw* (pre-fault-wrap)
         source; used at launch and again at every re-attach, after
@@ -83,9 +83,7 @@ class CampaignSpec:
         the campaign runs as a :class:`~repro.stream.runtime
         .StreamingCampaign` fed by an event log generated from the
         dataset: each service step consumes ``events_per_step``
-        delivery slots instead of one checking round.  Streamed
-        campaigns are inline-only (the streaming runtime owns its
-        session directly; there is no shard pool to spread).
+        delivery slots instead of one checking round.
     """
 
     tenant: str
@@ -96,8 +94,6 @@ class CampaignSpec:
     priority: int = 0
     weight: float | None = None
     inline: bool = True
-    chaos: object | None = None
-    policy: object | None = None
     source_factory: Callable[["CampaignSpec"], object] | None = None
     stream: object | None = None
 
@@ -114,11 +110,6 @@ class CampaignSpec:
             raise ValueError(f"priority must be an int, got {self.priority!r}")
         if self.weight is not None:
             check_weight(self.weight)
-        if self.stream is not None and not self.inline:
-            raise ValueError(
-                "streamed campaigns are inline-only: the streaming "
-                "runtime drives its own session, not a shard pool"
-            )
 
     @property
     def campaign_id(self) -> str:

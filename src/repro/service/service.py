@@ -2,24 +2,20 @@
 
 :class:`CampaignService` multiplexes many simultaneous hierarchical-
 checking campaigns onto one shared budget pool and a bounded set of
-shard-pool slots.  The design keeps three properties that the rest of
-the codebase already guarantees for solo campaigns, and extends them
+runtime slots.  The design keeps three properties that the rest of the
+codebase already guarantees for solo campaigns, and extends them
 across tenants:
 
-**Bit-identity.**  Each campaign runs on its *own* shard pool and its
-own private round-accounting ledger, stepped one round at a time
+**Bit-identity.**  Each campaign runs its *own* session and its own
+private round-accounting ledger, stepped one round at a time
 (``session.run(source, max_rounds=1)``).  Interleaving campaigns
 therefore cannot perturb any campaign's selections, budget trajectory,
 beliefs, or journal bytes: every campaign's outcome is byte-identical
 to the same campaign run solo through
-:func:`~repro.engine.runner.run_parallel_hc_session`.  Pools do share
-worker *processes*: a campaign's clean close releases its workers to
-the service's :class:`~repro.engine.shards.IdleWorkers` set and the
-next launch adopts them, but every shard state is rebuilt from its
-init frame, so reuse saves process start-up and changes no byte.  The
-shared :class:`~repro.engine.ledger.BudgetLedger` holds only
-*deposits* — whole-campaign reservations — so cross-tenant accounting
-never touches per-round arithmetic.
+:func:`~repro.engine.runner.run_parallel_hc_session`.  The shared
+:class:`~repro.engine.ledger.BudgetLedger` holds only *deposits* —
+whole-campaign reservations — so cross-tenant accounting never touches
+per-round arithmetic.
 
 **Backpressure.**  Admission is deposit-based and fail-fast (see
 :mod:`~repro.service.admission`): a submission either secures its full
@@ -28,20 +24,17 @@ lower-priority pending work, or is rejected with
 :class:`~repro.service.errors.ServiceSaturatedError` leaving no state
 behind.
 
-**Fault isolation.**  Chaos plans and supervision policies are
-per-campaign, so one tenant's injected faults live entirely inside
-that tenant's pool.  A round that raises (e.g.
-:class:`~repro.engine.supervisor.ShardFailureError` after the restart
-budget is spent) or overruns the service's round deadline costs the
-campaign a *strike*: its runtime is torn down (pool closed, tracker
-closed so no reservation leaks) and the campaign rebuilds from its
-journal on its next turn.  ``max_strikes`` strikes quarantine it —
-runtime gone, deposit intact — without ever touching another tenant's
-rounds or the shared ledger's commitments.
+**Fault isolation.**  A round that raises (e.g. a failing answer
+source) or overruns the service's round deadline costs the campaign a
+*strike*: its runtime is torn down (tracker closed so no reservation
+leaks) and the campaign rebuilds from its journal on its next turn.
+``max_strikes`` strikes quarantine it — runtime gone, deposit intact —
+without ever touching another tenant's rounds or the shared ledger's
+commitments.
 
 Detach/reattach rides the same machinery: a detach is a voluntary
 teardown at a round boundary, and an attach (same service or a fresh
-one after a restart) rebuilds pool + session from the journal via
+one after a restart) rebuilds the session from the journal via
 :func:`~repro.engine.runner.resume_parallel_session`, rewinds the
 answer source from the checkpointed source state, and continues
 byte-identically.
@@ -68,8 +61,6 @@ from pathlib import Path
 from ..core.serialization import SerializationError
 from ..engine.ledger import BudgetLedger
 from ..engine.runner import ParallelCampaignRunner, resume_parallel_session
-from ..engine.shards import IdleWorkers
-from ..engine.supervisor import SupervisionPolicy
 from ..obs import OBS, latency_report
 from ..simulation.session import campaign_answer_source
 from ..storage.integrity import JournalDamageReport, recover_journal
@@ -118,8 +109,8 @@ class ServicePolicy:
     Parameters
     ----------
     slots:
-        Maximum campaigns with a live runtime (shard pool) at once;
-        the rest wait in the admission queue.
+        Maximum campaigns with a live runtime at once; the rest wait in
+        the admission queue.
     queue_limit:
         Bound on the pending queue; beyond it, admission sheds or
         rejects.
@@ -129,16 +120,12 @@ class ServicePolicy:
         not lost).  ``None`` disables the check.
     max_strikes:
         Fault strikes before a campaign is quarantined.
-    supervision:
-        Default :class:`~repro.engine.supervisor.SupervisionPolicy`
-        for campaign pools (a spec's ``policy`` wins).
     """
 
     slots: int = 4
     queue_limit: int = 16
     round_deadline: float | None = None
     max_strikes: int = 3
-    supervision: SupervisionPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -206,9 +193,6 @@ class CampaignService:
         self._pending: list[CampaignRecord] = []
         self._active: list[CampaignRecord] = []
         self._scheduler = WeightedFairScheduler()
-        # Shard worker processes kept between the campaigns this
-        # service hosts; reaped in close().
-        self._idle_workers = IdleWorkers()
         self._closed = False
         self._steps = 0
         self._completed = 0
@@ -288,9 +272,8 @@ class CampaignService:
                     "only detached or quarantined campaigns can reattach"
                 )
             # Adopt the caller's fresh spec (it may carry a repaired
-            # source factory or a new chaos/supervision setting) but
-            # keep the admitted identity: resolved config, journal,
-            # deposit and base_spent all stay.
+            # source factory) but keep the admitted identity: resolved
+            # config, journal, deposit and base_spent all stay.
             existing.spec = spec
             if spec.weight is not None:
                 existing.weight = float(spec.weight)
@@ -578,24 +561,12 @@ class CampaignService:
             record.runtime = {"stream": campaign}
             record.launched = True
             return
-        runner = ParallelCampaignRunner(
+        record.runtime = ParallelCampaignRunner(
             spec.dataset,
             record.config,
-            jobs=spec.jobs,
             answer_source=spec.build_source(),
-            inline=spec.inline,
-            policy=spec.policy or self.policy.supervision,
-            chaos=spec.chaos,
             extra_journal_records=[record.identity_record()],
-            idle_workers=self._idle_workers,
-        )
-        prepared = runner.launch()
-        record.runtime = {
-            "pool": prepared["pool"],
-            "session": prepared["session"],
-            "source": prepared["source"],
-            "tracker": prepared["tracker"],
-        }
+        ).launch()
         record.launched = True
 
     @staticmethod
@@ -630,19 +601,13 @@ class CampaignService:
             )
             record.spent = float(campaign.spent_budget)
             return
-        session, pool = resume_parallel_session(
-            record.journal_path,
-            inline=spec.inline,
-            retry_policy=record.config.retry_policy,
-            policy=spec.policy or self.policy.supervision,
-            chaos=spec.chaos,
-            idle_workers=self._idle_workers,
+        session = resume_parallel_session(
+            record.journal_path, retry_policy=record.config.retry_policy
         )
         source = campaign_answer_source(
             spec.dataset, record.config, spec.build_source()
         )
         record.runtime = {
-            "pool": pool,
             "session": session,
             "source": source,
             "tracker": session.budget_tracker,
@@ -656,9 +621,8 @@ class CampaignService:
             return
         stream = runtime.get("stream")
         if stream is not None:
-            # The streaming runtime is inline: no pool to close, and
-            # its budget is private, so there is no reservation to
-            # release on the shared ledger.
+            # The streaming runtime's budget is private, so there is no
+            # reservation to release on the shared ledger.
             session = stream.session
             record.rounds = (
                 _completed_rounds(session) if session is not None else 0
@@ -672,7 +636,6 @@ class CampaignService:
         # the aborted round left open on the campaign's private ledger,
         # so the audit below only ever reports true leaks.
         runtime["tracker"].close()
-        runtime["pool"].close()
         leaks = runtime["tracker"].ledger.audit()
         record.leaked_reservations += len(leaks)
 
@@ -808,8 +771,7 @@ class CampaignService:
         Idempotent.  Committed money (completed campaigns, pre-restart
         ``base_spent``) stays committed; every open deposit of a
         non-completed campaign is released so the pool ends with
-        ``open_reservations == 0``.  Every shard worker the service
-        kept between campaigns is shut down.
+        ``open_reservations == 0``.
         """
         if self._closed:
             return
@@ -819,7 +781,6 @@ class CampaignService:
             self._active.remove(record)
             record.status = CampaignStatus.DETACHED
         self._pending.clear()
-        self._idle_workers.close()
         for record in self._records.values():
             if self._admission.has_deposit(record.campaign_id):
                 self._admission.forfeit(record.campaign_id)

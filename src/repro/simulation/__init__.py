@@ -3,8 +3,8 @@
 import importlib
 
 # Lazy re-exports (PEP 562): `session` pulls the aggregation registry
-# (scipy), which spawned shard workers importing `.online` through the
-# package root must not pay for.
+# (scipy), which an import of `.online` through the package root must
+# not pay for.
 _EXPORTS = {
     "StoppingRule": "adaptive",
     "collect_adaptive_annotations": "adaptive",

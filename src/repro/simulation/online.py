@@ -14,9 +14,9 @@ later), so control is inverted:
 
 :meth:`OnlineCheckingSession.run` is that loop over an answer source;
 :meth:`~repro.core.hc.HierarchicalCrowdsourcing.run` (every paper
-figure) and the parallel engine's plain path call it, and the
-resilient, engine, service and stream runtimes wrap the session, so
-simulated and live runs share one loop and one
+figure) and the ledger-backed runner's plain path call it, and the
+resilient, service and stream runtimes wrap the session, so simulated
+and live runs share one loop and one
 :class:`~repro.core.hc.RoundRecord` history.
 """
 
@@ -52,47 +52,30 @@ def stage_partial_updates(
     temper: bool,
     round_index: int,
     accuracy_overrides: Mapping[str, float] | None = None,
-    fact_filter: "frozenset[int] | set[int] | None" = None,
-) -> tuple[
-    dict[int, BeliefState],
-    list[tuple[tuple[int, int], FaultEvent]],
-]:
+) -> tuple[dict[int, BeliefState], list[FaultEvent]]:
     """Stage per-worker Lemma-3 updates per group without committing.
 
     This is the pure core of :meth:`OnlineCheckingSession.submit_partial`:
     it computes each touched group's posterior state on copies (the
     belief is *not* mutated) so a raised
     :class:`InconsistentEvidenceError` (``temper=False``) leaves the
-    caller's belief untouched.  The parallel engine runs this same
-    function inside every shard worker, restricted via ``fact_filter`` to
-    the facts the shard owns, so shard-local posteriors are bit-identical
-    to the serial computation.
+    caller's belief untouched.
 
     Returns ``(staged, tempered)`` where ``staged`` maps group index to
     the updated :class:`BeliefState` and ``tempered`` holds the
-    ``tempered_update`` fault events each keyed by
-    ``(answer-set index, position of the group's first fact)`` — sorting
-    by that key reproduces the exact order the serial loop emits them
-    in, even when the events were produced by different shards.
+    ``tempered_update`` fault events in the order they arose.
     """
     staged: dict[int, BeliefState] = {}
-    tempered: list[tuple[tuple[int, int], FaultEvent]] = []
-    for set_index, answer_set in enumerate(family):
+    tempered: list[FaultEvent] = []
+    for answer_set in family:
         worker = answer_set.worker
         if accuracy_overrides and worker.worker_id in accuracy_overrides:
             worker = worker.with_accuracy(
                 accuracy_overrides[worker.worker_id]
             )
         by_group: dict[int, dict[int, bool]] = {}
-        first_position: dict[int, int] = {}
-        for position, (fact_id, answer) in enumerate(
-            answer_set.answers.items()
-        ):
-            if fact_filter is not None and fact_id not in fact_filter:
-                continue
+        for fact_id, answer in answer_set.answers.items():
             group_index = belief.group_index_of(fact_id)
-            if group_index not in by_group:
-                first_position[group_index] = position
             by_group.setdefault(group_index, {})[fact_id] = answer
         for group_index, answers in by_group.items():
             state = staged.get(group_index, belief[group_index])
@@ -101,30 +84,20 @@ def stage_partial_updates(
                 updated = update_with_answer_set(state, sub)
             except InconsistentEvidenceError as error:
                 if not temper:
-                    wrapped = InconsistentEvidenceError(
+                    raise InconsistentEvidenceError(
                         f"{error} (round {round_index}, worker "
                         f"{answer_set.worker.worker_id!r}, answers "
                         f"{dict(sorted(answers.items()))})"
-                    )
-                    # The parallel engine orders errors from different
-                    # shards by this key so the coordinator re-raises
-                    # exactly the error the serial loop hits first.
-                    wrapped.stage_key = (
-                        set_index, first_position[group_index]
-                    )
-                    raise wrapped from error
+                    ) from error
                 updated, _ = tempered_update_with_answer_set(state, sub)
                 tempered.append(
-                    (
-                        (set_index, first_position[group_index]),
-                        FaultEvent(
-                            kind="tempered_update",
-                            round_index=round_index,
-                            worker_id=answer_set.worker.worker_id,
-                            fact_ids=tuple(sorted(answers)),
-                            detail="zero-evidence answers; likelihood "
-                                   "floored and renormalized",
-                        ),
+                    FaultEvent(
+                        kind="tempered_update",
+                        round_index=round_index,
+                        worker_id=answer_set.worker.worker_id,
+                        fact_ids=tuple(sorted(answers)),
+                        detail="zero-evidence answers; likelihood "
+                               "floored and renormalized",
                     )
                 )
             staged[group_index] = updated
@@ -132,26 +105,19 @@ def stage_partial_updates(
 
 
 def stage_family_updates(
-    belief: FactoredBelief,
-    family: AnswerFamily,
-    *,
-    fact_filter: "frozenset[int] | set[int] | None" = None,
+    belief: FactoredBelief, family: AnswerFamily
 ) -> dict[int, BeliefState]:
     """Stage full-round Eq. 23 updates per group without committing.
 
     The strict counterpart of :func:`stage_partial_updates` (same
-    contract, shard workers included) and the pure core of
-    :meth:`OnlineCheckingSession.submit`.  Returns the staged states by
-    group index, in the order the query set first touches each group; a
-    raised error's ``stage_key`` is its group's first query position.
+    contract) and the pure core of :meth:`OnlineCheckingSession.submit`.
+    Returns the staged states by group index, in the order the query
+    set first touches each group.
     """
     query_fact_ids = family.query_fact_ids
     groups: dict[int, list[int]] = {}
     for fact_id in query_fact_ids:
-        if fact_filter is None or fact_id in fact_filter:
-            groups.setdefault(belief.group_index_of(fact_id), []).append(
-                fact_id
-            )
+        groups.setdefault(belief.group_index_of(fact_id), []).append(fact_id)
     staged: dict[int, BeliefState] = {}
     for group_index, fact_ids in groups.items():
         sub_family = AnswerFamily(
@@ -171,13 +137,11 @@ def stage_family_updates(
                 belief[group_index], sub_family
             )
         except InconsistentEvidenceError as error:
-            wrapped = InconsistentEvidenceError(
+            raise InconsistentEvidenceError(
                 f"{error} (query set {sorted(query_fact_ids)}, "
                 f"group facts {sorted(fact_ids)}, answer family "
                 f"{describe_family(sub_family)})"
-            )
-            wrapped.stage_key = query_fact_ids.index(fact_ids[0])
-            raise wrapped from error
+            ) from error
     return staged
 
 
@@ -202,16 +166,6 @@ class OnlineCheckingSession:
         each submitted round updates.
     ground_truth:
         Optional truth map enabling accuracy tracking in the history.
-    update_engine:
-        Optional delegate that owns the Bayesian updates.  ``None``
-        (default) applies updates in-process; the parallel engine
-        passes a sharded implementation that stages updates inside the
-        shard workers and mirrors the committed group states back here.
-        The delegate must expose ``apply_family(belief, family)`` and
-        ``apply_partial(belief, family, *, temper, round_index,
-        accuracy_overrides)``; both mutate ``belief`` and return the
-        updated group indices (``apply_partial`` also returns the
-        tempered-update events, in serial emission order).
     """
 
     def __init__(
@@ -223,7 +177,6 @@ class OnlineCheckingSession:
         k: int = 1,
         cost_model: CostModel | None = None,
         ground_truth: Mapping[int, bool] | None = None,
-        update_engine=None,
     ):
         if len(experts) == 0:
             raise ValueError("the expert crowd CE must not be empty")
@@ -234,7 +187,7 @@ class OnlineCheckingSession:
         self._selector = selector or LazyGreedySelector()
         self._k = k
         if isinstance(budget, CheckingBudget):
-            # Caller-owned tracker (e.g. the engine's ledger-backed
+            # Caller-owned tracker (e.g. the runner's ledger-backed
             # budget); its float accounting must match CheckingBudget's
             # exactly for checkpoints to stay byte-identical.
             if cost_model is not None and budget.cost_model is not cost_model:
@@ -245,7 +198,6 @@ class OnlineCheckingSession:
             self._budget = budget
         else:
             self._budget = CheckingBudget(budget, cost_model=cost_model)
-        self._update_engine = update_engine
         self._ground_truth = (
             dict(ground_truth) if ground_truth is not None else None
         )
@@ -390,14 +342,7 @@ class OnlineCheckingSession:
         if missing:
             raise ValueError(f"answer family is missing experts: {missing}")
         with OBS.phase("update"):
-            if self._update_engine is not None:
-                updated = self._update_engine.apply_family(
-                    self._belief, family
-                )
-            else:
-                updated = self._commit(
-                    stage_family_updates(self._belief, family)
-                )
+            updated = self._commit(stage_family_updates(self._belief, family))
             self._invalidate(updated)
         cost = self._budget.charge_round(len(self._pending), self._experts)
         record = self._record(self._round_index, self._pending, cost)
@@ -479,25 +424,15 @@ class OnlineCheckingSession:
             event.stamped(self._round_index) for event in fault_events
         ]
         with OBS.phase("update"):
-            if self._update_engine is not None:
-                updated, tempered = self._update_engine.apply_partial(
-                    self._belief,
-                    family,
-                    temper=temper,
-                    round_index=self._round_index,
-                    accuracy_overrides=accuracy_overrides,
-                )
-                events.extend(tempered)
-            else:
-                staged, keyed = stage_partial_updates(
-                    self._belief,
-                    family,
-                    temper=temper,
-                    round_index=self._round_index,
-                    accuracy_overrides=accuracy_overrides,
-                )
-                events.extend(event for _key, event in keyed)
-                updated = self._commit(staged)
+            staged, tempered = stage_partial_updates(
+                self._belief,
+                family,
+                temper=temper,
+                round_index=self._round_index,
+                accuracy_overrides=accuracy_overrides,
+            )
+            events.extend(tempered)
+            updated = self._commit(staged)
             self._invalidate(updated)
         cost = self._budget.charge_family(family)
         record = self._record(
@@ -677,19 +612,14 @@ class OnlineCheckingSession:
         experts: Crowd,
         selector: Selector | None = None,
         cost_model: CostModel | None = None,
-        update_engine=None,
         budget_tracker: "CheckingBudget | None" = None,
-        belief: FactoredBelief | None = None,
     ) -> "OnlineCheckingSession":
         """Rebuild a session from :meth:`to_checkpoint` output.
 
         The caller provides the expert crowd (and optionally the
-        selector / cost model / update engine / budget tracker) that
-        were in use; pending queries and spent budget are restored
-        exactly.  A supplied ``budget_tracker`` must carry the
-        checkpoint's total.  ``belief`` is the checkpoint's belief when
-        the caller has decoded it already (the parallel resume hands
-        over its shard pool's), so it is not decoded twice.
+        selector / cost model / budget tracker) that were in use;
+        pending queries and spent budget are restored exactly.  A
+        supplied ``budget_tracker`` must carry the checkpoint's total.
         """
         from ..core.serialization import (
             SerializationError,
@@ -700,8 +630,7 @@ class OnlineCheckingSession:
 
         check_version(payload)
         try:
-            if belief is None:
-                belief = factored_belief_from_dict(payload["belief"])
+            belief = factored_belief_from_dict(payload["belief"])
             ground_truth = payload.get("ground_truth")
             if ground_truth is not None:
                 ground_truth = {
@@ -725,7 +654,6 @@ class OnlineCheckingSession:
                 k=int(payload["k"]),
                 cost_model=cost_model,
                 ground_truth=ground_truth,
-                update_engine=update_engine,
             )
             session._budget.restore_spent(float(payload["budget_spent"]))
             session._round_index = int(payload["round_index"])

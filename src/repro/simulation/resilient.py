@@ -176,9 +176,8 @@ class ResilientCheckingSession:
     journal_metadata:
         Optional extra record — or sequence of records — appended
         between the journal's header and its first checkpoint (the
-        parallel engine stores its shard layout here; the campaign
-        service prepends its tenant identity).  Each must carry a
-        ``"kind"`` field; ignored without ``journal_path``.
+        campaign service stores its tenant identity here).  Each must
+        carry a ``"kind"`` field; ignored without ``journal_path``.
     journal_header:
         ``False`` when the caller already initialized the journal file
         (header, metadata, its own bootstrap records) and will trigger
@@ -211,7 +210,6 @@ class ResilientCheckingSession:
         gold_facts: Mapping[int, bool] | None = None,
         seed: int = 0,
         sleep: Callable[[float], None] | None = None,
-        update_engine=None,
         journal_metadata: dict | Sequence[dict] | None = None,
         journal_header: bool = True,
         checkpoint_extras: Callable[[], dict] | None = None,
@@ -224,7 +222,6 @@ class ResilientCheckingSession:
             k=k,
             cost_model=cost_model,
             ground_truth=ground_truth,
-            update_engine=update_engine,
         )
         supervisor = (
             TrustSupervisor(experts, policy=trust_policy, gold=gold_facts)
@@ -250,10 +247,10 @@ class ResilientCheckingSession:
             ),
         )
         if self._journal_path is not None and journal_header:
-            # Caller-provided runtime metadata (e.g. the parallel engine's
-            # shard layout, the service's tenant record) sits between the
-            # header and the first checkpoint, so resume's cut back to
-            # the last checkpoint can never drop it.
+            # Caller-provided runtime metadata (e.g. the service's tenant
+            # record) sits between the header and the first checkpoint,
+            # so resume's cut back to the last checkpoint can never drop
+            # it.
             start_journal(
                 self._journal_path,
                 budget.total if isinstance(budget, CheckingBudget) else budget,
@@ -335,7 +332,7 @@ class ResilientCheckingSession:
     @property
     def budget_tracker(self) -> CheckingBudget:
         """The session's budget object (a
-        :class:`~repro.engine.ledger.LedgerBudget` on the parallel
+        :class:`~repro.engine.ledger.LedgerBudget` on the ledger-backed
         path).  Abort paths close it to release an orphaned
         reservation."""
         return self._inner.budget
@@ -1065,11 +1062,8 @@ class ResilientCheckingSession:
         retry_policy: RetryPolicy | None = None,
         reserve_experts: Crowd | None = None,
         sleep: Callable[[float], None] | None = None,
-        update_engine=None,
         budget_tracker: "CheckingBudget | None" = None,
         records: list[dict] | None = None,
-        checkpoint: dict | None = None,
-        belief: FactoredBelief | None = None,
     ) -> "ResilientCheckingSession":
         """Restore a session from its journal, mid-round if need be.
 
@@ -1083,14 +1077,11 @@ class ResilientCheckingSession:
         uninterrupted run.  ``records`` are the journal's records from a
         resume that already ran
         :func:`~repro.storage.integrity.recover_for_resume` on it (the
-        parallel and streaming resumes), so the file is not read twice;
-        ``checkpoint`` is their
-        :func:`~repro.core.serialization.fold_checkpoints` and
-        ``belief`` the fold's decoded belief when the caller has them
-        already (the parallel resume, whose shard pool then holds the
-        session's group states, as in a fresh campaign).  The session's
-        journal writer is primed from the fold, so its next checkpoint
-        line is the one the uninterrupted run wrote.
+        ledger-backed and streaming resumes), so the file is not read
+        twice.  The session's journal writer is primed from the
+        :func:`~repro.core.serialization.fold_checkpoints` of the
+        checkpoint lines, so its next checkpoint line is the one the
+        uninterrupted run wrote.
         """
         if records is None:
             # Salvage first (a torn trailing line; on v8 journals also
@@ -1112,8 +1103,7 @@ class ResilientCheckingSession:
             )
         last_index = checkpoint_indices[-1]
         last = records[last_index]
-        if checkpoint is None:
-            checkpoint = fold_checkpoints(records)
+        checkpoint = fold_checkpoints(records)
         try:
             panel = (
                 experts
@@ -1125,9 +1115,7 @@ class ResilientCheckingSession:
                 panel,
                 selector=selector,
                 cost_model=cost_model,
-                update_engine=update_engine,
                 budget_tracker=budget_tracker,
-                belief=belief,
             )
             session = cls.__new__(cls)
             reserve = (

@@ -1,6 +1,6 @@
 """Seeded fault injection for the durable-storage layer.
 
-:mod:`repro.engine.chaos` degrades the shard *transport*;
+:mod:`repro.simulation.faults` degrades the crowd and
 :mod:`repro.stream.chaos` degrades event *delivery*.  This module goes
 one layer further down and degrades the **disk**: a
 :class:`StorageChaos` plan decides, per ``(path, write_index)``,

@@ -132,8 +132,7 @@ def recover_for_resume(
     are cut first (salvage first: :func:`recover_journal`).  A legacy
     journal with interior damage raises
     :class:`~repro.core.serialization.SerializationError` and is left
-    as found.  The returned records still include any the cut removed;
-    the parallel resume reads its failover layout from them.
+    as found.
     """
     report = recover_journal(path)
     records = report.strict_records()

@@ -1,7 +1,7 @@
 """Long-haul soak: kill the whole service, on purpose, on a schedule.
 
 The rest of the robustness stack is verified piecewise — torn tails,
-interior bit-flips, transport faults, delivery degradation each have
+interior bit-flips, crowd faults, delivery degradation each have
 their own suites.  The soak harness (``repro soak``) composes all of
 it and adds the one fault no in-process test can stage honestly: the
 **whole-process SIGKILL**, repeatedly, against a live multi-tenant
@@ -11,9 +11,7 @@ One soak run is a sequence of *waves*.  Each wave:
 
 1. builds a deterministic multi-tenant workload — streamed campaigns
    under :class:`~repro.stream.chaos.StreamChaos` delivery degradation
-   plus one inline sharded campaign under a delay-only transport
-   :class:`~repro.engine.chaos.ChaosPlan` (delays leave no journal
-   trace, so byte-identity is preserved);
+   plus one batch campaign;
 2. runs it once, uninterrupted and with storage chaos force-disabled,
    to produce the **reference** journal bytes;
 3. runs the *same* workload in a forked child process with a seeded
@@ -90,7 +88,6 @@ def _wave_specs(wave_seed: int, tenants: int) -> list:
     exact same specs from ``(wave_seed, tenants)`` without any pickling
     of datasets or factories.
     """
-    from ..engine.chaos import ChaosPlan
     from ..service.campaign import CampaignSpec
     from ..simulation.session import SessionConfig
     from ..stream.chaos import StreamChaos
@@ -122,19 +119,12 @@ def _wave_specs(wave_seed: int, tenants: int) -> list:
                 ),
             )
         )
-    # One inline sharded campaign under delay-only transport chaos:
-    # delays perturb wall-clock, never journal bytes.
     specs.append(
         CampaignSpec(
             tenant="batch",
             name="grid",
             dataset=_wave_dataset(wave_seed, tenants),
             config=SessionConfig(budget=18.0, k=2, seed=wave_seed),
-            jobs=2,
-            inline=True,
-            chaos=ChaosPlan(
-                delay=0.05, delay_duration=0.005, seed=wave_seed
-            ),
         )
     )
     return specs

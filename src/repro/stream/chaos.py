@@ -1,7 +1,7 @@
 """Delivery-path fault injection for the streaming runtime.
 
-:mod:`repro.engine.chaos` breaks the shard transport; this module
-breaks the *arrival path*: the generated event log is well-ordered, but
+:mod:`repro.simulation.faults` breaks the crowd; this module breaks
+the *arrival path*: the generated event log is well-ordered, but
 what the campaign actually receives may be reordered, duplicated,
 stalled (delivered far later than generated) or dropped entirely.
 

@@ -264,7 +264,7 @@ class StreamingCampaign:
         config itself, then hands the journal to the session it creates
         on first seal.
     selector, k, cost_model, retry_policy, reserve_experts,
-    trust_policy, gold_facts, sleep, update_engine:
+    trust_policy, gold_facts, sleep:
         Forwarded to the checking session when the first group seals.
     """
 
@@ -285,7 +285,6 @@ class StreamingCampaign:
         trust_policy: TrustPolicy | None = None,
         gold_facts: Mapping[int, bool] | None = None,
         sleep: Callable[[float], None] | None = None,
-        update_engine=None,
     ):
         self._spec = spec or StreamSpec()
         self._events = list(events)
@@ -304,7 +303,6 @@ class StreamingCampaign:
         self._trust_policy = trust_policy
         self._gold_facts = gold_facts
         self._sleep = sleep
-        self._update_engine = update_engine
         self._journal_path = (
             Path(journal_path) if journal_path is not None else None
         )
@@ -719,7 +717,6 @@ class StreamingCampaign:
             gold_facts=self._gold_facts,
             seed=self._spec.seed,
             sleep=self._sleep,
-            update_engine=self._update_engine,
             journal_header=False,
             checkpoint_extras=self._extras,
         )
@@ -750,7 +747,6 @@ class StreamingCampaign:
         retry_policy: RetryPolicy | None = None,
         reserve_experts: Crowd | None = None,
         sleep: Callable[[float], None] | None = None,
-        update_engine=None,
         budget: "float | CheckingBudget | None" = None,
         budget_tracker: "CheckingBudget | None" = None,
         experts: Crowd | None = None,
@@ -819,7 +815,6 @@ class StreamingCampaign:
                 retry_policy=retry_policy,
                 reserve_experts=reserve_experts,
                 sleep=sleep,
-                update_engine=update_engine,
                 budget_tracker=budget_tracker,
                 records=records,
             )
@@ -847,7 +842,6 @@ class StreamingCampaign:
             retry_policy=retry_policy,
             reserve_experts=reserve_experts,
             sleep=sleep,
-            update_engine=update_engine,
         )
         campaign._journal_path = journal_path
         campaign._session = session

@@ -13,8 +13,8 @@ from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
 @pytest.fixture(autouse=True)
 def _no_leaked_worker_processes():
     """Fail a test that leaves a ``multiprocessing`` child alive which
-    was not alive before it: a shard worker a pool never closed, or an
-    idle worker a campaign service never reaped."""
+    was not alive before it: a ``reproduce`` experiment worker or a
+    soak child nobody joined."""
     before = {child.pid for child in multiprocessing.active_children()}
     yield
     leaked = [

@@ -19,8 +19,6 @@ from repro.core import (
     Worker,
     pattern_indices,
     sparse_from_marginals,
-    state_from_wire,
-    state_wire_payload,
     update_with_answer_set,
     update_with_family,
 )
@@ -287,30 +285,3 @@ def test_sparse_from_marginals_extreme_endpoints_are_exact():
     assert sparse.support_size == 1
     assert sparse.support[0] == 0b010
     assert sparse.sparse_probabilities[0] == 1.0
-
-
-# ---------------------------------------------------------------------
-# wire payloads
-# ---------------------------------------------------------------------
-
-
-def test_wire_payload_round_trip_dense_and_sparse():
-    facts = FactSet.from_ids([1, 2, 3])
-    probabilities = np.array(
-        [0.09, 0.11, 0.10, 0.20, 0.08, 0.09, 0.15, 0.18]
-    )
-    dense = BeliefState(facts, probabilities)
-    restored = state_from_wire(facts, state_wire_payload(dense))
-    assert type(restored) is BeliefState
-    assert np.array_equal(restored.probabilities, dense.probabilities)
-
-    sparse = _sparse(facts, probabilities, 1e-4)
-    payload = state_wire_payload(sparse)
-    assert payload[0] == "sparse"
-    restored = state_from_wire(facts, payload)
-    assert isinstance(restored, SparseBeliefState)
-    assert np.array_equal(restored.support, sparse.support)
-    assert np.array_equal(
-        restored.sparse_probabilities, sparse.sparse_probabilities
-    )
-    assert restored.epsilon == sparse.epsilon

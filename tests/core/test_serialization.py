@@ -497,8 +497,9 @@ class TestTrimToLastCheckpoint:
         assert path.read_bytes() == before
 
     def test_records_before_first_checkpoint_survive(self, tmp_path):
-        """The engine record sits between header and first checkpoint;
-        trimming must never drop it."""
+        """Metadata records (here an engine record, as journals of the
+        removed process-shard engine carry) sit between header and
+        first checkpoint; trimming must never drop them."""
         from repro.core import (
             append_journal_record,
             read_journal,

@@ -1,17 +1,14 @@
-"""Property tests: the parallel engine is bit-identical to the serial
-runtime — same selections, same histories, same belief bytes, same
-journal bytes — for 1, 2 and 4 workers, on randomized instances, with
+"""Property tests: the ledger-backed runner is bit-identical to the
+serial runtime — same selections, same histories, same belief bytes,
+same journal bytes — for 1, 2 and 4 jobs, on randomized instances, with
 and without fault injection and trust quarantine."""
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.core.serialization import strip_frame
 from repro.core.trust import TrustPolicy
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
-from repro.engine import run_parallel_hc_session
+from repro.engine import KeyedExpertPanel, run_parallel_hc_session
 from repro.simulation import FaultModel, SessionConfig, run_hc_session
 
 JOB_COUNTS = (1, 2, 4)
@@ -36,34 +33,21 @@ def _signature(result):
     )
 
 
-def _journal_without_engine_lines(path) -> bytes:
-    """A parallel journal is the serial journal plus one engine record
-    (and, when the CI chaos matrix injects transport faults, some
-    ``shard_incident`` supervision records).  The extra records shift
-    the v8 sequence numbers of everything after them, so both sides are
-    compared with the framing fields stripped."""
-    kept = []
-    for line in path.read_bytes().splitlines(keepends=True):
-        record = json.loads(line)
-        if record.get("kind") not in ("engine", "shard_incident"):
-            kept.append(
-                json.dumps(
-                    strip_frame(record), separators=(",", ":")
-                ).encode()
-                + b"\n"
-            )
-    return b"".join(kept)
-
-
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_plain_campaign_bit_identical(seed):
+    """A keyed panel is collected on ``jobs`` threads on the plain
+    path, bit-identically to one serial call."""
     dataset = _dataset(seed)
     config = SessionConfig(budget=24.0, k=2 + seed % 2, seed=seed)
-    serial = run_hc_session(dataset, config)
+
+    def panel():
+        return KeyedExpertPanel(dataset.ground_truth, seed=seed)
+
+    serial = run_hc_session(dataset, config, answer_source=panel())
     reference = _signature(serial)
     for jobs in JOB_COUNTS:
         parallel = run_parallel_hc_session(
-            dataset, config, jobs=jobs, inline=True
+            dataset, config, answer_source=panel(), jobs=jobs
         )
         assert _signature(parallel) == reference
         assert parallel.final_labels == serial.final_labels
@@ -72,7 +56,7 @@ def test_plain_campaign_bit_identical(seed):
 @pytest.mark.parametrize("jobs", JOB_COUNTS)
 def test_resilient_campaign_bit_identical(jobs, tmp_path):
     """Fault injection + trust quarantine + reserves + journaling: the
-    full resilient runtime, sharded, byte-for-byte."""
+    full resilient runtime, byte-for-byte."""
     dataset = _dataset(3)
     faults = FaultModel(no_show=0.2, partial=0.2, seed=9)
 
@@ -91,7 +75,7 @@ def test_resilient_campaign_bit_identical(jobs, tmp_path):
     parallel_journal = tmp_path / f"parallel{jobs}.jsonl"
     serial = run_hc_session(dataset, config(serial_journal))
     parallel = run_parallel_hc_session(
-        dataset, config(parallel_journal), jobs=jobs, inline=True
+        dataset, config(parallel_journal), jobs=jobs
     )
 
     assert [tuple(r.query_fact_ids) for r in parallel.history] == [
@@ -110,27 +94,13 @@ def test_resilient_campaign_bit_identical(jobs, tmp_path):
         (event.kind, event.round_index, event.worker_id)
         for event in serial.incidents
     ]
-    assert _journal_without_engine_lines(
-        parallel_journal
-    ) == _journal_without_engine_lines(serial_journal)
-    # The engine record is present exactly once, right after the header.
-    records = [
-        json.loads(line)
-        for line in parallel_journal.read_bytes().splitlines()
-    ]
-    engine_positions = [
-        index
-        for index, record in enumerate(records)
-        if record.get("kind") == "engine"
-    ]
-    assert engine_positions == [1]
-    assert records[1]["jobs"] == min(jobs, 6)
+    assert parallel_journal.read_bytes() == serial_journal.read_bytes()
 
 
 @pytest.mark.parametrize("seed", [1, 13])
 def test_randomized_resilient_instances(seed):
     """Randomized shapes and fault mixes, no journal: histories and
-    beliefs still agree across worker counts."""
+    beliefs still agree across job counts."""
     rng = np.random.default_rng(seed)
     dataset = _dataset(
         seed, num_groups=int(rng.integers(4, 8)), group_size=4
@@ -151,7 +121,5 @@ def test_randomized_resilient_instances(seed):
     serial = run_hc_session(dataset, config)
     reference = _signature(serial)
     for jobs in (2, 4):
-        parallel = run_parallel_hc_session(
-            dataset, config, jobs=jobs, inline=True
-        )
+        parallel = run_parallel_hc_session(dataset, config, jobs=jobs)
         assert _signature(parallel) == reference

@@ -1,4 +1,4 @@
-"""Unit tests for the cross-shard budget ledger."""
+"""Unit tests for the shared budget ledger."""
 
 import pytest
 
@@ -223,7 +223,6 @@ class TestLedgerAudit:
             SessionConfig(budget=14.0, k=2, seed=1),
             answer_source=ExplodingSource(),
             jobs=2,
-            inline=True,
             ledger=shared,
         )
         with pytest.raises(RuntimeError, match="infrastructure died"):

@@ -1,4 +1,4 @@
-"""Crash-recovery tests: a killed parallel campaign resumes to a
+"""Crash-recovery tests: a killed ledger-backed campaign resumes to a
 byte-identical journal (and bit-identical beliefs).
 
 The strategy: run one uninterrupted reference campaign, then recreate
@@ -7,7 +7,6 @@ real ``SIGKILL`` of a running campaign process — and assert the resumed
 journal's bytes equal the reference journal's.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -30,16 +29,6 @@ from repro.simulation import (
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-@pytest.fixture(autouse=True)
-def _no_env_chaos(monkeypatch):
-    """These tests compare journal *bytes*; environment-injected chaos
-    (the CI engine-chaos matrix) adds nondeterministically-placed
-    ``shard_incident`` lines.  Chaos-under-journaling equivalence is
-    pinned separately in test_supervisor.py, which strips them."""
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_SHARD_DEADLINE"):
-        monkeypatch.delenv(name, raising=False)
 
 
 def _dataset():
@@ -81,56 +70,36 @@ class TestTornJournalResume:
         dataset = _dataset()
         reference_path = tmp_path / "reference.jsonl"
         reference = run_parallel_hc_session(
-            dataset, _config(reference_path), jobs=3, inline=True
+            dataset, _config(reference_path), jobs=3
         )
         reference_bytes = reference_path.read_bytes()
         lines = reference_bytes.splitlines(keepends=True)
         assert len(lines) > 6
         # Cut after every intact prefix that contains a checkpoint
-        # (header, engine, first checkpoint = 3 lines), tearing the
-        # next line mid-record — the on-disk state a SIGKILL during an
-        # append leaves behind.
-        for cut in range(3, len(lines)):
+        # (header, first checkpoint = 2 lines), tearing the next line
+        # mid-record — the on-disk state a SIGKILL during an append
+        # leaves behind.
+        for cut in range(2, len(lines)):
             killed = tmp_path / f"killed{cut}.jsonl"
             killed.write_bytes(
                 b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2]
             )
-            session, pool = resume_parallel_session(killed, inline=True)
-            with pool:
-                result = session.run(_fresh_panel(dataset))
+            session = resume_parallel_session(killed)
+            result = session.run(_fresh_panel(dataset))
             assert killed.read_bytes() == reference_bytes, f"cut={cut}"
             for ours, theirs in zip(result.belief, reference.belief):
                 assert np.array_equal(
                     ours.probabilities, theirs.probabilities
                 )
 
-    def test_resume_reads_jobs_from_engine_record(self, tmp_path):
-        dataset = _dataset()
-        journal = tmp_path / "campaign.jsonl"
-        run_parallel_hc_session(
-            dataset, _config(journal), jobs=3, inline=True
-        )
-        lines = journal.read_bytes().splitlines(keepends=True)
-        assert json.loads(lines[1])["kind"] == "engine"
-        truncated = tmp_path / "truncated.jsonl"
-        truncated.write_bytes(b"".join(lines[:4]))
-        session, pool = resume_parallel_session(truncated, inline=True)
-        with pool:
-            assert pool.jobs == 3  # from the engine record, not a default
-            session.run(_fresh_panel(dataset))
-
     def test_resume_decodes_each_group_once(self, tmp_path, monkeypatch):
-        """The shard pool and the resumed session share the group
-        states decoded once from the folded checkpoint, as a fresh
-        campaign's do (the session keeps its own shallow copy of the
-        belief container)."""
+        """The resumed session decodes each group state once, from the
+        folded checkpoint."""
         from repro.core import serialization
 
         dataset = _dataset()
         reference = tmp_path / "reference.jsonl"
-        run_parallel_hc_session(
-            dataset, _config(reference), jobs=2, inline=True
-        )
+        run_parallel_hc_session(dataset, _config(reference), jobs=2)
         lines = reference.read_bytes().splitlines(keepends=True)
         killed = tmp_path / "killed.jsonl"
         killed.write_bytes(b"".join(lines[: len(lines) // 2]))
@@ -144,31 +113,24 @@ class TestTornJournalResume:
         monkeypatch.setattr(
             serialization, "belief_state_from_dict", counting_decode
         )
-        session, pool = resume_parallel_session(killed, inline=True)
-        with pool:
-            assert len(decoded) == len(session.belief) == 6
-            assert all(
-                pool._belief[index] is state
-                for index, state in enumerate(session.belief)
-            )
-            session.run(_fresh_panel(dataset))
+        session = resume_parallel_session(killed)
+        assert len(decoded) == len(session.belief) == 6
+        session.run(_fresh_panel(dataset))
         assert killed.read_bytes() == reference.read_bytes()
 
     def test_resume_without_checkpoint_is_rejected(self, tmp_path):
         dataset = _dataset()
         journal = tmp_path / "campaign.jsonl"
-        run_parallel_hc_session(
-            dataset, _config(journal), jobs=2, inline=True
-        )
+        run_parallel_hc_session(dataset, _config(journal), jobs=2)
         lines = journal.read_bytes().splitlines(keepends=True)
         headless = tmp_path / "headless.jsonl"
-        headless.write_bytes(b"".join(lines[:2]))  # header + engine only
+        headless.write_bytes(lines[0])  # the header only
         with pytest.raises(SerializationError, match="checkpoint"):
-            resume_parallel_session(headless, inline=True)
+            resume_parallel_session(headless)
 
 
 _KILL_HELPER = '''
-"""Subprocess helper: run the resume test's parallel campaign.
+"""Subprocess helper: run the resume test's ledger-backed campaign.
 
 Argv: journal_path delay_seconds.  ``delay_seconds`` slows each round's
 answer collection so the parent can SIGKILL the campaign mid-run; it
@@ -220,9 +182,7 @@ def main():
         ),
         delay,
     )
-    run_parallel_hc_session(
-        dataset, config, jobs=3, inline=True, answer_source=panel
-    )
+    run_parallel_hc_session(dataset, config, jobs=3, answer_source=panel)
     print("COMPLETED")
 
 
@@ -280,9 +240,8 @@ class TestSigkillResume:
             killed_bytes[: killed_bytes.rfind(b"\n") + 1]
         )
 
-        session, pool = resume_parallel_session(killed, inline=True)
-        with pool:
-            session.run(_fresh_panel(dataset))
+        session = resume_parallel_session(killed)
+        session.run(_fresh_panel(dataset))
         assert killed.read_bytes() == reference_bytes
 
 
@@ -303,8 +262,7 @@ class TestSparseKernelResume:
         dataset = _dataset()
         reference_path = tmp_path / "reference.jsonl"
         reference = run_parallel_hc_session(
-            dataset, self._sparse_config(reference_path), jobs=3,
-            inline=True,
+            dataset, self._sparse_config(reference_path), jobs=3
         )
         reference_bytes = reference_path.read_bytes()
         # the sparse kernel really ran: checkpoints carry its epsilon
@@ -313,14 +271,13 @@ class TestSparseKernelResume:
         assert len(lines) > 6
         # A thinned version of the dense sweep (every other cut point);
         # the cut mechanics are identical, the serialized payload isn't.
-        for cut in range(3, len(lines), 2):
+        for cut in range(2, len(lines), 2):
             killed = tmp_path / f"killed{cut}.jsonl"
             killed.write_bytes(
                 b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2]
             )
-            session, pool = resume_parallel_session(killed, inline=True)
-            with pool:
-                result = session.run(_fresh_panel(dataset))
+            session = resume_parallel_session(killed)
+            result = session.run(_fresh_panel(dataset))
             assert killed.read_bytes() == reference_bytes, f"cut={cut}"
             for ours, theirs in zip(result.belief, reference.belief):
                 assert np.array_equal(

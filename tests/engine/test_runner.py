@@ -36,18 +36,9 @@ def test_caller_supplied_selector_is_rejected(dataset):
         run_parallel_hc_session(dataset, selector=LazyGreedySelector())
 
 
-def test_jobs_clamped_to_group_count(dataset):
-    runner = ParallelCampaignRunner(
-        dataset, SessionConfig(budget=8.0), jobs=16, inline=True
-    )
-    runner.prepare()
-    assert runner.jobs_used == 5
-    runner.run()
-
-
 def test_prepare_is_idempotent_until_consumed(dataset):
     runner = ParallelCampaignRunner(
-        dataset, SessionConfig(budget=8.0), jobs=2, inline=True
+        dataset, SessionConfig(budget=8.0), jobs=2
     )
     assert runner.prepare() is runner
     first = runner._prepared
@@ -60,8 +51,7 @@ def test_prepare_is_idempotent_until_consumed(dataset):
 def test_theta_without_experts_raises(dataset):
     with pytest.raises(ValueError, match="theta"):
         run_parallel_hc_session(
-            dataset, SessionConfig(theta=0.9999, budget=8.0), jobs=2,
-            inline=True,
+            dataset, SessionConfig(theta=0.9999, budget=8.0), jobs=2
         )
 
 
@@ -80,7 +70,6 @@ def test_concurrent_collection_enables_for_keyed_panel(dataset, tmp_path):
             config,
             answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
             jobs=3,
-            inline=True,
         )
 
     serial = run_hc_session(
@@ -118,8 +107,8 @@ class _RendezvousPanel(KeyedExpertPanel):
 
 
 def test_collection_chunks_run_on_concurrent_threads(dataset):
-    """jobs=4 inline shards: every round's four single-query chunks
-    meet at a barrier, which only threads that overlap can pass."""
+    """jobs=4: every round's four single-query chunks meet at a
+    barrier, which only threads that overlap can pass."""
     config = _four_pick_rounds()
     serial = run_hc_session(
         dataset,
@@ -131,7 +120,6 @@ def test_collection_chunks_run_on_concurrent_threads(dataset):
         config,
         answer_source=_RendezvousPanel(dataset.ground_truth, seed=4),
         jobs=4,
-        inline=True,
     )
     assert _signature(parallel) == _signature(serial)
 
@@ -165,7 +153,6 @@ def test_chunk_error_surfaces_after_the_other_chunks(dataset):
         _four_pick_rounds(),
         answer_source=panel,
         jobs=4,
-        inline=True,
     )
     with pytest.raises(RuntimeError, match="dropped a chunk"):
         runner.run()
@@ -175,7 +162,7 @@ def test_chunk_error_surfaces_after_the_other_chunks(dataset):
 
 def test_ledger_reports_committed_spending(dataset):
     runner = ParallelCampaignRunner(
-        dataset, SessionConfig(budget=16.0, k=2), jobs=2, inline=True
+        dataset, SessionConfig(budget=16.0, k=2), jobs=2
     )
     result = runner.run()
     assert runner.ledger is not None
@@ -189,7 +176,7 @@ def test_shared_ledger_caps_joint_spending(dataset):
     """Two campaigns over one ledger can never jointly exceed it."""
     ledger = BudgetLedger(16.0)
     first = run_parallel_hc_session(
-        dataset, SessionConfig(budget=16.0, k=2), jobs=2, inline=True,
+        dataset, SessionConfig(budget=16.0, k=2), jobs=2,
         ledger=ledger,
     )
     spent = first.history[-1].budget_spent
@@ -198,7 +185,7 @@ def test_shared_ledger_caps_joint_spending(dataset):
     # fail its first reservation rather than double-spend.
     with pytest.raises(LedgerError):
         run_parallel_hc_session(
-            dataset, SessionConfig(budget=16.0, k=2), jobs=2, inline=True,
+            dataset, SessionConfig(budget=16.0, k=2), jobs=2,
             ledger=ledger,
         )
     assert ledger.committed == pytest.approx(spent)
@@ -209,7 +196,7 @@ def test_trust_summary_survives_the_parallel_path(dataset):
         budget=20.0, k=2, seed=3, trust_policy=TrustPolicy(seed=7)
     )
     serial = run_hc_session(dataset, config)
-    parallel = run_parallel_hc_session(dataset, config, jobs=2, inline=True)
+    parallel = run_parallel_hc_session(dataset, config, jobs=2)
     assert parallel.trust is not None
     assert [
         (summary.worker_id, summary.mean, summary.breaker_state)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.reproduce import FIGURE_RUNNERS, run_all
+from repro.experiments.reproduce import FIGURE_RUNNERS, main, run_all
 
 
 class TestRunAll:
@@ -117,3 +117,16 @@ class TestRunAll:
         text = (tmp_path / "figure7.txt").read_text()
         for series in payload["series"]:
             assert series["label"] in text
+
+
+class TestMain:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_refused(self, jobs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "--scale", "small", "--only", "figure7",
+                "--out", str(tmp_path), "--jobs", jobs,
+            ])
+        assert exit_info.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not (tmp_path / "figure7.json").exists()

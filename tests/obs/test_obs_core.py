@@ -277,16 +277,6 @@ class TestFacade:
         assert OBS.registry.get("repro_test_sticky") is None
         assert OBS.registry.get("repro_test_name") is None
 
-    def test_consume_worker_delta_skips_none_replies(self):
-        OBS.enable()
-        OBS.consume_worker_delta("0", None)  # rebuilt-worker reply
-        OBS.consume_worker_delta(
-            "1",
-            {"commands": {"commit": 2}, "busy_seconds": {"commit": 0.5}},
-        )
-        commands = OBS.registry.get("repro_shard_commands_total")
-        assert commands.labels(shard="1", command="commit").value == 2
-
     def test_tenant_scope_restores_previous_label(self):
         OBS.enable()
         with OBS.tenant_scope("acme"):

@@ -4,9 +4,9 @@ Turning on tracing + metrics must never touch an RNG stream and never
 change a journal byte.  Each test runs the same campaign twice — once
 with ``OBS`` fully enabled (metrics, trace buffer, trace JSONL), once
 disabled — and asserts the journals are byte-identical and the final
-beliefs bit-identical.  Covered shapes: the serial sharded engine
-(``jobs=1``), the parallel engine (``jobs=4``), a streamed campaign,
-and a streamed campaign resumed from its journal.  Each enabled run
+beliefs bit-identical.  Covered shapes: the ledger-backed runner at
+``jobs=1`` and ``jobs=4``, a streamed campaign, and a streamed campaign
+resumed from its journal.  Each enabled run
 also asserts instrumentation actually fired, so a regression that
 silently disables the hooks cannot pass as "no perturbation".  A
 service recovery with OBS on must also leave a reattached streamed
@@ -42,13 +42,6 @@ def _clean_obs():
     OBS.reset()
 
 
-@pytest.fixture(autouse=True)
-def _no_env_chaos(monkeypatch):
-    # Byte comparisons; keep the CI chaos matrix out of the journals.
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_SHARD_DEADLINE"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def _dataset():
     return make_synthetic_dataset(
         num_groups=6,
@@ -75,9 +68,7 @@ def _config(journal_path):
 
 
 def _run_engine(dataset, journal_path, jobs):
-    return run_parallel_hc_session(
-        dataset, _config(journal_path), jobs=jobs, inline=True
-    )
+    return run_parallel_hc_session(dataset, _config(journal_path), jobs=jobs)
 
 
 def _assert_observed_something(tmp_path):
@@ -117,9 +108,9 @@ def test_engine_journal_bytes_identical_enabled_vs_disabled(
     assert observed.budgets == reference.budgets
 
     phases = _assert_observed_something(tmp_path)
-    # The engine seams: selection, collection, belief update, shard
-    # commit, and journal checkpoints all sit on the run path.
-    assert {"select", "collect", "update", "commit", "journal"} <= phases
+    # Selection, collection, belief update and journal checkpoints all
+    # sit on the run path.
+    assert {"select", "collect", "update", "journal"} <= phases
 
 
 def test_stream_journal_bytes_identical_enabled_vs_disabled(tmp_path):

@@ -9,17 +9,6 @@ from repro.engine import run_parallel_hc_session
 from repro.simulation.session import SessionConfig
 
 
-@pytest.fixture(autouse=True)
-def _no_env_chaos(monkeypatch):
-    """Service tests compare results and journal *bytes* against solo
-    reference runs; environment-injected chaos (the CI chaos matrix)
-    would add nondeterministically-placed ``shard_incident`` lines.
-    Service-under-chaos behavior is pinned explicitly with per-spec
-    ChaosPlans instead."""
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_SHARD_DEADLINE"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def make_dataset(seed: int, num_groups: int = 4):
     return make_synthetic_dataset(
         num_groups=num_groups,
@@ -53,7 +42,4 @@ def solo_signature(dataset, config: SessionConfig, journal_path):
     service-side multiplexing differs.
     """
     solo_config = dataclasses.replace(config, journal_path=journal_path)
-    result = run_parallel_hc_session(
-        dataset, solo_config, jobs=2, inline=True
-    )
-    return signature(result)
+    return signature(run_parallel_hc_session(dataset, solo_config))

@@ -45,7 +45,6 @@ def neighbors(tmp_path):
                     name=name,
                     dataset=dataset,
                     config=config,
-                    jobs=2,
                 )
             )
         service.run_until_idle()
@@ -95,11 +94,8 @@ class TestConcurrentJournals:
         resume_order = ["alpha", "beta"]
         for position, name in enumerate(resume_order):
             entry = neighbors[name]
-            session, pool = resume_parallel_session(
-                entry["path"], inline=True
-            )
-            with pool:
-                session.run(fresh_source(entry))
+            session = resume_parallel_session(entry["path"])
+            session.run(fresh_source(entry))
             assert entry["path"].read_bytes() == entry["bytes"], name
             untouched = resume_order[position + 1 :]
             for other in untouched:
@@ -127,9 +123,8 @@ class TestConcurrentJournals:
         solo replay of the reference journal's campaign."""
         entry = neighbors["beta"]
         tear(entry)
-        session, pool = resume_parallel_session(entry["path"], inline=True)
-        with pool:
-            result = session.run(fresh_source(entry))
+        session = resume_parallel_session(entry["path"])
+        result = session.run(fresh_source(entry))
         assert entry["path"].read_bytes() == entry["bytes"]
         assert result.history[-1].budget_spent == pytest.approx(
             entry["config"].budget

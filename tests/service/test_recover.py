@@ -23,7 +23,6 @@ from .conftest import make_config, make_dataset, signature, solo_signature
 
 
 def spec_for(tenant, name, dataset, config, **overrides):
-    overrides.setdefault("jobs", 2)
     return CampaignSpec(
         tenant=tenant, name=name, dataset=dataset, config=config, **overrides
     )

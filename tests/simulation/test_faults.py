@@ -12,7 +12,6 @@ from repro.core import (
     PartialAnswerFamily,
     Worker,
 )
-from repro.engine.chaos import ChaosPlan
 from repro.simulation import (
     AnswerCollectionTimeout,
     FaultModel,
@@ -83,16 +82,20 @@ def _env(name: str, spec: str, seed: str) -> dict[str, str]:
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda: ChaosPlan(kill=0.5, seed=-1), id="chaos-seed"),
+        pytest.param(
+            lambda: StorageChaos(fsync_error=0.5, seed=-1), id="chaos-seed"
+        ),
         pytest.param(lambda: StreamChaos(drop=0.5, seed=-2), id="stream-seed"),
         pytest.param(
             lambda: StorageChaos(bitflip=0.5, seed=-3), id="storage-seed"
         ),
         pytest.param(lambda: FaultModel(seed=-1), id="faults-seed"),
-        pytest.param(lambda: ChaosPlan(seed=1.5), id="float-seed"),
+        pytest.param(lambda: FaultModel(seed=1.5), id="float-seed"),
         pytest.param(lambda: StreamChaos(seed=True), id="bool-seed"),
         pytest.param(
-            lambda: ChaosPlan.from_env(_env("REPRO_CHAOS", "kill=0.1", "-1")),
+            lambda: StreamChaos.from_env(
+                _env("REPRO_STREAM_CHAOS", "drop=0.1", "1.5")
+            ),
             id="chaos-env-seed",
         ),
         pytest.param(
@@ -119,14 +122,7 @@ def _env(name: str, spec: str, seed: str) -> dict[str, str]:
             id="exclusive-sum",
         ),
         pytest.param(
-            lambda: ChaosPlan(delay=0.1, delay_duration=float("nan")),
-            id="nan-delay",
-        ),
-        pytest.param(
-            lambda: ChaosPlan(delay_duration=float("inf")), id="inf-delay"
-        ),
-        pytest.param(
-            lambda: ChaosPlan.parse("kill=0.1,kill=0.9"), id="chaos-twice"
+            lambda: StreamChaos.parse("drop=0.1,drop=0.9"), id="chaos-twice"
         ),
         pytest.param(
             lambda: StreamChaos.parse("stall=0.1, stall=0.1"),
@@ -144,16 +140,16 @@ def _env(name: str, spec: str, seed: str) -> dict[str, str]:
 def test_bad_fault_configs_are_rejected_where_built(build):
     """Every fault config checks its seed, rates and durations when it
     is built, from code, a spec or the environment — not at its first
-    draw, deep inside a shard command or a journal write."""
+    draw, deep inside a collection round or a journal write."""
     with pytest.raises(ValueError):
         build()
 
 
 def test_numpy_integer_seeds_are_accepted():
-    plan = ChaosPlan(kill=0.5, seed=np.int64(7))
-    twin = ChaosPlan(kill=0.5, seed=7)
-    assert [plan.action_for(0, i) for i in range(20)] == [
-        twin.action_for(0, i) for i in range(20)
+    plan = StorageChaos(bitflip=0.5, seed=np.int64(7))
+    twin = StorageChaos(bitflip=0.5, seed=7)
+    assert [plan.action_for("t/run.jsonl", i) for i in range(20)] == [
+        twin.action_for("t/run.jsonl", i) for i in range(20)
     ]
 
 

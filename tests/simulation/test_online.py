@@ -11,6 +11,7 @@ from repro.core import (
     FactSet,
     FactoredBelief,
     HierarchicalCrowdsourcing,
+    InconsistentEvidenceError,
     Worker,
 )
 from repro.simulation import (
@@ -250,3 +251,62 @@ class TestSelectorCacheLifecycle:
             id(entry[0]) for entry in selector._first_gains.values()
         }
         assert cached <= current
+
+
+class TestAtomicStrictSubmit:
+    """A strict round whose second group has zero evidence changes
+    nothing and can still be answered."""
+
+    PANEL = Crowd([Worker("yes", 1.0), Worker("no", 1.0)])
+
+    def _family(self, queries, answer) -> AnswerFamily:
+        return AnswerFamily(
+            answer_sets=tuple(
+                AnswerSet(
+                    worker=worker,
+                    answers={
+                        fact_id: answer(worker, fact_id)
+                        for fact_id in queries
+                    },
+                )
+                for worker in self.PANEL
+            )
+        )
+
+    def test_failing_round_changes_nothing(self):
+        session = OnlineCheckingSession(
+            FactoredBelief(
+                [
+                    BeliefState.from_marginals(
+                        FactSet.from_ids([0, 1]), [0.5, 0.5]
+                    ),
+                    BeliefState.from_marginals(
+                        FactSet.from_ids([2, 3]), [0.7, 0.8]
+                    ),
+                ]
+            ),
+            self.PANEL,
+            100.0,
+            k=4,
+        )
+        queries = session.next_queries()
+        assert len(queries) == 4
+        assert session.belief.group_index_of(queries[0]) == 0
+        before = list(session.belief)
+        # The panel agrees on group 0's facts, disagrees on group 1's.
+        with pytest.raises(InconsistentEvidenceError):
+            session.submit(
+                self._family(
+                    queries,
+                    lambda worker, fact_id: (
+                        worker.worker_id == "yes" or fact_id < 2
+                    ),
+                )
+            )
+        assert all(
+            state is old for state, old in zip(session.belief, before)
+        )
+        assert session.pending_queries == tuple(queries)
+        assert session.spent_budget == 0.0
+        session.submit(self._family(queries, lambda worker, fact_id: True))
+        assert session.round_index == 1

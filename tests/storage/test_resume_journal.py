@@ -8,9 +8,8 @@ the first append after the cut reads nothing.  These tests count
 whole-file reads (``Path.read_bytes``) of each journal from a cold
 append cache, and check that what a resume reads fails as a typed
 :class:`~repro.core.serialization.SerializationError` naming the field
-when malformed: the header fields (``budget_total``, ``k``), the engine
-record's ``jobs`` and ``supervision``, a failover record's
-``partition``, and the members of a v9 checkpoint line that
+when malformed: the header fields (``budget_total``, ``k``) and the
+members of a v9 checkpoint line that
 :func:`~repro.core.serialization.fold_checkpoints` folds.
 """
 
@@ -55,10 +54,9 @@ from repro.stream import (
 
 
 @pytest.fixture(autouse=True)
-def _no_env_chaos(monkeypatch):
+def _no_env_stream_chaos(monkeypatch):
     """Byte-identity and read counts are pinned on a chaos-free run."""
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_STREAM_CHAOS"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_STREAM_CHAOS", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -208,13 +206,12 @@ class TestOneReadPerResume:
     def test_parallel_resume(self, dataset, tmp_path, monkeypatch):
         path = tmp_path / "run.jsonl"
         config = SessionConfig(budget=16.0, k=2, seed=3, journal_path=path)
-        run_parallel_hc_session(dataset, config, jobs=2, inline=True)
+        run_parallel_hc_session(dataset, config, jobs=2)
         _tear(path, 0.6)
         invalidate_journal_cache(path)
         counts = _count_reads(monkeypatch)
-        session, pool = resume_parallel_session(path, inline=True)
-        with pool:
-            session.run(campaign_answer_source(dataset, config))
+        session = resume_parallel_session(path)
+        session.run(campaign_answer_source(dataset, config))
         assert _reads(counts, path) == 1
 
     def test_service_recover_and_reattach(
@@ -227,7 +224,6 @@ class TestOneReadPerResume:
                 name="batch",
                 dataset=dataset,
                 config=SessionConfig(budget=20.0, k=2, seed=0),
-                jobs=2,
             ),
             CampaignSpec(
                 tenant="acme",
@@ -280,8 +276,7 @@ def _rewrite_header(path: Path, name: str, value, *, tenant=False) -> None:
 
 
 def _resume_parallel(path: Path, **_):
-    session, pool = resume_parallel_session(path, inline=True)
-    pool.close()
+    resume_parallel_session(path)
 
 
 def _resume_stream(path: Path, *, stream_dataset, **_):
@@ -303,7 +298,6 @@ def journals(dataset, stream_dataset, tmp_path):
         dataset,
         SessionConfig(budget=8.0, k=2, seed=3, journal_path=batch),
         jobs=2,
-        inline=True,
     )
     spec = _stream_spec()
     stream = tmp_path / "stream.jsonl"
@@ -449,98 +443,6 @@ class TestCheckpointMembers:
                 stream_dataset=stream_dataset,
                 data_dir=journals["data_dir"],
             )
-
-
-def _edit_engine_records(path: Path, name: str, value, *, tenant: bool):
-    """Re-frame ``path`` with ``name`` set to ``value`` on its engine
-    record (``jobs``, ``supervision``) or on a failover
-    ``shard_incident`` record inserted after it (``partition``),
-    optionally adding a tenant record."""
-    records = [dict(record) for record in read_journal(path)]
-    engine = next(
-        index for index, record in enumerate(records)
-        if record["kind"] == "engine"
-    )
-    if name == "partition":
-        records.insert(engine + 1, {
-            "kind": "shard_incident", "incident": "failover", "shard": 0,
-            "command": "update", "restarts": 0, "groups": [], "detail": "",
-            "partition": value, "degraded": [False],
-        })
-    else:
-        records[engine][name] = value
-    if tenant:
-        records.insert(
-            1,
-            {"kind": "tenant", "tenant": "acme", "name": "job",
-             "priority": 0, "weight": 1.0},
-        )
-    path.write_bytes(b"".join(
-        (frame_journal_line(record, seq) + "\n").encode("utf-8")
-        for seq, record in enumerate(records)
-    ))
-
-
-def _resume_via_cli(path: Path, *, data_dir, **_):
-    main([
-        "session", "--data", str(data_dir), "--group-size", "4",
-        "--theta", "0.85", "--jobs", "2", "--resume", str(path),
-    ])
-
-
-class TestEngineRecords:
-    """The engine record's ``jobs`` and ``supervision`` and a failover
-    record's ``partition`` fail as typed errors naming the field, on
-    every reader that restores the journaled shard layout."""
-
-    @pytest.fixture
-    def journal(self, tmp_path):
-        data_dir = tmp_path / "data"
-        assert main([
-            "generate", "--out", str(data_dir), "--groups", "6",
-            "--group-size", "4", "--answers", "5", "--seed", "1",
-        ]) == 0
-        path = tmp_path / "batch.jsonl"
-        assert main([
-            "session", "--data", str(data_dir), "--budget", "10",
-            "--group-size", "4", "--theta", "0.85", "--jobs", "2",
-            "--journal", str(path), "--seed", "1",
-        ]) == 0
-        return path, data_dir
-
-    @pytest.mark.parametrize(
-        "reader, name, value",
-        [
-            (reader, name, value)
-            for reader in (_resume_parallel, _resume_via_cli, _attach_via_cli)
-            for name, value in [
-                ("jobs", "x"),
-                ("jobs", None),
-                ("jobs", 0),
-                ("supervision", 5),
-                ("supervision", {"deadline": "soon"}),
-                ("partition", 7),
-                ("partition", [["a"]]),
-                ("partition", [[0]]),
-            ]
-            # the service supplies its own supervision policy
-            if not (reader is _attach_via_cli and name == "supervision")
-        ],
-    )
-    def test_malformed_engine_fields_are_typed_errors(
-        self, journal, reader, name, value
-    ):
-        path, data_dir = journal
-        attach = reader is _attach_via_cli
-        _edit_engine_records(path, name, value, tenant=attach)
-        # The service quarantines the campaign with the typed error as
-        # the reason, rather than dying on it.
-        with pytest.raises(
-            CampaignQuarantinedError if attach else SerializationError,
-            match=f"{'SerializationError: ' if attach else ''}"
-            f"malformed journal \\w+ field {name!r}",
-        ):
-            reader(path, data_dir=data_dir)
 
 
 def _damage(path: Path, fraction: float, line: int) -> None:

@@ -33,18 +33,6 @@ def stream_spec_for(dataset, tenant, name, *, stream, budget=30.0, seed=0):
     )
 
 
-def test_streamed_campaign_is_inline_only(dataset):
-    with pytest.raises(ValueError, match="inline-only"):
-        CampaignSpec(
-            tenant="t",
-            name="c",
-            dataset=dataset,
-            config=SessionConfig(budget=10.0, k=1, seed=0),
-            stream=build_spec(),
-            inline=False,
-        )
-
-
 def test_streamed_campaign_completes_via_service(dataset, tmp_path):
     stream = build_spec()
     with CampaignService(

@@ -126,102 +126,10 @@ class TestSession:
         ])
         assert "trust:" not in capsys.readouterr().out
 
-    def test_jobs_runs_the_sharded_engine(self, data_dir, capsys):
-        """--jobs 2 must print the same trajectory as the serial run
-        (the engine is bit-identical, so the rows are too)."""
-        arguments = [
-            "session", "--data", str(data_dir), "--budget", "20",
-            "--group-size", "4", "--theta", "0.85", "--rows", "4",
-        ]
-        assert main(arguments) == 0
-        serial = capsys.readouterr().out
-        assert main(arguments + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_shards_is_an_alias_for_jobs(self, data_dir):
-        code = main([
-            "session", "--data", str(data_dir), "--budget", "12",
-            "--group-size", "4", "--theta", "0.85", "--shards", "3",
-        ])
-        assert code == 0
-
-    def test_jobs_rejects_non_lazy_selectors(self, data_dir, capsys):
-        code = main([
-            "session", "--data", str(data_dir), "--budget", "12",
-            "--group-size", "4", "--theta", "0.85",
-            "--jobs", "2", "--selector", "random",
-        ])
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_journaled_jobs_run_resumes_with_jobs(
-        self, data_dir, tmp_path, capsys
-    ):
-        journal = tmp_path / "campaign.jsonl"
-        code = main([
-            "session", "--data", str(data_dir), "--budget", "20",
-            "--group-size", "4", "--theta", "0.85", "--rows", "4",
-            "--jobs", "2", "--journal", str(journal),
-        ])
-        assert code == 0
-        capsys.readouterr()
-        # A finished journal resumes as a no-op and reprints the final
-        # trajectory through the parallel resume path.
-        code = main([
-            "session", "--data", str(data_dir), "--budget", "20",
-            "--group-size", "4", "--theta", "0.85", "--rows", "4",
-            "--jobs", "2", "--resume", str(journal),
-        ])
-        assert code == 0
-        assert "budget" in capsys.readouterr().out
-
-
-class TestSupervisionFlags:
-    def test_session_accepts_supervision_flags(self, data_dir, capsys):
-        code = main([
-            "session", "--data", str(data_dir), "--budget", "12",
-            "--group-size", "4", "--theta", "0.85", "--jobs", "2",
-            "--shard-deadline", "30", "--max-shard-restarts", "1",
-        ])
-        assert code == 0
-        # A clean run has no interventions: no supervisor line.
-        assert "supervisor:" not in capsys.readouterr().out
-
-    def test_no_failover_aborts_under_injected_kills(
-        self, data_dir, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CHAOS", "kill=1.0")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "0")
-        with pytest.raises(Exception, match="failover is disabled"):
-            main([
-                "session", "--data", str(data_dir), "--budget", "12",
-                "--group-size", "4", "--theta", "0.85", "--jobs", "2",
-                "--max-shard-restarts", "0", "--no-failover",
-            ])
-
-    def test_supervisor_counters_print_after_recovery(
-        self, data_dir, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CHAOS", "kill=0.1")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "1")
-        arguments = [
-            "session", "--data", str(data_dir), "--budget", "20",
-            "--group-size", "4", "--theta", "0.85", "--rows", "4",
-        ]
-        assert main(arguments) == 0
-        serial = capsys.readouterr().out
-        assert main(arguments + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert "supervisor:" in parallel
-        supervisor_line, trajectory = parallel.split("\n", 1)
-        assert "restarts=" in supervisor_line or "failovers=" in supervisor_line
-        # Recovery never changes the printed trajectory.
-        assert trajectory == serial
-
 
 class TestJobsFlag:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["session", "serve", "reproduce"])
+    @pytest.mark.parametrize("command", ["reproduce"])
     def test_jobs_below_one_is_refused(self, command, jobs, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--jobs", jobs])
@@ -230,7 +138,7 @@ class TestJobsFlag:
 
     def test_jobs_must_be_an_integer(self, capsys):
         with pytest.raises(SystemExit):
-            main(["serve", "--jobs", "two"])
+            main(["reproduce", "--jobs", "two"])
         assert "invalid int value: 'two'" in capsys.readouterr().err
 
 

@@ -54,12 +54,6 @@ from repro.stream import StreamingCampaign
 from .stream.conftest import BUDGET, build_spec, events_for, experts_for
 
 
-@pytest.fixture(autouse=True)
-def _no_env_chaos(monkeypatch):
-    for name in ("REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_SHARD_DEADLINE"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def _dataset(seed: int = 5, num_groups: int = 8, group_size: int = 4):
     return make_synthetic_dataset(
         num_groups=num_groups,
@@ -210,7 +204,7 @@ def test_engine_mirrored_records_match_recomputation(checked):
     config = SessionConfig(budget=30.0, k=3, seed=2)
     serial = run_hc_session(dataset, config)
     checked[0] = 0
-    parallel = run_parallel_hc_session(dataset, config, jobs=2, inline=True)
+    parallel = run_parallel_hc_session(dataset, config, jobs=2)
     assert checked[0] == len(parallel.history)
     assert [r.quality.hex() for r in parallel.history] == [
         r.quality.hex() for r in serial.history
