@@ -35,6 +35,8 @@ FAULT_KINDS = frozenset(
         "quarantine",      # a worker's breaker opened; worker benched
         "probation",       # a half-open worker answered probation probes
         "readmit",         # a quarantined worker passed probation
+        # The shard_* kinds were emitted by the removed process-shard
+        # engine; they stay so the journals it wrote still read.
         "shard_deadline",  # a shard missed its command deadline (hung)
         "shard_death",     # a shard worker process died mid-command
         "shard_protocol",  # a shard reply arrived garbled/desynchronized

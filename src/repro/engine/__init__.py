@@ -1,7 +1,7 @@
 """Ledger-backed campaign execution.
 
-Every campaign runs the serial checking loop in the coordinator; this
-package adds what running many of them against one budget, and
+Every campaign runs the serial checking loop in the calling process;
+this package adds what running many of them against one budget, and
 collecting a round's answers on several threads, needs:
 
 * :mod:`~repro.engine.ledger` — :class:`BudgetLedger` (reserve →

@@ -10,7 +10,7 @@ checking loop with a :class:`~repro.engine.ledger.LedgerBudget`
 settling every charge against a global
 :class:`~repro.engine.ledger.BudgetLedger`.  On the plain path a
 :class:`~repro.engine.sources.KeyedExpertPanel` source is collected on
-``jobs`` coordinator threads
+``jobs`` threads
 (:class:`~repro.engine.sources.ConcurrentAnswerSource`), which answers
 each round bit-identically to one serial call, so the returned result
 (history, beliefs, labels — and on the resilient path, the journal) is
@@ -79,6 +79,8 @@ class ParallelCampaignRunner:
         ledger: BudgetLedger | None = None,
         extra_journal_records: Sequence[dict] = (),
     ):
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs!r}")
         self._dataset = dataset
         self._config = config or SessionConfig()
         self._jobs = int(jobs)

@@ -5,8 +5,8 @@ histograms are plain Python objects mutated in place, families are
 dicts keyed by label-value tuples, and the registry is a sorted
 namespace of families.  There is no background thread, no sampling, no
 locking beyond what CPython's attribute stores give for free — every
-instrumented seam writes from the coordinator thread, and nothing here
-ever crosses a process boundary.
+instrumented seam writes from the thread that runs the checking loop,
+and nothing here ever crosses a process boundary.
 
 Determinism is load-bearing.  Histograms use **fixed log-spaced bucket
 bounds** computed once at import time, so two runs that observe the

@@ -81,8 +81,9 @@ class SessionConfig:
         updates drop negligible-mass observations within a
         total-variation bound of ``belief_epsilon`` per update.  The
         default can be overridden fleet-wide with the
-        ``REPRO_BELIEF_EPSILON`` environment variable (the CI kernel leg
-        uses it to run whole suites on the truncated kernel).
+        ``REPRO_BELIEF_EPSILON`` environment variable (the CI
+        ``sparse-kernel`` job uses it to run whole suites on the
+        truncated kernel).
     """
 
     theta: float = 0.9

@@ -36,6 +36,12 @@ def test_caller_supplied_selector_is_rejected(dataset):
         run_parallel_hc_session(dataset, selector=LazyGreedySelector())
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_rejected(dataset, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        ParallelCampaignRunner(dataset, SessionConfig(budget=8.0), jobs=jobs)
+
+
 def test_prepare_is_idempotent_until_consumed(dataset):
     runner = ParallelCampaignRunner(
         dataset, SessionConfig(budget=8.0), jobs=2

@@ -28,8 +28,8 @@ def _family_as_dict(family):
 
 class TestStableWorkerDigest:
     def test_known_value_is_process_independent(self):
-        # Frozen: a spawn child must compute the same digest as the
-        # coordinator regardless of PYTHONHASHSEED.
+        # Frozen: a resumed run in a fresh interpreter must compute the
+        # same digest regardless of PYTHONHASHSEED.
         assert stable_worker_digest("e0") == 6667833931945024209
 
     def test_distinct_workers_get_distinct_digests(self):
