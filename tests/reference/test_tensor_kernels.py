@@ -192,25 +192,6 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(beliefs_with_families(accuracies=st.floats(0.05, 0.95)))
-def test_posteriors_bit_identical(case):
-    belief, family = case
-    posterior = update_with_family(belief, family)
-    assert_same_bits(
-        posterior.probabilities,
-        reference.update_with_family(belief, family).probabilities,
-    )
-    for answer_set in family:
-        assert_same_bits(
-            update_with_answer_set(belief, answer_set).probabilities,
-            reference.update_with_answer_set(belief, answer_set).probabilities,
-        )
-    assert observation_entropy(posterior) == reference.shannon_entropy(
-        posterior.probabilities
-    )
-
-
 def clipped_prior(belief):
     """``belief`` with its prior clipped at 0, as the kernel's log
     branch takes its log: a ``from_normalized`` entry in (-1e-12, 0)
@@ -224,18 +205,78 @@ def clipped_prior(belief):
     )
 
 
-def assert_tempered_matches(belief, update, likelihood, parent_update):
-    """``update()`` gives the parent's tempered update, bit for bit (or
-    its error), except where the one intended change decides: the
-    kernel's evidence is its clipped product's sum, the parent's
-    ``prior @ likelihood``.  Only a ``from_normalized`` prior's negative
-    entries (or a sum within ulps of the guard) put them on opposite
-    sides of the guard; there the kernel takes the linear branch the
-    product's own mass calls for.  ``parent_update`` runs the
-    reference on the :func:`clipped_prior`."""
+def crosses_guard(belief, likelihood) -> bool:
+    """Whether the one intended change decides the branch: the kernel's
+    evidence is its clipped product's sum, the parent's ``prior @
+    likelihood``.  Only a ``from_normalized`` prior's negative entries
+    (or a sum within ulps of the guard) put them on opposite sides of
+    the guard; there the kernel takes the linear branch the product's
+    own mass calls for."""
     parent_evidence = float(belief.probabilities @ likelihood)
     kernel_evidence = np.clip(belief.probabilities * likelihood, 0.0, None).sum()
-    if kernel_evidence > reference.EVIDENCE_UNDERFLOW_GUARD >= parent_evidence:
+    return kernel_evidence > reference.EVIDENCE_UNDERFLOW_GUARD >= parent_evidence
+
+
+def expected_update(belief, likelihood, parent_update):
+    """The parent's update, or its linear branch where
+    :func:`crosses_guard`.  ``parent_update`` runs the reference on the
+    :func:`clipped_prior`."""
+    if crosses_guard(belief, likelihood):
+        return reference.reweighted(belief, likelihood)
+    return parent_update()
+
+
+@settings(max_examples=60, deadline=None)
+@given(beliefs_with_families(accuracies=st.floats(0.05, 0.95)))
+def test_posteriors_bit_identical(case):
+    belief, family = case
+    clipped = clipped_prior(belief)
+    posterior = update_with_family(belief, family)
+    assert_same_bits(
+        posterior.probabilities,
+        expected_update(
+            belief,
+            reference.family_likelihood(belief, family),
+            lambda: reference.update_with_family(clipped, family),
+        ).probabilities,
+    )
+    for answer_set in family:
+        assert_same_bits(
+            update_with_answer_set(belief, answer_set).probabilities,
+            expected_update(
+                belief,
+                reference.answer_set_likelihood(belief, answer_set),
+                lambda: reference.update_with_answer_set(clipped, answer_set),
+            ).probabilities,
+        )
+    assert observation_entropy(posterior) == reference.shannon_entropy(
+        posterior.probabilities
+    )
+
+
+def test_posterior_of_a_prior_whose_signed_entries_outweigh_its_mass():
+    """A ``from_normalized`` prior can sum below zero: here the parent's
+    ``prior @ likelihood`` is negative, so its log branch logs the
+    negative entry and raises, while the product's own mass, 5e-27, is
+    far above the guard and the kernel answers on the linear branch."""
+    belief = BeliefState.from_normalized(
+        FactSet.from_ids([0, 1]), np.array([-1e-13, 1e-26, 0.0, 1e-72])
+    )
+    answer_set = AnswerSet(worker=Worker("w0", 0.5), answers={0: False})
+    likelihood = reference.answer_set_likelihood(belief, answer_set)
+    assert crosses_guard(belief, likelihood)
+    expected = reference.reweighted(belief, likelihood).probabilities
+    for posterior in (
+        update_with_answer_set(belief, answer_set),
+        update_with_family(belief, AnswerFamily(answer_sets=(answer_set,))),
+    ):
+        assert_same_bits(posterior.probabilities, expected)
+
+
+def assert_tempered_matches(belief, update, likelihood, parent_update):
+    """``update()`` gives the parent's tempered update, bit for bit (or
+    its error), on the branch :func:`expected_update` picks."""
+    if crosses_guard(belief, likelihood):
         expected = reference.reweighted(belief, likelihood)
         expected_tempered = False
     else:
