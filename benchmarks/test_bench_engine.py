@@ -1,10 +1,12 @@
 """Benchmark: serial vs threaded answer collection on the serial loop.
 
 Runs the same checking campaign three times — serially through
-``run_hc_session`` and through :class:`ParallelCampaignRunner` with 2
-and 4 collection threads — asserts the runs are *bit-identical* (same
-per-round selections, same budget trajectory, same final belief
-arrays), and records wall-clock to ``BENCH_engine.json`` under
+``run_hc_session``, then on :class:`OnlineCheckingSession` over a
+:class:`ConcurrentAnswerSource` with 2 and 4 collection threads (what
+``run_parallel_hc_session`` runs) — asserts the runs are
+*bit-identical* (same per-round selections, same budget trajectory,
+same final belief arrays), and records wall-clock to
+``BENCH_engine.json`` under
 ``benchmarks/results/`` (and, for a full-scale run, at the repository
 root).
 
@@ -15,12 +17,13 @@ compute flat enough to measure latency overlap at this size.
 The answer source is a :class:`KeyedExpertPanel` whose per-query latency
 simulates real crowd turnaround.  Every campaign runs the serial
 checking loop — selection and belief updates in the calling thread —
-and the runner collects each round's queries in balanced
+and the threaded runs collect each round's queries in balanced
 ``(fact, ask_index)`` chunks, one per thread
 (:class:`~repro.engine.sources.ConcurrentAnswerSource`), so the threads
 overlap those latencies; that overlap is the speedup being measured,
-not compute.  Set-up (crowd split and belief initialization) is
-reported separately as ``startup_seconds`` with its own ceiling.
+not compute.  Set-up (``campaign_inputs``: crowd split and belief
+initialization) is reported separately as ``startup_seconds`` with its
+own ceiling.
 
 Set ``BENCH_ENGINE_SMOKE=1`` for the reduced CI version: the same
 10x dataset, but a short low-latency campaign with 2 threads —
@@ -37,8 +40,13 @@ from pathlib import Path
 from repro.core.hc import RunResult
 from repro.datasets import WorkerPoolSpec
 from repro.datasets.synthetic import make_synthetic_dataset
-from repro.engine import KeyedExpertPanel, ParallelCampaignRunner
-from repro.simulation.session import SessionConfig, run_hc_session
+from repro.engine import ConcurrentAnswerSource, KeyedExpertPanel
+from repro.simulation.online import OnlineCheckingSession
+from repro.simulation.session import (
+    SessionConfig,
+    campaign_inputs,
+    run_hc_session,
+)
 
 SMOKE = os.environ.get("BENCH_ENGINE_SMOKE", "") not in ("", "0")
 NUM_GROUPS = 160
@@ -108,17 +116,19 @@ def test_bench_engine(results_dir):
 
     runs = {}
     for jobs in JOB_COUNTS:
-        runner = ParallelCampaignRunner(
-            dataset,
-            config,
-            jobs=jobs,
-            answer_source=_panel(dataset),
-        )
         started = time.perf_counter()
-        runner.prepare()
+        experts, belief, panel = campaign_inputs(
+            dataset, config, answer_source=_panel(dataset)
+        )
         startup_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        parallel = runner.run()
+        parallel = OnlineCheckingSession(
+            belief,
+            experts,
+            config.budget,
+            k=config.k,
+            ground_truth=dataset.ground_truth,
+        ).run(ConcurrentAnswerSource(panel, jobs))
         campaign_seconds = time.perf_counter() - started
 
         # The tentpole guarantee: identical selections, identical budget

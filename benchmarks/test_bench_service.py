@@ -155,8 +155,6 @@ def test_bench_service(results_dir, tmp_path):
     assert len(latencies) == rounds_run
     stats = service.stats()
     assert service.ledger.audit() == [], "leaked ledger reservations"
-    for campaign_id, entry in stats["campaigns"].items():
-        assert entry["leaked_reservations"] == 0, campaign_id
     service.close()
     assert service.ledger.open_reservations == 0
 

@@ -439,6 +439,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Path(args.data) / "truth.csv",
         group_size=args.group_size,
     )
+    stream_spec = None
+    if args.stream:
+        from .stream import StreamChaos, StreamSpec
+
+        stream_spec = StreamSpec(
+            rate=args.stream_rate,
+            theta=args.theta,
+            chaos=(
+                StreamChaos.parse(args.stream_chaos, seed=args.seed)
+                if args.stream_chaos
+                else StreamChaos.from_env()
+            ),
+            belief_epsilon=_belief_epsilon(args),
+        )
+    # Every spec is built (and so validated) before the service exists:
+    # a bad --k, --theta or --budget is refused before any journal.
+    specs = [
+        CampaignSpec(
+            tenant=f"tenant-{index % args.tenants}",
+            name=f"campaign-{index}",
+            dataset=dataset,
+            config=SessionConfig(
+                theta=args.theta,
+                k=args.k,
+                budget=args.budget,
+                initializer=args.initializer,
+                seed=args.seed + index,
+                belief_epsilon=_belief_epsilon(args),
+            ),
+            stream=(
+                None
+                if stream_spec is None
+                else dataclasses.replace(stream_spec, seed=args.seed + index)
+            ),
+        )
+        for index in range(args.campaigns)
+    ]
     budget_pool = (
         args.budget_pool
         if args.budget_pool is not None
@@ -459,42 +496,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_quota=default_quota,
         journal_root=args.journal_root,
     ) as service:
-        stream_spec = None
-        if args.stream:
-            from .stream import StreamChaos, StreamSpec
-
-            stream_spec = StreamSpec(
-                rate=args.stream_rate,
-                theta=args.theta,
-                chaos=(
-                    StreamChaos.parse(args.stream_chaos, seed=args.seed)
-                    if args.stream_chaos
-                    else StreamChaos.from_env()
-                ),
-                belief_epsilon=_belief_epsilon(args),
-            )
-        for index in range(args.campaigns):
-            config = SessionConfig(
-                theta=args.theta,
-                k=args.k,
-                budget=args.budget,
-                initializer=args.initializer,
-                seed=args.seed + index,
-                belief_epsilon=_belief_epsilon(args),
-            )
-            spec = CampaignSpec(
-                tenant=f"tenant-{index % args.tenants}",
-                name=f"campaign-{index}",
-                dataset=dataset,
-                config=config,
-                stream=(
-                    None
-                    if stream_spec is None
-                    else dataclasses.replace(
-                        stream_spec, seed=args.seed + index
-                    )
-                ),
-            )
+        for spec in specs:
             try:
                 service.submit(spec)
             except ServiceError as error:
@@ -867,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="approximate wall-clock budget (default 2)")
     soak.add_argument(
         "--kill-every", type=float, default=1.0, metavar="SECONDS",
-        help="mean seconds between SIGKILLs of the campaign process "
-             "(jittered ±50%%, default 1)",
+        help="seconds of campaign-process run time between SIGKILLs, "
+             "each drawn from 0.1-1.1x this and carried across waves "
+             "(default 1)",
     )
     soak.add_argument("--seed", type=int, default=0)
     soak.add_argument("--tenants", type=int, default=2,

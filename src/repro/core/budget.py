@@ -12,6 +12,7 @@ accounting exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .workers import Crowd, Worker
@@ -82,8 +83,10 @@ class CheckingBudget:
     """Mutable budget tracker for the checking loop."""
 
     def __init__(self, total: float, cost_model: CostModel | None = None):
-        if total < 0:
-            raise ValueError("budget must be non-negative")
+        if not math.isfinite(total) or total < 0:
+            raise ValueError(
+                f"budget must be finite and non-negative, got {total!r}"
+            )
         self._total = float(total)
         self._spent = 0.0
         self._cost_model = cost_model or CostModel()

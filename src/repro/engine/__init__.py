@@ -1,22 +1,20 @@
-"""Ledger-backed campaign execution.
+"""Shared budget pools and threaded answer collection.
 
-Every campaign runs the serial checking loop in the calling process;
-this package adds what running many of them against one budget, and
+Every campaign runs the serial checking loop in the calling process and
+charges its own :class:`~repro.core.budget.CheckingBudget`; this
+package adds what running many of them against one pool, and
 collecting a round's answers on several threads, needs:
 
-* :mod:`~repro.engine.ledger` — :class:`BudgetLedger` (reserve →
-  commit/release accounting that makes double-spending structurally
-  impossible) and :class:`LedgerBudget` (a drop-in
-  :class:`~repro.core.budget.CheckingBudget` that settles every charge
-  against the ledger);
+* :mod:`~repro.engine.ledger` — :class:`BudgetLedger`, the reserve →
+  commit/release book that makes double-spending a shared pool
+  structurally impossible (the campaign service's deposits);
 * :mod:`~repro.engine.sources` — :class:`KeyedExpertPanel`, an answer
   source whose streams are keyed per ``(fact, ask, worker)``, and
   :class:`ConcurrentAnswerSource`, which collects a round's queries on
   several threads bit-identically to one serial call;
-* :mod:`~repro.engine.runner` — :class:`ParallelCampaignRunner` /
-  :func:`run_parallel_hc_session`, the
-  :func:`~repro.simulation.session.run_hc_session`-compatible entry
-  points, plus :func:`resume_parallel_session`.
+* :mod:`~repro.engine.runner` — :func:`run_parallel_hc_session`, the
+  :func:`~repro.simulation.session.run_hc_session` entry point with
+  ``jobs`` collection threads.
 
 A campaign's results, histories and journals are bit-identical to the
 serial runtime's for any number of collection threads.
@@ -29,11 +27,8 @@ import importlib
 # aggregation -> scipy.
 _EXPORTS = {
     "BudgetLedger": "ledger",
-    "LedgerBudget": "ledger",
     "LedgerDriftError": "ledger",
     "LedgerError": "ledger",
-    "ParallelCampaignRunner": "runner",
-    "resume_parallel_session": "runner",
     "run_parallel_hc_session": "runner",
     "ConcurrentAnswerSource": "sources",
     "KeyedExpertPanel": "sources",
@@ -62,11 +57,8 @@ __all__ = [
     "BudgetLedger",
     "ConcurrentAnswerSource",
     "KeyedExpertPanel",
-    "LedgerBudget",
     "LedgerDriftError",
     "LedgerError",
-    "ParallelCampaignRunner",
-    "resume_parallel_session",
     "run_parallel_hc_session",
     "stable_worker_digest",
 ]

@@ -1,23 +1,19 @@
-"""The shared budget ledger: reserve → commit/release accounting.
+"""The service's budget pool: reserve → commit/release accounting.
 
-The serial runtimes charge a :class:`~repro.core.budget.CheckingBudget`
-*after* answers arrive.  That is sound for one sequential campaign, but
-as soon as several rounds (or several campaigns sharing one budget) are
-in flight, two rounds can each see enough ``remaining`` budget and then
-both charge — a double-spend.  The bandit view of expert labor as a
-contended shared resource (Zhang & Sugiyama, 2015) makes the fix
-explicit: money is *reserved* when a round is dispatched, *committed*
-(at the actual, possibly partial, cost) when its answers are accepted,
-and *released* when the round is abandoned.  Trust-layer gold probes
-are stripped before the charge, so they never touch the ledger at all.
+Each campaign charges its own :class:`~repro.core.budget.CheckingBudget`
+after its answers arrive, one round at a time.  Campaigns that share a
+pool are a different matter: two of them could each see enough of the
+pool left and both go ahead — a double-spend.  The bandit view of
+expert labor as a contended shared resource (Zhang & Sugiyama, 2015)
+makes the fix explicit: money is *reserved* before the work starts,
+*committed* (at the actual, possibly smaller, cost) when it is done,
+and *released* when it is abandoned.  The campaign service
+(:mod:`~repro.service.admission`) reserves a campaign's whole remaining
+budget as a deposit at admission and settles it at completion, so a
+round's arithmetic never touches the pool.
 
-:class:`BudgetLedger` is the invariant-enforcing book (thread-safe; a
-campaign writes it from its one loop, but concurrent campaigns may
-share one ledger).  :class:`LedgerBudget` adapts it to
-the exact :class:`~repro.core.budget.CheckingBudget` interface the
-sessions use — every float operation is delegated to the parent class,
-so the ``spent`` trajectory (and therefore every checkpoint and journal
-byte) is identical to a plain budget's.
+:class:`BudgetLedger` is the invariant-enforcing book, thread-safe and
+kept in exact rationals.
 """
 
 from __future__ import annotations
@@ -25,15 +21,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from ..core.budget import CheckingBudget, CostModel
-from ..core.workers import Crowd
 from ..obs import OBS
 
 #: Tolerance for float accumulation when checking ledger invariants,
-#: matching :class:`~repro.core.budget.CheckingBudget`'s slack.
-_SLACK = 1e-9
-
-#: The same tolerance as an exact rational, for the internal books.
+#: matching :class:`~repro.core.budget.CheckingBudget`'s slack, as an
+#: exact rational for the internal books.
 _SLACK_EXACT = Fraction("1e-9")
 
 
@@ -140,7 +132,7 @@ class BudgetLedger:
         """Claim ``amount`` from the available pool; returns a ticket id.
 
         Raises :class:`LedgerError` when the pool cannot cover it — the
-        caller must not dispatch the round.
+        caller must not start the work.
         """
         if amount < 0:
             raise ValueError("reservation amount must be non-negative")
@@ -162,8 +154,8 @@ class BudgetLedger:
     def commit(self, ticket: int, amount: float) -> None:
         """Settle a reservation at its actual cost, refunding the rest.
 
-        ``amount`` may be anything in ``[0, reserved]`` — partial-family
-        acceptance commits only what the received answers cost.
+        ``amount`` may be anything in ``[0, reserved]`` — a campaign
+        that stops short of its budget commits only what it spent.
         """
         if amount < 0:
             raise ValueError("commit amount must be non-negative")
@@ -187,7 +179,7 @@ class BudgetLedger:
         self._publish("commit")
 
     def release(self, ticket: int) -> None:
-        """Refund a reservation in full (the round was abandoned)."""
+        """Refund a reservation in full (the work was abandoned)."""
         with self._lock:
             if ticket not in self._reservations:
                 raise LedgerError(
@@ -197,10 +189,11 @@ class BudgetLedger:
         self._publish("release")
 
     def commit_direct(self, amount: float) -> None:
-        """Commit without a reservation (checkpoint-restore catch-up).
+        """Commit without a reservation (restart catch-up).
 
-        Used when a resumed session re-syncs its pre-crash spending into
-        a fresh ledger; still bounded by the available pool.
+        Used when the service re-admits a campaign after a restart: the
+        spending already on its journal is committed to the fresh pool.
+        Still bounded by the available pool.
         """
         if amount < 0:
             raise ValueError("commit amount must be non-negative")
@@ -319,109 +312,3 @@ class BudgetLedger:
             f"BudgetLedger(total={self.total}, committed={self.committed}, "
             f"open={self.open_reservations})"
         )
-
-
-class LedgerBudget(CheckingBudget):
-    """A :class:`~repro.core.budget.CheckingBudget` settled on a ledger.
-
-    The session-facing arithmetic (``spent``/``remaining``/
-    ``affordable_queries``/charges) is inherited unchanged — byte-for-
-    byte the same accounting as a plain budget — while every lifecycle
-    event is mirrored onto the :class:`BudgetLedger`:
-
-    * :meth:`reserve_pending` (called by
-      :meth:`~repro.simulation.online.OnlineCheckingSession.next_queries`
-      right after selection) reserves the worst-case round cost;
-    * :meth:`charge_round` / :meth:`charge_family` commit the actual
-      cost against the open reservation, refunding the remainder;
-    * :meth:`release_pending` (on ``abandon_pending``) refunds in full;
-    * :meth:`restore_spent` (checkpoint restore) catches the ledger up
-      with a direct commit.
-    """
-
-    def __init__(
-        self,
-        total: float,
-        ledger: BudgetLedger | None = None,
-        cost_model: CostModel | None = None,
-    ):
-        super().__init__(total, cost_model=cost_model)
-        self.ledger = ledger if ledger is not None else BudgetLedger(total)
-        self._open_ticket: int | None = None
-        self._ledger_committed = 0.0
-
-    # -- reservation lifecycle (discovered via getattr by the session) --
-
-    def reserve_pending(self, num_queries: int, experts: Crowd) -> None:
-        """Reserve the worst-case cost of the just-selected round."""
-        if self._open_ticket is not None:
-            raise LedgerError(
-                "a reservation is already open; settle it before "
-                "reserving another round"
-            )
-        cost = self.cost_model.round_cost(num_queries, experts)
-        self._open_ticket = self.ledger.reserve(
-            cost, label=f"round:{num_queries}q"
-        )
-
-    def release_pending(self) -> None:
-        """Refund the open reservation (round abandoned)."""
-        if self._open_ticket is not None:
-            self.ledger.release(self._open_ticket)
-            self._open_ticket = None
-
-    # -- charges settle the reservation --------------------------------
-
-    def charge_round(self, num_queries: int, experts: Crowd) -> float:
-        before = self.spent
-        cost = super().charge_round(num_queries, experts)
-        self._settle(self.spent - before)
-        return cost
-
-    def charge_family(self, family) -> float:
-        before = self.spent
-        cost = super().charge_family(family)
-        self._settle(self.spent - before)
-        return cost
-
-    def restore_spent(self, amount: float) -> None:
-        super().restore_spent(amount)
-        delta = self.spent - self._ledger_committed
-        if delta < -_SLACK:
-            raise LedgerError(
-                "restore_spent cannot move the ledger backwards "
-                f"(committed {self._ledger_committed}, restoring "
-                f"{self.spent})"
-            )
-        if delta > 0:
-            self.ledger.commit_direct(delta)
-            self._ledger_committed += delta
-
-    def _settle(self, spent_delta: float) -> None:
-        if self._open_ticket is not None:
-            self.ledger.commit(self._open_ticket, spent_delta)
-            self._open_ticket = None
-        else:
-            # A resumed mid-round session charges a pending set whose
-            # reservation died with the crashed process.
-            self.ledger.commit_direct(spent_delta)
-        self._ledger_committed += spent_delta
-
-    # -- teardown -------------------------------------------------------
-
-    def close(self) -> None:
-        """Release any still-open reservation (abort teardown).
-
-        A campaign that dies between ``reserve_pending`` and the charge
-        would otherwise leave its worst-case round cost held on the
-        shared ledger forever.  Idempotent; an alias of
-        :meth:`release_pending` under the teardown name so campaign
-        runtimes can close the tracker unconditionally.
-        """
-        self.release_pending()
-
-    def __enter__(self) -> "LedgerBudget":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

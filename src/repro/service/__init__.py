@@ -6,7 +6,7 @@ per-tenant quotas (:mod:`~repro.service.admission`), weighted-fair
 round scheduling (:mod:`~repro.service.scheduler`), bounded-queue
 backpressure with priority shedding, and crash-safe detach/reattach
 through the campaign journals.  Each campaign remains bit-identical to
-its solo :func:`~repro.engine.runner.run_parallel_hc_session` run —
+its solo :func:`~repro.simulation.session.run_hc_session` run —
 interleaving, other tenants' faults, detaches and whole-service
 restarts included.
 """

@@ -56,13 +56,14 @@ class CampaignSpec:
         The campaign's identity; ``tenant/name`` must be unique among
         live campaigns.
     dataset, config:
-        As in :func:`~repro.engine.runner.run_parallel_hc_session`.
+        As in :func:`~repro.simulation.session.run_hc_session`.
         ``config.journal_path`` may be left unset — the service derives
         ``journal_root/tenant/name.jsonl``.
     jobs, inline:
         Select nothing: service campaigns always journal, so they never
-        take the runner's threaded collection path.  Kept for callers
-        written against the removed process-shard engine (the
+        take the threaded collection path of
+        :func:`~repro.engine.runner.run_parallel_hc_session`.  Kept for
+        callers written against the removed process-shard engine (the
         benchmark's ``durable`` workload passes ``jobs=2,
         inline=False``); ``jobs`` is still checked to be an int >= 1.
     priority:
@@ -177,7 +178,6 @@ class CampaignRecord:
     runtime: dict | None = None
     result: ResilientRunResult | None = None
     error: str | None = None
-    leaked_reservations: int = 0
 
     @property
     def campaign_id(self) -> str:

@@ -6,13 +6,13 @@ runtime slots.  The design keeps three properties that the rest of the
 codebase already guarantees for solo campaigns, and extends them
 across tenants:
 
-**Bit-identity.**  Each campaign runs its *own* session and its own
-private round-accounting ledger, stepped one round at a time
+**Bit-identity.**  Each campaign runs its *own* resilient session,
+charging its own budget, stepped one round at a time
 (``session.run(source, max_rounds=1)``).  Interleaving campaigns
 therefore cannot perturb any campaign's selections, budget trajectory,
 beliefs, or journal bytes: every campaign's outcome is byte-identical
 to the same campaign run solo through
-:func:`~repro.engine.runner.run_parallel_hc_session`.  The shared
+:func:`~repro.simulation.session.run_hc_session`.  The shared
 :class:`~repro.engine.ledger.BudgetLedger` holds only *deposits* —
 whole-campaign reservations — so cross-tenant accounting never touches
 per-round arithmetic.
@@ -26,8 +26,8 @@ behind.
 
 **Fault isolation.**  A round that raises (e.g. a failing answer
 source) or overruns the service's round deadline costs the campaign a
-*strike*: its runtime is torn down (tracker closed so no reservation
-leaks) and the campaign rebuilds from its journal on its next turn.
+*strike*: its runtime is torn down and the campaign rebuilds from its
+journal on its next turn.
 ``max_strikes`` strikes quarantine it — runtime gone, deposit intact —
 without ever touching another tenant's rounds or the shared ledger's
 commitments.
@@ -35,9 +35,9 @@ commitments.
 Detach/reattach rides the same machinery: a detach is a voluntary
 teardown at a round boundary, and an attach (same service or a fresh
 one after a restart) rebuilds the session from the journal via
-:func:`~repro.engine.runner.resume_parallel_session`, rewinds the
-answer source from the checkpointed source state, and continues
-byte-identically.
+:meth:`~repro.simulation.resilient.ResilientCheckingSession.resume`,
+rewinds the answer source from the checkpointed source state, and
+continues byte-identically.
 
 **Streamed tenants.**  A spec carrying a
 :class:`~repro.stream.runtime.StreamSpec` runs as a
@@ -58,11 +58,16 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.selection import LazyGreedySelector
 from ..core.serialization import SerializationError
 from ..engine.ledger import BudgetLedger
-from ..engine.runner import ParallelCampaignRunner, resume_parallel_session
 from ..obs import OBS, latency_report
-from ..simulation.session import campaign_answer_source
+from ..simulation.resilient import ResilientCheckingSession
+from ..simulation.session import (
+    campaign_answer_source,
+    campaign_inputs,
+    resilient_session,
+)
 from ..storage.integrity import JournalDamageReport, recover_journal
 from ..stream.arrivals import generate_event_stream, make_arrivals
 from ..stream.runtime import StreamingCampaign
@@ -145,7 +150,6 @@ class CampaignService:
     ----------
     budget_pool:
         Total budget of the shared ledger backing every deposit.
-        Ignored when an existing ``ledger`` is supplied.
     policy:
         :class:`ServicePolicy`; defaults apply when omitted.
     quotas, default_quota:
@@ -155,9 +159,6 @@ class CampaignService:
         Directory under which campaigns without an explicit
         ``config.journal_path`` journal (``journal_root/tenant/name
         .jsonl``).
-    ledger:
-        Optional pre-existing shared ledger (e.g. one also backing
-        campaigns outside the service).
 
     The service is synchronous and single-threaded by design: callers
     drive it with :meth:`step` / :meth:`run_until_idle`, which makes
@@ -166,22 +167,17 @@ class CampaignService:
 
     def __init__(
         self,
-        budget_pool: float | None = None,
+        budget_pool: float,
         *,
         policy: ServicePolicy | None = None,
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
         journal_root: str | Path | None = None,
-        ledger: BudgetLedger | None = None,
     ):
-        if ledger is None:
-            if budget_pool is None:
-                raise ValueError("pass budget_pool or an existing ledger")
-            ledger = BudgetLedger(float(budget_pool))
-        self.ledger = ledger
+        self.ledger = BudgetLedger(float(budget_pool))
         self.policy = policy or ServicePolicy()
         self._admission = AdmissionController(
-            ledger,
+            self.ledger,
             queue_limit=self.policy.queue_limit,
             quotas=quotas,
             default_quota=default_quota,
@@ -561,12 +557,19 @@ class CampaignService:
             record.runtime = {"stream": campaign}
             record.launched = True
             return
-        record.runtime = ParallelCampaignRunner(
+        experts, belief, source = campaign_inputs(
+            spec.dataset, record.config, answer_source=spec.build_source()
+        )
+        session = resilient_session(
             spec.dataset,
             record.config,
-            answer_source=spec.build_source(),
-            extra_journal_records=[record.identity_record()],
-        ).launch()
+            belief,
+            experts,
+            record.config.budget,
+            LazyGreedySelector(),
+            journal_metadata=[record.identity_record()],
+        )
+        record.runtime = {"session": session, "source": source}
         record.launched = True
 
     @staticmethod
@@ -601,17 +604,13 @@ class CampaignService:
             )
             record.spent = float(campaign.spent_budget)
             return
-        session = resume_parallel_session(
+        session = ResilientCheckingSession.resume(
             record.journal_path, retry_policy=record.config.retry_policy
         )
         source = campaign_answer_source(
             spec.dataset, record.config, spec.build_source()
         )
-        record.runtime = {
-            "session": session,
-            "source": source,
-            "tracker": session.budget_tracker,
-        }
+        record.runtime = {"session": session, "source": source}
         record.rounds = _completed_rounds(session)
         record.spent = float(session.spent_budget)
 
@@ -621,8 +620,6 @@ class CampaignService:
             return
         stream = runtime.get("stream")
         if stream is not None:
-            # The streaming runtime's budget is private, so there is no
-            # reservation to release on the shared ledger.
             session = stream.session
             record.rounds = (
                 _completed_rounds(session) if session is not None else 0
@@ -632,12 +629,6 @@ class CampaignService:
         session = runtime["session"]
         record.rounds = _completed_rounds(session)
         record.spent = float(session.spent_budget)
-        # Order matters: closing the tracker releases any reservation
-        # the aborted round left open on the campaign's private ledger,
-        # so the audit below only ever reports true leaks.
-        runtime["tracker"].close()
-        leaks = runtime["tracker"].ledger.audit()
-        record.leaked_reservations += len(leaks)
 
     def _strike(self, record: CampaignRecord, reason: str) -> None:
         record.strikes += 1
@@ -731,7 +722,6 @@ class CampaignService:
                     "rounds": record.rounds,
                     "strikes": record.strikes,
                     "spent": record.spent,
-                    "leaked_reservations": record.leaked_reservations,
                 }
                 for campaign_id, record in sorted(self._records.items())
             },

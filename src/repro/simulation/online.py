@@ -14,9 +14,9 @@ later), so control is inverted:
 
 :meth:`OnlineCheckingSession.run` is that loop over an answer source;
 :meth:`~repro.core.hc.HierarchicalCrowdsourcing.run` (every paper
-figure) and the ledger-backed runner's plain path call it, and the
-resilient, service and stream runtimes wrap the session, so simulated
-and live runs share one loop and one
+figure, and :func:`~repro.simulation.session.run_hc_session`'s plain
+path) calls it, and the resilient, service and stream runtimes wrap
+the session, so simulated and live runs share one loop and one
 :class:`~repro.core.hc.RoundRecord` history.
 """
 
@@ -172,7 +172,7 @@ class OnlineCheckingSession:
         self,
         belief: FactoredBelief,
         experts: Crowd,
-        budget: "float | CheckingBudget",
+        budget: float,
         selector: Selector | None = None,
         k: int = 1,
         cost_model: CostModel | None = None,
@@ -186,18 +186,7 @@ class OnlineCheckingSession:
         self._experts = experts
         self._selector = selector or LazyGreedySelector()
         self._k = k
-        if isinstance(budget, CheckingBudget):
-            # Caller-owned tracker (e.g. the runner's ledger-backed
-            # budget); its float accounting must match CheckingBudget's
-            # exactly for checkpoints to stay byte-identical.
-            if cost_model is not None and budget.cost_model is not cost_model:
-                raise ValueError(
-                    "pass the cost model inside the budget tracker, "
-                    "not separately"
-                )
-            self._budget = budget
-        else:
-            self._budget = CheckingBudget(budget, cost_model=cost_model)
+        self._budget = CheckingBudget(budget, cost_model=cost_model)
         self._ground_truth = (
             dict(ground_truth) if ground_truth is not None else None
         )
@@ -219,12 +208,6 @@ class OnlineCheckingSession:
     def experts(self) -> Crowd:
         """The current checking panel."""
         return self._experts
-
-    @property
-    def budget(self) -> CheckingBudget:
-        """The budget tracker itself (teardown paths close a
-        ledger-backed tracker to release an orphaned reservation)."""
-        return self._budget
 
     @property
     def remaining_budget(self) -> float:
@@ -277,12 +260,6 @@ class OnlineCheckingSession:
             self._finished = True
             return None
         self._pending = tuple(queries)
-        # Ledger-backed trackers reserve the worst-case round cost here
-        # and settle it at submit/abandon time (reservation/refund), so
-        # concurrent campaigns sharing a ledger cannot double-spend.
-        reserve = getattr(self._budget, "reserve_pending", None)
-        if callable(reserve):
-            reserve(len(queries), self._experts)
         return list(queries)
 
     def run(
@@ -560,10 +537,6 @@ class OnlineCheckingSession:
         if self._pending is None:
             raise SessionStateError("no pending queries to abandon")
         self._pending = None
-        # Refund a ledger-backed tracker's open reservation in full.
-        release = getattr(self._budget, "release_pending", None)
-        if callable(release):
-            release()
 
     def final_labels(self) -> dict[int, bool]:
         """MAP labels of the current belief (paper Eq. 20)."""
@@ -612,14 +585,12 @@ class OnlineCheckingSession:
         experts: Crowd,
         selector: Selector | None = None,
         cost_model: CostModel | None = None,
-        budget_tracker: "CheckingBudget | None" = None,
     ) -> "OnlineCheckingSession":
         """Rebuild a session from :meth:`to_checkpoint` output.
 
         The caller provides the expert crowd (and optionally the
-        selector / cost model / budget tracker) that were in use;
-        pending queries and spent budget are restored exactly.  A
-        supplied ``budget_tracker`` must carry the checkpoint's total.
+        selector / cost model) that were in use; pending queries and
+        spent budget are restored exactly.
         """
         from ..core.serialization import (
             SerializationError,
@@ -637,19 +608,10 @@ class OnlineCheckingSession:
                     int(key): bool(value)
                     for key, value in ground_truth.items()
                 }
-            if budget_tracker is not None:
-                if budget_tracker.total != float(payload["budget_total"]):
-                    raise SerializationError(
-                        f"budget tracker total {budget_tracker.total} != "
-                        f"checkpoint total {payload['budget_total']}"
-                    )
-                budget: "float | CheckingBudget" = budget_tracker
-            else:
-                budget = float(payload["budget_total"])
             session = cls(
                 belief,
                 experts,
-                budget=budget,
+                budget=float(payload["budget_total"]),
                 selector=selector,
                 k=int(payload["k"]),
                 cost_model=cost_model,

@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.answers import AnswerFamily, AnswerSet, PartialAnswerFamily
-from ..core.budget import CheckingBudget, CostModel
+from ..core.budget import CostModel
 from ..core.hc import RunResult
 from ..core.incidents import FaultEvent
 from ..core.observations import BeliefState, FactoredBelief
@@ -197,7 +197,7 @@ class ResilientCheckingSession:
         self,
         belief: FactoredBelief,
         experts: Crowd,
-        budget: "float | CheckingBudget",
+        budget: float,
         *,
         selector: Selector | None = None,
         k: int = 1,
@@ -251,12 +251,7 @@ class ResilientCheckingSession:
             # record) sits between the header and the first checkpoint,
             # so resume's cut back to the last checkpoint can never drop
             # it.
-            start_journal(
-                self._journal_path,
-                budget.total if isinstance(budget, CheckingBudget) else budget,
-                k,
-                journal_metadata,
-            )
+            start_journal(self._journal_path, budget, k, journal_metadata)
             self._journal_checkpoint(None)
 
     def _init_common(
@@ -328,14 +323,6 @@ class ResilientCheckingSession:
     @property
     def pending_queries(self) -> tuple[int, ...] | None:
         return self._inner.pending_queries
-
-    @property
-    def budget_tracker(self) -> CheckingBudget:
-        """The session's budget object (a
-        :class:`~repro.engine.ledger.LedgerBudget` on the ledger-backed
-        path).  Abort paths close it to release an orphaned
-        reservation."""
-        return self._inner.budget
 
     def final_labels(self) -> dict[int, bool]:
         return self._inner.final_labels()
@@ -1062,7 +1049,6 @@ class ResilientCheckingSession:
         retry_policy: RetryPolicy | None = None,
         reserve_experts: Crowd | None = None,
         sleep: Callable[[float], None] | None = None,
-        budget_tracker: "CheckingBudget | None" = None,
         records: list[dict] | None = None,
     ) -> "ResilientCheckingSession":
         """Restore a session from its journal, mid-round if need be.
@@ -1077,8 +1063,8 @@ class ResilientCheckingSession:
         uninterrupted run.  ``records`` are the journal's records from a
         resume that already ran
         :func:`~repro.storage.integrity.recover_for_resume` on it (the
-        ledger-backed and streaming resumes), so the file is not read
-        twice.  The session's journal writer is primed from the
+        streaming resume), so the file is not read twice.  The
+        session's journal writer is primed from the
         :func:`~repro.core.serialization.fold_checkpoints` of the
         checkpoint lines, so its next checkpoint line is the one the
         uninterrupted run wrote.
@@ -1115,7 +1101,6 @@ class ResilientCheckingSession:
                 panel,
                 selector=selector,
                 cost_model=cost_model,
-                budget_tracker=budget_tracker,
             )
             session = cls.__new__(cls)
             reserve = (

@@ -9,6 +9,8 @@ and the examples are thin wrappers over this function.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,6 +102,29 @@ class SessionConfig:
     reserve_accuracies: tuple[float, ...] = ()
     belief_epsilon: float = field(default_factory=default_belief_epsilon)
 
+    def __post_init__(self) -> None:
+        # Checked where the config is built: a bad value would otherwise
+        # surface only inside a run (a NaN budget as a float-to-int
+        # error, k = 0 as a launch failure on every service attempt).
+        if not _is_real(self.theta) or not 0.0 <= self.theta <= 1.0:
+            raise ValueError(
+                f"theta must be a number in [0, 1], got {self.theta!r}"
+            )
+        if (
+            not isinstance(self.k, numbers.Integral)
+            or isinstance(self.k, bool)
+            or self.k < 1
+        ):
+            raise ValueError(f"k must be an int >= 1, got {self.k!r}")
+        if (
+            not _is_real(self.budget)
+            or not math.isfinite(self.budget)
+            or self.budget < 0
+        ):
+            raise ValueError(
+                f"budget must be finite and >= 0, got {self.budget!r}"
+            )
+
     @property
     def resilient(self) -> bool:
         """Whether the session runs the fault-tolerant runtime (faults,
@@ -109,6 +134,10 @@ class SessionConfig:
             or self.journal_path is not None
             or self.trust_policy is not None
         )
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def campaign_answer_source(
@@ -167,8 +196,8 @@ def resilient_session(
     config runs (against :func:`campaign_answer_source`): gold probes
     carved from the ground truth, reserve experts, retry policy and
     journal as configured.  ``seams`` pass through to
-    :class:`ResilientCheckingSession` (the parallel engine's update
-    engine and journal metadata)."""
+    :class:`ResilientCheckingSession` (the campaign service's journal
+    metadata)."""
     gold_facts = None
     if config.trust_policy is not None:
         gold_facts = select_gold_probes(

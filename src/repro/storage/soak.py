@@ -16,7 +16,9 @@ One soak run is a sequence of *waves*.  Each wave:
    to produce the **reference** journal bytes;
 3. runs the *same* workload in a forked child process with a seeded
    :class:`~repro.storage.chaos.StorageChaos` plan installed, and
-   SIGKILLs the child on a seeded jittered schedule.  Every respawned
+   SIGKILLs the child on a seeded jittered schedule whose delays count
+   the children's run time across cycles and waves (see
+   :func:`_kill_delay`).  Every respawned
    child performs whole-service crash recovery
    (:meth:`~repro.service.service.CampaignService.recover`) before
    continuing;
@@ -306,6 +308,19 @@ def _assert_byte_identity(
             )
 
 
+def _kill_delay(kill_every: float, rng: np.random.Generator) -> float:
+    """Seconds of child run time until the next SIGKILL.
+
+    Jitter down to 0.1x so the schedule lands *inside* short waves too
+    — a floor of half the period would let fast cycles finish before
+    every kill and starve the crash coverage.  A delay is spent across
+    cycles and waves (only a kill draws the next one), so a wave that
+    finishes before it does not waste it: the time left runs on in the
+    next child.
+    """
+    return kill_every * (0.1 + float(rng.random()))
+
+
 def _run_wave(
     out_root: Path,
     wave: int,
@@ -313,9 +328,12 @@ def _run_wave(
     tenants: int,
     chaos_spec: str,
     kill_every: float,
+    kill_after: float,
     rng: np.random.Generator,
     metrics: dict,
-) -> None:
+) -> float:
+    """Run one wave to byte-identity; returns the kill delay left
+    over for the next wave."""
     wave_seed = seed * 1009 + wave
     wave_dir = out_root / f"wave{wave:03d}"
     ref_root = wave_dir / "reference"
@@ -344,10 +362,6 @@ def _run_wave(
             ),
         )
         child.start()
-        # Jitter down to 0.1x so the schedule lands *inside* short
-        # waves too — a floor of half the period would let fast cycles
-        # finish before every kill and starve the crash coverage.
-        kill_after = kill_every * (0.1 + float(rng.random()))
         killed = False
         while child.is_alive():
             if done_path.exists():
@@ -358,6 +372,10 @@ def _run_wave(
                 break
             time.sleep(_POLL_S)
         child.join()
+        if killed:
+            kill_after = _kill_delay(kill_every, rng)
+        else:
+            kill_after -= time.time() - spawn_at
         status = _read_control(status_path)
         if status is not None and cycle > 1:
             metrics["mttr_samples"].append(
@@ -397,6 +415,7 @@ def _run_wave(
     _assert_byte_identity(data_root, reference, wave)
     metrics["campaigns_completed"] += len(specs)
     metrics["waves"] += 1
+    return kill_after
 
 
 def run_soak(
@@ -448,16 +467,18 @@ def run_soak(
     }
     started = time.time()
     deadline = started + minutes * 60.0
+    kill_after = _kill_delay(kill_every, rng)
     wave = 0
     while True:
         wave += 1
-        _run_wave(
+        kill_after = _run_wave(
             out_root,
             wave,
             seed,
             tenants,
             chaos_spec,
             kill_every,
+            kill_after,
             rng,
             metrics,
         )

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core.answers import AnswerSet
-from ..core.budget import CheckingBudget, CostModel
+from ..core.budget import CostModel
 from ..core.incidents import FaultEvent
 from ..core.kernel import default_belief_epsilon
 from ..core.observations import BeliefState, FactoredBelief
@@ -252,9 +252,7 @@ class StreamingCampaign:
     experts:
         The initial checking panel; stream churn grows/shrinks it.
     budget:
-        Checking budget (float or a live
-        :class:`~repro.core.budget.CheckingBudget` tracker, e.g. the
-        service's ledger-backed one).
+        Checking budget.
     spec:
         The :class:`StreamSpec`; journaled so resume can rebuild the
         delivery schedule.
@@ -272,7 +270,7 @@ class StreamingCampaign:
         self,
         events: Sequence[StreamEvent],
         experts: Crowd,
-        budget: "float | CheckingBudget",
+        budget: float,
         *,
         spec: StreamSpec | None = None,
         journal_path: str | Path | None = None,
@@ -339,14 +337,7 @@ class StreamingCampaign:
 
     def _init_journal(self, journal_metadata) -> None:
         start_journal(
-            self._journal_path,
-            (
-                self._budget.total
-                if isinstance(self._budget, CheckingBudget)
-                else self._budget
-            ),
-            self._k,
-            journal_metadata,
+            self._journal_path, self._budget, self._k, journal_metadata
         )
         append_journal_record(
             self._journal_path,
@@ -747,8 +738,6 @@ class StreamingCampaign:
         retry_policy: RetryPolicy | None = None,
         reserve_experts: Crowd | None = None,
         sleep: Callable[[float], None] | None = None,
-        budget: "float | CheckingBudget | None" = None,
-        budget_tracker: "CheckingBudget | None" = None,
         experts: Crowd | None = None,
     ) -> "StreamingCampaign":
         """Restore a streamed campaign from its journal.
@@ -787,11 +776,7 @@ class StreamingCampaign:
             )
         spec = StreamSpec.from_dict(config_record.get("config", {}))
         header = records[0]
-        budget_value = (
-            budget
-            if budget is not None
-            else header_field(header, "budget_total")
-        )
+        budget = header_field(header, "budget_total")
         k = header_field(header, "k", int)
         last = next(
             (
@@ -815,7 +800,6 @@ class StreamingCampaign:
                 retry_policy=retry_policy,
                 reserve_experts=reserve_experts,
                 sleep=sleep,
-                budget_tracker=budget_tracker,
                 records=records,
             )
         else:
@@ -834,7 +818,7 @@ class StreamingCampaign:
         campaign = cls(
             events,
             (),
-            budget_tracker if budget_tracker is not None else budget_value,
+            budget,
             spec=spec,
             selector=selector,
             k=k,

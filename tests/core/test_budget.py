@@ -49,6 +49,11 @@ class TestCheckingBudget:
         with pytest.raises(ValueError):
             CheckingBudget(-1)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(ValueError, match="finite"):
+            CheckingBudget(total)
+
     def test_charge_round_paper_line7(self, experts):
         """Algorithm 3 line 7: B <- B - |T| * |CE|."""
         budget = CheckingBudget(10)

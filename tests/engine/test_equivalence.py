@@ -1,4 +1,4 @@
-"""Property tests: the ledger-backed runner is bit-identical to the
+"""Property tests: ``run_parallel_hc_session`` is bit-identical to the
 serial runtime — same selections, same histories, same belief bytes,
 same journal bytes — for 1, 2 and 4 jobs, on randomized instances, with
 and without fault injection and trust quarantine."""

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import Crowd
-from repro.engine import BudgetLedger, LedgerBudget, LedgerError
+from repro.engine import BudgetLedger, LedgerError
 
 
 class TestBudgetLedger:
@@ -86,80 +85,9 @@ class TestBudgetLedger:
             "open_reservations": 1,
         }
 
-    def test_shared_ledger_serializes_two_campaigns(self):
-        """Two budgets drawing on one ledger cannot jointly overspend."""
-        ledger = BudgetLedger(10.0)
-        first = LedgerBudget(10.0, ledger=ledger)
-        second = LedgerBudget(10.0, ledger=ledger)
-        experts = Crowd.from_accuracies([0.9], prefix="e")
-        first.reserve_pending(6, experts)
-        with pytest.raises(LedgerError):
-            second.reserve_pending(6, experts)
-        first.release_pending()
-        second.reserve_pending(6, experts)
-
-
-class TestLedgerBudget:
-    @pytest.fixture
-    def experts(self):
-        return Crowd.from_accuracies([0.9, 0.95], prefix="e")
-
-    def test_charge_settles_open_reservation(self, experts):
-        budget = LedgerBudget(100.0)
-        budget.reserve_pending(2, experts)
-        assert budget.ledger.open_reservations == 1
-        cost = budget.charge_round(2, experts)
-        assert budget.ledger.open_reservations == 0
-        assert budget.ledger.committed == pytest.approx(cost)
-        assert budget.ledger.committed == pytest.approx(budget.spent)
-
-    def test_double_reservation_is_a_bug(self, experts):
-        budget = LedgerBudget(100.0)
-        budget.reserve_pending(1, experts)
-        with pytest.raises(LedgerError, match="already open"):
-            budget.reserve_pending(1, experts)
-
-    def test_release_pending_refunds(self, experts):
-        budget = LedgerBudget(100.0)
-        budget.reserve_pending(2, experts)
-        budget.release_pending()
-        assert budget.ledger.available == pytest.approx(100.0)
-        budget.release_pending()  # idempotent
-
-    def test_charge_without_reservation_commits_direct(self, experts):
-        """A resumed mid-round session's reservation died with the
-        crashed process; the charge still lands on the ledger."""
-        budget = LedgerBudget(100.0)
-        cost = budget.charge_round(2, experts)
-        assert budget.ledger.committed == pytest.approx(cost)
-
-    def test_restore_spent_catches_ledger_up(self, experts):
-        budget = LedgerBudget(100.0)
-        budget.restore_spent(12.0)
-        assert budget.spent == pytest.approx(12.0)
-        assert budget.ledger.committed == pytest.approx(12.0)
-        # And further charges accumulate on top.
-        budget.reserve_pending(1, experts)
-        budget.charge_round(1, experts)
-        assert budget.ledger.committed == pytest.approx(budget.spent)
-
-    def test_spent_trajectory_matches_plain_budget(self, experts):
-        from repro.core.budget import CheckingBudget
-
-        plain = CheckingBudget(40.0)
-        ledgered = LedgerBudget(40.0)
-        for _ in range(3):
-            ledgered.reserve_pending(2, experts)
-            assert ledgered.charge_round(2, experts) == plain.charge_round(
-                2, experts
-            )
-            assert ledgered.spent == plain.spent
-            assert ledgered.remaining == plain.remaining
-
 
 class TestLedgerAudit:
-    """Leak hunting: every open reservation is attributable, and the
-    teardown hooks guarantee a clean campaign leaves none behind."""
+    """Leak hunting: every open reservation is attributable."""
 
     def test_audit_lists_open_reservations(self):
         ledger = BudgetLedger(20.0)
@@ -173,61 +101,6 @@ class TestLedgerAudit:
         assert [entry["ticket"] for entry in ledger.audit()] == [second]
         ledger.release(second)
         assert ledger.audit() == []
-
-    def test_close_releases_an_orphaned_reservation(self):
-        experts = Crowd.from_accuracies([0.95, 0.92])
-        budget = LedgerBudget(100.0)
-        budget.reserve_pending(2, experts)
-        assert budget.ledger.open_reservations == 1
-        # A mid-round abort never reaches the charge; close() is the
-        # teardown path that returns the hold to the pool.
-        budget.close()
-        assert budget.ledger.open_reservations == 0
-        assert budget.ledger.available == pytest.approx(100.0)
-        budget.close()  # idempotent
-
-    def test_context_manager_releases_on_abort(self):
-        experts = Crowd.from_accuracies([0.95, 0.92])
-        shared = BudgetLedger(50.0)
-        with pytest.raises(RuntimeError, match="mid-round abort"):
-            with LedgerBudget(50.0, ledger=shared) as budget:
-                budget.reserve_pending(2, experts)
-                raise RuntimeError("mid-round abort")
-        assert shared.open_reservations == 0
-        assert shared.audit() == []
-
-    def test_runner_abort_leaves_no_reservation(self, tmp_path):
-        """A campaign killed between selection and the charge releases
-        its worst-case round hold when the runner unwinds."""
-        from repro.datasets.synthetic import (
-            WorkerPoolSpec,
-            make_synthetic_dataset,
-        )
-        from repro.engine import ParallelCampaignRunner
-        from repro.simulation.session import SessionConfig
-
-        class ExplodingSource:
-            def collect(self, queries, experts):
-                raise RuntimeError("collection infrastructure died")
-
-        dataset = make_synthetic_dataset(
-            num_groups=4,
-            group_size=4,
-            answers_per_fact=6,
-            pool=WorkerPoolSpec(num_preliminary=10, num_expert=2),
-            seed=6,
-        )
-        shared = BudgetLedger(40.0)
-        runner = ParallelCampaignRunner(
-            dataset,
-            SessionConfig(budget=14.0, k=2, seed=1),
-            answer_source=ExplodingSource(),
-            jobs=2,
-            ledger=shared,
-        )
-        with pytest.raises(RuntimeError, match="infrastructure died"):
-            runner.run()
-        assert shared.open_reservations == 0, shared.audit()
 
 
 class TestLedgerExactness:

@@ -1,4 +1,4 @@
-"""Crash-recovery tests: a killed ledger-backed campaign resumes to a
+"""Crash-recovery tests: a killed journaled campaign resumes to a
 byte-identical journal (and bit-identical beliefs).
 
 The strategy: run one uninterrupted reference campaign, then recreate
@@ -20,10 +20,11 @@ import pytest
 from repro.core import SerializationError
 from repro.core.trust import TrustPolicy
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
-from repro.engine import resume_parallel_session, run_parallel_hc_session
+from repro.engine import run_parallel_hc_session
 from repro.simulation import (
     FaultModel,
     FaultyExpertPanel,
+    ResilientCheckingSession,
     SessionConfig,
     SimulatedExpertPanel,
 )
@@ -84,7 +85,7 @@ class TestTornJournalResume:
             killed.write_bytes(
                 b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2]
             )
-            session = resume_parallel_session(killed)
+            session = ResilientCheckingSession.resume(killed)
             result = session.run(_fresh_panel(dataset))
             assert killed.read_bytes() == reference_bytes, f"cut={cut}"
             for ours, theirs in zip(result.belief, reference.belief):
@@ -113,7 +114,7 @@ class TestTornJournalResume:
         monkeypatch.setattr(
             serialization, "belief_state_from_dict", counting_decode
         )
-        session = resume_parallel_session(killed)
+        session = ResilientCheckingSession.resume(killed)
         assert len(decoded) == len(session.belief) == 6
         session.run(_fresh_panel(dataset))
         assert killed.read_bytes() == reference.read_bytes()
@@ -126,11 +127,11 @@ class TestTornJournalResume:
         headless = tmp_path / "headless.jsonl"
         headless.write_bytes(lines[0])  # the header only
         with pytest.raises(SerializationError, match="checkpoint"):
-            resume_parallel_session(headless)
+            ResilientCheckingSession.resume(headless)
 
 
 _KILL_HELPER = '''
-"""Subprocess helper: run the resume test's ledger-backed campaign.
+"""Subprocess helper: run the resume test's journaled campaign.
 
 Argv: journal_path delay_seconds.  ``delay_seconds`` slows each round's
 answer collection so the parent can SIGKILL the campaign mid-run; it
@@ -240,7 +241,7 @@ class TestSigkillResume:
             killed_bytes[: killed_bytes.rfind(b"\n") + 1]
         )
 
-        session = resume_parallel_session(killed)
+        session = ResilientCheckingSession.resume(killed)
         session.run(_fresh_panel(dataset))
         assert killed.read_bytes() == reference_bytes
 
@@ -276,7 +277,7 @@ class TestSparseKernelResume:
             killed.write_bytes(
                 b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2]
             )
-            session = resume_parallel_session(killed)
+            session = ResilientCheckingSession.resume(killed)
             result = session.run(_fresh_panel(dataset))
             assert killed.read_bytes() == reference_bytes, f"cut={cut}"
             for ours, theirs in zip(result.belief, reference.belief):

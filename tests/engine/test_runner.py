@@ -1,4 +1,4 @@
-"""API tests for ParallelCampaignRunner / run_parallel_hc_session."""
+"""API tests for run_parallel_hc_session."""
 
 import threading
 import time
@@ -7,14 +7,7 @@ import pytest
 
 from repro.core.trust import TrustPolicy
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
-from repro.engine import (
-    BudgetLedger,
-    ConcurrentAnswerSource,
-    KeyedExpertPanel,
-    LedgerError,
-    ParallelCampaignRunner,
-    run_parallel_hc_session,
-)
+from repro.engine import KeyedExpertPanel, run_parallel_hc_session
 from repro.simulation import SessionConfig, run_hc_session
 
 
@@ -29,29 +22,10 @@ def dataset():
     )
 
 
-def test_caller_supplied_selector_is_rejected(dataset):
-    from repro.core import LazyGreedySelector
-
-    with pytest.raises(ValueError, match="owns selection"):
-        run_parallel_hc_session(dataset, selector=LazyGreedySelector())
-
-
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_jobs_below_one_is_rejected(dataset, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        ParallelCampaignRunner(dataset, SessionConfig(budget=8.0), jobs=jobs)
-
-
-def test_prepare_is_idempotent_until_consumed(dataset):
-    runner = ParallelCampaignRunner(
-        dataset, SessionConfig(budget=8.0), jobs=2
-    )
-    assert runner.prepare() is runner
-    first = runner._prepared
-    runner.prepare()
-    assert runner._prepared is first
-    runner.run()
-    assert runner._prepared is None
+        run_parallel_hc_session(dataset, SessionConfig(budget=8.0), jobs=jobs)
 
 
 def test_theta_without_experts_raises(dataset):
@@ -69,29 +43,68 @@ def _signature(result):
     )
 
 
-def test_concurrent_collection_enables_for_keyed_panel(dataset, tmp_path):
-    def runner(config):
-        return ParallelCampaignRunner(
-            dataset,
-            config,
-            answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
-            jobs=3,
-        )
+class _CountingPanel(KeyedExpertPanel):
+    """Counts serial ``collect`` calls and threaded chunk answers."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self.serial_calls = 0
+        self.chunk_calls = 0
+
+    def collect(self, query_fact_ids, experts):
+        self.serial_calls += 1
+        return super().collect(query_fact_ids, experts)
+
+    def collect_indexed(self, indexed_queries, experts):
+        with self._lock:
+            self.chunk_calls += 1
+        return super().collect_indexed(indexed_queries, experts)
+
+
+def test_concurrent_collection_enables_for_keyed_panel(dataset, tmp_path):
     serial = run_hc_session(
         dataset,
         SessionConfig(budget=16.0, k=2),
         answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
     )
-    plain = runner(SessionConfig(budget=16.0, k=2)).prepare()
-    assert isinstance(plain._prepared["source"], ConcurrentAnswerSource)
-    assert _signature(plain.run()) == _signature(serial)
+    panel = _CountingPanel(dataset.ground_truth, seed=4)
+    plain = run_parallel_hc_session(
+        dataset, SessionConfig(budget=16.0, k=2), answer_source=panel, jobs=3
+    )
+    assert (panel.serial_calls, panel.chunk_calls > 0) == (0, True)
+    assert _signature(plain) == _signature(serial)
     # A resilient session checkpoints its source, so it keeps the panel.
-    journaled = runner(
-        SessionConfig(budget=16.0, k=2, journal_path=tmp_path / "j.jsonl")
-    ).prepare()
-    assert isinstance(journaled._prepared["source"], KeyedExpertPanel)
-    journaled.run()
+    panel = _CountingPanel(dataset.ground_truth, seed=4)
+    run_parallel_hc_session(
+        dataset,
+        SessionConfig(budget=16.0, k=2, journal_path=tmp_path / "j.jsonl"),
+        answer_source=panel,
+        jobs=3,
+    )
+    assert (panel.serial_calls > 0, panel.chunk_calls) == (True, 0)
+
+
+def test_caller_supplied_selector_is_used(dataset):
+    """A seeded random selector picks other facts than the default lazy
+    greedy here, so a dropped selector would fail the comparison."""
+    from repro.core import RandomSelector
+
+    config = SessionConfig(budget=16.0, k=2)
+    serial = run_hc_session(
+        dataset,
+        config,
+        selector=RandomSelector(rng=3),
+        answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
+    )
+    parallel = run_parallel_hc_session(
+        dataset,
+        config,
+        selector=RandomSelector(rng=3),
+        answer_source=KeyedExpertPanel(dataset.ground_truth, seed=4),
+        jobs=2,
+    )
+    assert _signature(parallel) == _signature(serial)
 
 
 def _four_pick_rounds() -> SessionConfig:
@@ -154,47 +167,11 @@ class _FailingChunkPanel(KeyedExpertPanel):
 
 def test_chunk_error_surfaces_after_the_other_chunks(dataset):
     panel = _FailingChunkPanel(dataset.ground_truth, seed=4)
-    runner = ParallelCampaignRunner(
-        dataset,
-        _four_pick_rounds(),
-        answer_source=panel,
-        jobs=4,
-    )
     with pytest.raises(RuntimeError, match="dropped a chunk"):
-        runner.run()
-    assert panel.finished == 3
-    assert runner.ledger.open_reservations == 0
-
-
-def test_ledger_reports_committed_spending(dataset):
-    runner = ParallelCampaignRunner(
-        dataset, SessionConfig(budget=16.0, k=2), jobs=2
-    )
-    result = runner.run()
-    assert runner.ledger is not None
-    assert runner.ledger.open_reservations == 0
-    assert runner.ledger.committed == pytest.approx(
-        result.history[-1].budget_spent
-    )
-
-
-def test_shared_ledger_caps_joint_spending(dataset):
-    """Two campaigns over one ledger can never jointly exceed it."""
-    ledger = BudgetLedger(16.0)
-    first = run_parallel_hc_session(
-        dataset, SessionConfig(budget=16.0, k=2), jobs=2,
-        ledger=ledger,
-    )
-    spent = first.history[-1].budget_spent
-    assert ledger.committed == pytest.approx(spent)
-    # The pool is nearly drained; a second full-budget campaign must
-    # fail its first reservation rather than double-spend.
-    with pytest.raises(LedgerError):
         run_parallel_hc_session(
-            dataset, SessionConfig(budget=16.0, k=2), jobs=2,
-            ledger=ledger,
+            dataset, _four_pick_rounds(), answer_source=panel, jobs=4
         )
-    assert ledger.committed == pytest.approx(spent)
+    assert panel.finished == 3
 
 
 def test_trust_summary_survives_the_parallel_path(dataset):

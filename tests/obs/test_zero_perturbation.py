@@ -4,13 +4,13 @@ Turning on tracing + metrics must never touch an RNG stream and never
 change a journal byte.  Each test runs the same campaign twice — once
 with ``OBS`` fully enabled (metrics, trace buffer, trace JSONL), once
 disabled — and asserts the journals are byte-identical and the final
-beliefs bit-identical.  Covered shapes: the ledger-backed runner at
-``jobs=1`` and ``jobs=4``, a streamed campaign, and a streamed campaign
-resumed from its journal.  Each enabled run
-also asserts instrumentation actually fired, so a regression that
-silently disables the hooks cannot pass as "no perturbation".  A
-service recovery with OBS on must also leave a reattached streamed
-campaign without fault strikes.
+beliefs bit-identical.  Covered shapes: a journaled
+``run_parallel_hc_session`` at ``jobs=1`` and ``jobs=4``, a streamed
+campaign, and a streamed campaign resumed from its journal.  Each
+enabled run also asserts instrumentation actually fired, so a
+regression that silently disables the hooks cannot pass as "no
+perturbation".  A service recovery with OBS on must also leave a
+reattached streamed campaign without fault strikes.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ from repro.core.serialization import (
     repair_journal,
     trim_journal_to_last_checkpoint,
 )
-from repro.engine import resume_parallel_session
 from repro.service import CampaignService, CampaignSpec
-from repro.simulation import SimulatedExpertPanel
+from repro.simulation import ResilientCheckingSession, SimulatedExpertPanel
 
 from .conftest import make_config, make_dataset
 
@@ -94,7 +93,7 @@ class TestConcurrentJournals:
         resume_order = ["alpha", "beta"]
         for position, name in enumerate(resume_order):
             entry = neighbors[name]
-            session = resume_parallel_session(entry["path"])
+            session = ResilientCheckingSession.resume(entry["path"])
             session.run(fresh_source(entry))
             assert entry["path"].read_bytes() == entry["bytes"], name
             untouched = resume_order[position + 1 :]
@@ -123,7 +122,7 @@ class TestConcurrentJournals:
         solo replay of the reference journal's campaign."""
         entry = neighbors["beta"]
         tear(entry)
-        session = resume_parallel_session(entry["path"])
+        session = ResilientCheckingSession.resume(entry["path"])
         result = session.run(fresh_source(entry))
         assert entry["path"].read_bytes() == entry["bytes"]
         assert result.history[-1].budget_spent == pytest.approx(

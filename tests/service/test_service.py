@@ -4,10 +4,10 @@ The invariants pinned here are the service's contract:
 
 * every campaign — interleaved, detached or restarted — is
   **bit-identical** to its solo
-  :func:`~repro.engine.runner.run_parallel_hc_session` run;
+  :func:`~repro.simulation.session.run_hc_session` run;
 * admission is deposit-based and rejections are free of side effects;
 * one tenant's faults never stall or corrupt another tenant;
-* no service path ever leaks a ledger reservation.
+* no service path ever leaks a reservation on the shared pool.
 """
 
 import pytest
@@ -24,6 +24,7 @@ from repro.service import (
     TenantQuota,
     UnknownCampaignError,
 )
+from repro.obs import OBS
 from repro.service.errors import CampaignStateError
 from repro.simulation.faults import FaultModel
 
@@ -37,11 +38,8 @@ def spec_for(tenant, name, dataset, config, **overrides):
 
 
 def assert_no_leaks(service: CampaignService) -> None:
-    """No service path may leave a reservation open anywhere."""
+    """No service path may leave a reservation open on the pool."""
     assert service.ledger.audit() == []
-    stats = service.stats()
-    for campaign_id, entry in stats["campaigns"].items():
-        assert entry["leaked_reservations"] == 0, campaign_id
 
 
 class TestMultiTenantBitIdentity:
@@ -280,9 +278,6 @@ class TestFaultIsolation:
             assert service.ledger.open_reservations == 1
             assert healthy.status is CampaignStatus.COMPLETED
             assert signature(service.result(healthy)) == solo
-            stats = service.stats()
-            for entry in stats["campaigns"].values():
-                assert entry["leaked_reservations"] == 0
             # Operator remediation: re-attach with a repaired source.
             fixed = service.attach(
                 spec_for("bad", "job", broken_dataset, make_config(seed=0))
@@ -505,6 +500,47 @@ class TestLifecycle:
         # commit.  The journal keeps the truth for a future attach.
         assert service.ledger.committed == 0.0
         assert running.status is CampaignStatus.DETACHED
+
+
+class TestPoolGauges:
+    @pytest.fixture(autouse=True)
+    def _obs_enabled(self):
+        OBS.reset()
+        OBS.enable()
+        yield
+        OBS.reset()
+
+    def test_ledger_gauges_are_the_pool_books_after_every_step(
+        self, tmp_path
+    ):
+        """The unlabelled ``repro_ledger_*`` gauges describe the
+        service pool: no campaign keeps a book of its own that
+        overwrites them between steps."""
+        keys = ("committed", "outstanding", "available", "open_reservations")
+        with CampaignService(100.0, journal_root=tmp_path / "svc") as service:
+            for tenant, seed in (("acme", 0), ("globex", 1)):
+                service.submit(
+                    spec_for(
+                        tenant, "job", make_dataset(seed=80 + seed),
+                        make_config(seed=seed),
+                    )
+                )
+            steps = 0
+            while service.step() is not None:
+                steps += 1
+                books = dict(
+                    service.ledger.as_dict(),
+                    available=service.ledger.available,
+                )
+                gauges = {
+                    key: OBS.registry.get(f"repro_ledger_{key}")
+                    .labels()
+                    .value
+                    for key in keys
+                }
+                assert gauges == {key: books[key] for key in keys}, steps
+            assert steps > 2
+            assert service.ledger.committed > 0
 
 
 class TestSpecValidation:

@@ -17,6 +17,30 @@ class TestSessionConfig:
         assert config.k == 1
         assert config.initializer == "EBCC"
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True, "2"])
+    def test_k_must_be_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="^k must be an int >= 1"):
+            SessionConfig(k=k)
+
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), float("inf"), -1.0, "10", None]
+    )
+    def test_budget_must_be_finite_and_non_negative(self, budget):
+        with pytest.raises(ValueError, match="^budget must be finite"):
+            SessionConfig(budget=budget)
+
+    @pytest.mark.parametrize("theta", [float("nan"), 1.5, -0.1, "0.9"])
+    def test_theta_must_lie_in_the_unit_interval(self, theta):
+        with pytest.raises(ValueError, match="^theta must be a number"):
+            SessionConfig(theta=theta)
+
+    def test_boundary_values_are_accepted(self):
+        import numpy as np
+
+        config = SessionConfig(theta=1, k=np.int64(3), budget=0)
+        assert (config.theta, config.k, config.budget) == (1, 3, 0)
+        assert SessionConfig(theta=np.float64(0.0)).theta == 0.0
+
 
 class TestRunHcSession:
     def test_end_to_end(self, small_dataset):

@@ -33,7 +33,7 @@ from repro.core.serialization import (
     read_journal,
 )
 from repro.datasets import WorkerPoolSpec, make_synthetic_dataset
-from repro.engine import resume_parallel_session, run_parallel_hc_session
+from repro.engine import run_parallel_hc_session
 from repro.service import CampaignService, CampaignSpec
 from repro.service.errors import CampaignQuarantinedError
 from repro.simulation import (
@@ -210,7 +210,7 @@ class TestOneReadPerResume:
         _tear(path, 0.6)
         invalidate_journal_cache(path)
         counts = _count_reads(monkeypatch)
-        session = resume_parallel_session(path)
+        session = ResilientCheckingSession.resume(path)
         session.run(campaign_answer_source(dataset, config))
         assert _reads(counts, path) == 1
 
@@ -275,10 +275,6 @@ def _rewrite_header(path: Path, name: str, value, *, tenant=False) -> None:
     ))
 
 
-def _resume_parallel(path: Path, **_):
-    resume_parallel_session(path)
-
-
 def _resume_stream(path: Path, *, stream_dataset, **_):
     spec = _stream_spec()
     StreamingCampaign.resume(path, _events(stream_dataset, spec))
@@ -329,12 +325,10 @@ class TestHeaderFields:
     @pytest.mark.parametrize(
         "reader, journal",
         [
-            (_resume_parallel, "batch"),
             (_resume_stream, "stream"),
             (_attach_via_cli, "cli"),
         ],
-        ids=["resume_parallel_session", "StreamingCampaign.resume",
-             "session --attach"],
+        ids=["StreamingCampaign.resume", "session --attach"],
     )
     def test_malformed_budget_total_is_a_typed_error(
         self, journals, stream_dataset, reader, journal, value
@@ -415,12 +409,12 @@ class TestCheckpointMembers:
         [
             (_resume_session, "cli"),
             (_resume_session_via_cli, "cli"),
-            (_resume_parallel, "batch"),
+            (_resume_session, "batch"),
             (_resume_stream, "stream"),
             (_attach_via_cli, "cli"),
         ],
         ids=["ResilientCheckingSession.resume", "session --resume",
-             "resume_parallel_session", "StreamingCampaign.resume",
+             "resume of a jobs=2 journal", "StreamingCampaign.resume",
              "session --attach"],
     )
     def test_malformed_v9_member_is_a_typed_error(

@@ -127,6 +127,28 @@ class TestSession:
         assert "trust:" not in capsys.readouterr().out
 
 
+class TestServe:
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--k", "0", "k"), ("--theta", "1.5", "theta"),
+         ("--budget", "nan", "budget")],
+    )
+    def test_bad_session_config_is_refused_before_any_journal(
+        self, data_dir, tmp_path, flag, value, field
+    ):
+        """The configs are refused where they are built, before the
+        service exists: the command raises (and so exits non-zero)
+        instead of quarantining every campaign, and writes nothing."""
+        root = tmp_path / "journals"
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            main([
+                "serve", "--data", str(data_dir), "--group-size", "4",
+                "--theta", "0.85", "--journal-root", str(root),
+                flag, value,
+            ])
+        assert not root.exists()
+
+
 class TestJobsFlag:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("command", ["reproduce"])
