@@ -18,6 +18,7 @@ kept in exact rationals.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -80,8 +81,10 @@ class BudgetLedger:
     """
 
     def __init__(self, total: float):
-        if total < 0:
-            raise ValueError("ledger total must be non-negative")
+        if not math.isfinite(total) or total < 0:
+            raise ValueError(
+                f"ledger total must be finite and non-negative, got {total!r}"
+            )
         self._total = _exact(total)
         self._committed = Fraction(0)
         self._reservations: dict[int, tuple[Fraction, str]] = {}

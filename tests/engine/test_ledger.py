@@ -72,6 +72,11 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             BudgetLedger(-1.0)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(ValueError, match="finite"):
+            BudgetLedger(total)
+
     def test_as_dict_snapshot(self):
         ledger = BudgetLedger(10.0)
         ticket = ledger.reserve(4.0)

@@ -131,14 +131,16 @@ class TestServe:
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--k", "0", "k"), ("--theta", "1.5", "theta"),
-         ("--budget", "nan", "budget")],
+         ("--budget", "nan", "budget"),
+         ("--budget-pool", "nan", "ledger total")],
     )
     def test_bad_session_config_is_refused_before_any_journal(
         self, data_dir, tmp_path, flag, value, field
     ):
-        """The configs are refused where they are built, before the
-        service exists: the command raises (and so exits non-zero)
-        instead of quarantining every campaign, and writes nothing."""
+        """The configs and the pool are refused where they are built,
+        before any campaign runs: the command raises (and so exits
+        non-zero) instead of quarantining every campaign, and writes
+        nothing."""
         root = tmp_path / "journals"
         with pytest.raises(ValueError, match=f"^{field} must be"):
             main([
