@@ -1,11 +1,12 @@
 """Micro-benchmarks of the core primitives.
 
 These time the inner loops every experiment is built from: conditional
-entropy evaluation, one greedy selection round, and one Bayesian belief
-update.  The 5-fact cases run the truth-table kernels of the paper's
-groups; the 18-fact cases (Table III's group size) run the tensor
-contractions of groups past ``TRUTH_TABLE_MAX_FACTS``.  Useful for
-tracking performance regressions; no paper claims attached.
+entropy evaluation, one greedy selection round (eager, and a steady
+CELF round on the persistent heap), and one Bayesian belief update.
+The 5-fact cases run the truth-table kernels of the paper's groups;
+the 18-fact cases (Table III's group size) run the tensor contractions
+of groups past ``TRUTH_TABLE_MAX_FACTS``.  Useful for tracking
+performance regressions; no paper claims attached.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core import (
     FactSet,
     FactoredBelief,
     GreedySelector,
+    LazyGreedySelector,
     conditional_entropy,
     update_with_family,
 )
@@ -76,6 +78,33 @@ def test_bench_greedy_warm_selection(benchmark, factored_200_groups, experts):
     selector.select(factored_200_groups, experts, 1)  # warm the cache
 
     selected = benchmark(selector.select, factored_200_groups, experts, 1)
+    assert len(selected) == 1
+
+
+def test_bench_lazy_steady_round(benchmark, factored_200_groups, experts):
+    """One steady CELF round: the picked group gets a fresh state
+    between selections, as a belief update gives it, and the persistent
+    heap re-seeds only that group.  Only the selection is timed."""
+    belief = factored_200_groups.copy()
+    selector = LazyGreedySelector()
+    picked = selector.select(belief, experts, 1)
+
+    def replace_picked_group():
+        group_index = belief.group_index_of(picked[0])
+        state = belief[group_index]
+        belief.replace_group(
+            group_index, BeliefState(state.facts, state.probabilities)
+        )
+        selector.invalidate_groups([group_index])
+        return (belief, experts, 1), {}
+
+    def steady_round(*args):
+        picked[:] = selector.select(*args)
+        return picked
+
+    selected = benchmark.pedantic(
+        steady_round, setup=replace_picked_group, rounds=2000
+    )
     assert len(selected) == 1
 
 

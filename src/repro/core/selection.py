@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -348,7 +349,7 @@ class LazyGreedySelector(Selector):
     Produces exactly the same query sets as :class:`GreedySelector`
     (same gain function, same ``gain_tolerance`` stop rule, same
     lowest-fact-id tie-breaking) but avoids the eager ``O(N k)``
-    per-round gain scan with two machines:
+    per-round gain scan with three machines:
 
     * **Lazy evaluation (CELF).**  Candidate gains live in a max-heap of
       *stale upper bounds*.  The gain of adding ``f`` only depends on
@@ -364,16 +365,27 @@ class LazyGreedySelector(Selector):
       by :func:`repro.core.entropy.first_step_gains` — a single matmul
       against the crowd's shared single-query response tensor instead of
       per-fact family enumerations.
+    * **One heap across rounds.**  The heap outlives the round.  A group
+      the round did not query keeps its seed entries, which are still
+      its exact first-step gains, so the next round pushes seeds only
+      for groups whose state or crowd changed and for the groups the
+      round queried, which are *retired* when it ends (their entries
+      were popped or re-evaluated against a non-empty query set).  Each
+      entry carries its group's seed epoch; a popped entry whose epoch
+      is not its group's current one is dropped uncounted (lazy
+      deletion), and when such dead entries outnumber the live ones the
+      heap is compacted by one filter and a ``heapify``.  A cold
+      selector (first round, new crowd, every group retired) builds
+      each entry once and heapifies once.
 
     The first-step gain vectors are cached per group keyed on belief
-    identity, each beside the group's ready-made heap seed entries, so
-    across checking rounds only the groups actually updated by the
-    previous round are re-evaluated and a round seeds its heap with one
-    ``extend`` per group and a ``heapify`` (``O(changed)`` kernel work
-    per round); superseded states are evicted on write, keeping memory
-    bounded by the current belief.  :meth:`invalidate_groups` releases
-    updated groups' entries eagerly — the online sessions call it after
-    every belief update.
+    identity, so a retired group whose state did not change (a partial
+    round without answers for it, an abandoned round, a repeated
+    ``select``) is re-seeded without kernel work: a round costs
+    ``O(changed)`` kernel work and heap pushes.  Superseded states are
+    evicted on write, keeping memory bounded by the current belief.
+    :meth:`invalidate_groups` releases updated groups' entries eagerly —
+    the online sessions call it after every belief update.
     """
 
     name = "Approx-Lazy"
@@ -385,19 +397,29 @@ class LazyGreedySelector(Selector):
         self.stats = SelectionStats()
         self._cache = _GroupEntropyCache(self.stats)
         # group_index -> (state and crowd computed against, per-fact
-        # gain vector, heap seed entries of its positive gains);
+        # gain vector, number of its gains above the tolerance);
         # superseded entries are replaced on write.
         self._first_gains: dict[
-            int,
-            tuple[
-                BeliefState, Crowd, np.ndarray,
-                list[tuple[float, int, int, int]],
-            ],
+            int, tuple[BeliefState, Crowd, np.ndarray, int]
         ] = {}
+        # The CELF heap, kept across rounds, and the crowd its bounds
+        # were computed for.  Entries are (-gain, fact_id,
+        # bound_version, group_index, epoch).
+        self._heap: list[tuple[float, int, int, int, int]] = []
+        self._heap_experts: Crowd | None = None
+        # Per group index, the state whose seeds are live in the heap
+        # (None once retired), and group_index -> the epoch its live
+        # entries carry.  Between rounds the heap holds ``_live`` live
+        # entries: the seed counts of the groups in ``_epochs``.
+        self._seeded: list[BeliefState | None] = []
+        self._epochs: dict[int, int] = {}
+        self._live = 0
+        self._epoch = 0
 
     def invalidate_groups(self, group_indices: Iterable[int]) -> None:
         """Explicitly drop cached entropies/gains of updated groups."""
         for group_index in group_indices:
+            self._retire(group_index)
             self._cache.invalidate_group(group_index)
             self._first_gains.pop(group_index, None)
 
@@ -408,31 +430,77 @@ class LazyGreedySelector(Selector):
             entry[2].size for entry in self._first_gains.values()
         )
 
+    def _retire(self, group_index: int) -> None:
+        """Kill a group's heap entries; the next round re-seeds it."""
+        if self._epochs.pop(group_index, None) is not None:
+            self._live -= self._first_gains[group_index][3]
+            self._seeded[group_index] = None
+
     def _seed_heap(
         self, belief: FactoredBelief, experts: Crowd
-    ) -> list[tuple[float, int, int, int]]:
-        """The round's initial CELF heap of first-step gain bounds.
+    ) -> list[tuple[float, int, int, int, int]]:
+        """Bring the persistent CELF heap up to date for a new round.
 
-        Fresh groups contribute their cached seed entries as they are.
-        Every group whose cached gain vector is missing or superseded
-        is evaluated through one stacked
+        A crowd other than the heap's empties it.  Groups past the end
+        of ``belief`` are retired, and so is every group seeded from a
+        state other than its current one.  Once dead entries outnumber
+        live ones the heap is compacted, before this round's pushes.
+        Then every group without live seeds gets its positive first-step
+        gains pushed under a new epoch (:meth:`_push_seeds`).
+        """
+        heap, seeded, epochs = self._heap, self._seeded, self._epochs
+        if self._heap_experts is not experts and self._heap_experts != experts:
+            heap.clear()
+            seeded.clear()
+            epochs.clear()
+            self._live = 0
+            self._heap_experts = experts
+        num_groups = len(belief)
+        for group_index in range(num_groups, len(seeded)):
+            self._retire(group_index)
+        del seeded[num_groups:]
+        seeded.extend([None] * (num_groups - len(seeded)))
+        changed = list(itertools.compress(
+            itertools.count(), map(operator.is_not, seeded, belief)
+        ))
+        for group_index in changed:
+            if seeded[group_index] is not None:
+                self._retire(group_index)
+        if len(heap) > 2 * self._live:
+            heap[:] = [
+                entry for entry in heap if epochs.get(entry[3]) == entry[4]
+            ]
+            heapq.heapify(heap)
+        if changed:
+            self._push_seeds(belief, experts, changed)
+        return heap
+
+    def _push_seeds(
+        self, belief: FactoredBelief, experts: Crowd, changed: list[int]
+    ) -> None:
+        """Push the positive first-step gains of the ``changed`` groups.
+
+        A group's cached gain vector is reused when it matches the state
+        and crowd.  Every other group is evaluated through one stacked
         :func:`~repro.core.entropy.first_step_gains_many` call — a
         single cross-group matmul against the shared crowd response
-        tensor — instead of a per-group Python loop.  Bitwise identical
-        to evaluating each group separately (see the kernel's docstring);
-        the stats counters still tick once per group so work accounting
-        is unchanged.  Heap entries are totally ordered (fact ids are
-        unique), so the pop sequence does not depend on the order the
-        entries were gathered in.
+        tensor, bitwise identical to evaluating each group separately
+        (see the kernel's docstring); the stats counters still tick once
+        per group so work accounting is unchanged.  Into an empty heap
+        the entries go by one ``heapify``, otherwise one push each.
+        Live entries are totally ordered (fact ids are unique), so the
+        pop sequence does not depend on the order they were pushed in.
         """
-        heap: list[tuple[float, int, int, int]] = []
+        first_gains = self._first_gains
+        ready: list[tuple[int, BeliefState, np.ndarray]] = []
         stale: list[tuple[int, BeliefState]] = []
-        for group_index, state in enumerate(belief):
-            cached = self._first_gains.get(group_index)
+        for group_index in changed:
+            state = belief[group_index]
+            cached = first_gains.get(group_index)
             if cached is not None and cached[0] is state and (
                 cached[1] is experts or cached[1] == experts
             ):
-                heap.extend(cached[3])
+                ready.append((group_index, state, cached[2]))
             else:
                 stale.append((group_index, state))
         if stale:
@@ -444,21 +512,32 @@ class LazyGreedySelector(Selector):
                 [state for _index, state in stale], experts,
                 prior_entropies=priors,
             )
-            tolerance = self.gain_tolerance
             for (group_index, state), gains in zip(stale, batched):
                 self.stats.batch_evaluations += 1
                 self.stats.batch_facts += gains.size
-                seeds = [
-                    (-float(gain), fact.fact_id, 0, group_index)
-                    for fact, gain in zip(state.facts, gains)
-                    if gain > tolerance
-                ]
-                self._first_gains[group_index] = (
-                    state, experts, gains, seeds
-                )
-                heap.extend(seeds)
-        heapq.heapify(heap)
-        return heap
+                ready.append((group_index, state, gains))
+        heap, seeded, epochs = self._heap, self._seeded, self._epochs
+        cold = not heap
+        pushed = heap if cold else []
+        self._epoch += 1
+        epoch = self._epoch
+        tolerance = self.gain_tolerance
+        for group_index, state, gains in ready:
+            seeds = [
+                (-float(gain), fact.fact_id, 0, group_index, epoch)
+                for fact, gain in zip(state.facts, gains)
+                if gain > tolerance
+            ]
+            first_gains[group_index] = (state, experts, gains, len(seeds))
+            seeded[group_index] = state
+            epochs[group_index] = epoch
+            self._live += len(seeds)
+            pushed.extend(seeds)
+        if cold:
+            heapq.heapify(heap)
+        else:
+            for entry in pushed:
+                heapq.heappush(heap, entry)
 
     def select(
         self, belief: FactoredBelief, experts: Crowd, k: int
@@ -478,45 +557,60 @@ class LazyGreedySelector(Selector):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.stats.rounds += 1
-        # Heap entries are (-gain, fact_id, bound_version, group_index);
-        # fact_id second makes equal-gain ties pop the lowest id first,
-        # matching the eager greedy's deterministic tie-breaking.  The
-        # bound_version is the size of the group's query set the gain
-        # was computed against: the entry is fresh iff it still matches.
+        # Heap entries are (-gain, fact_id, bound_version, group_index,
+        # epoch); fact_id second makes equal-gain ties pop the lowest id
+        # first, matching the eager greedy's deterministic tie-breaking.
+        # The bound_version is the size of the group's query set the
+        # gain was computed against: the entry is fresh iff it still
+        # matches.
         heap = self._seed_heap(belief, experts)
-
+        epochs = self._epochs
         selected: list[tuple[int, float]] = []
         group_queries: dict[int, list[int]] = {}
-        while len(selected) < k and heap:
-            neg_gain, fact_id, version, group_index = heapq.heappop(heap)
-            self.stats.heap_pops += 1
-            queries = group_queries.get(group_index, [])
-            if version == len(queries):
-                # Fresh bound: by submodularity every other entry's
-                # bound dominates its true gain, so this is the argmax.
-                selected.append((fact_id, -neg_gain))
-                group_queries.setdefault(group_index, []).append(fact_id)
-                continue
-            state = belief[group_index]
-            try:
-                current = self._cache.conditional(
-                    group_index, state, frozenset(queries), experts
+        try:
+            while len(selected) < k and heap:
+                neg_gain, fact_id, version, group_index, epoch = (
+                    heapq.heappop(heap)
                 )
-                with_fact = self._cache.conditional(
-                    group_index, state, frozenset(queries) | {fact_id},
-                    experts,
-                )
-            except FamilySpaceTooLarge:
-                # Stacking another query on this group is unenumerable;
-                # the group's query set only grows within a round, so
-                # the candidate stays infeasible — drop it (the eager
-                # greedy skips it on every remaining iteration too).
-                continue
-            gain = current - with_fact
-            if gain > self.gain_tolerance:
-                heapq.heappush(
-                    heap, (-gain, fact_id, len(queries), group_index)
-                )
+                if epochs.get(group_index) != epoch:
+                    continue  # a retired group's entry
+                self.stats.heap_pops += 1
+                queries = group_queries.get(group_index, [])
+                if version == len(queries):
+                    # Fresh bound: by submodularity every other entry's
+                    # bound dominates its true gain, so this is the
+                    # argmax.
+                    selected.append((fact_id, -neg_gain))
+                    group_queries.setdefault(group_index, []).append(fact_id)
+                    continue
+                state = belief[group_index]
+                try:
+                    current = self._cache.conditional(
+                        group_index, state, frozenset(queries), experts
+                    )
+                    with_fact = self._cache.conditional(
+                        group_index, state, frozenset(queries) | {fact_id},
+                        experts,
+                    )
+                except FamilySpaceTooLarge:
+                    # Stacking another query on this group is
+                    # unenumerable; the group's query set only grows
+                    # within a round, so the candidate stays infeasible
+                    # — drop it (the eager greedy skips it on every
+                    # remaining iteration too).
+                    continue
+                gain = current - with_fact
+                if gain > self.gain_tolerance:
+                    heapq.heappush(
+                        heap,
+                        (-gain, fact_id, len(queries), group_index, epoch),
+                    )
+        finally:
+            # Only queried groups had entries popped or re-pushed against
+            # a non-empty query set; every other live entry is still a
+            # first-step bound for the next round.
+            for group_index in group_queries:
+                self._retire(group_index)
         return selected
 
 

@@ -110,20 +110,8 @@ class SessionConfig:
             raise ValueError(
                 f"theta must be a number in [0, 1], got {self.theta!r}"
             )
-        if (
-            not isinstance(self.k, numbers.Integral)
-            or isinstance(self.k, bool)
-            or self.k < 1
-        ):
-            raise ValueError(f"k must be an int >= 1, got {self.k!r}")
-        if (
-            not _is_real(self.budget)
-            or not math.isfinite(self.budget)
-            or self.budget < 0
-        ):
-            raise ValueError(
-                f"budget must be finite and >= 0, got {self.budget!r}"
-            )
+        check_k(self.k)
+        check_budget(self.budget)
 
     @property
     def resilient(self) -> bool:
@@ -138,6 +126,18 @@ class SessionConfig:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_k(k) -> None:
+    """Refuse a query-set size that is not an int >= 1 (or is a bool)."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+
+
+def check_budget(budget) -> None:
+    """Refuse a budget that is not a finite real number >= 0."""
+    if not _is_real(budget) or not math.isfinite(budget) or budget < 0:
+        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
 
 
 def campaign_answer_source(

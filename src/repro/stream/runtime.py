@@ -68,6 +68,7 @@ from ..simulation.resilient import (
     ResilientRunResult,
     RetryPolicy,
 )
+from ..simulation.session import check_budget, check_k
 from .arrivals import make_arrivals
 from .chaos import StreamChaos
 from .events import StreamEvent
@@ -258,9 +259,10 @@ class StreamingCampaign:
         delivery schedule.
     journal_path, journal_metadata:
         As on :class:`~repro.simulation.resilient.ResilientCheckingSession`;
-        the runtime writes the version-7 header, metadata and stream
-        config itself, then hands the journal to the session it creates
-        on first seal.
+        the runtime writes the header (at
+        :data:`~repro.core.serialization.FORMAT_VERSION`), metadata and
+        stream config itself, then hands the journal to the session it
+        creates on first seal.
     selector, k, cost_model, retry_policy, reserve_experts,
     trust_policy, gold_facts, sleep:
         Forwarded to the checking session when the first group seals.
@@ -284,6 +286,11 @@ class StreamingCampaign:
         gold_facts: Mapping[int, bool] | None = None,
         sleep: Callable[[float], None] | None = None,
     ):
+        # Refused before the journal header records them: a NaN budget
+        # would be written as invalid JSON and refused only at the first
+        # seal.
+        check_budget(budget)
+        check_k(k)
         self._spec = spec or StreamSpec()
         self._events = list(events)
         chaos = self._spec.chaos

@@ -54,6 +54,37 @@ def test_spec_refuses_bad_values_where_it_is_built(field, value):
         StreamSpec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "budget, k, field",
+    [
+        (NAN, 1, "budget"),
+        (float("inf"), 1, "budget"),
+        (float("-inf"), 1, "budget"),
+        (-5.0, 1, "budget"),
+        (BUDGET, 0, "k"),
+        (BUDGET, 1.5, "k"),
+        (BUDGET, True, "k"),
+    ],
+)
+def test_bad_budget_or_k_is_refused_before_the_journal(
+    dataset, tmp_path, budget, k, field
+):
+    """The header would record the value (a NaN as invalid JSON), and the
+    session would refuse it only at the first seal."""
+    spec = build_spec()
+    path = tmp_path / "stream.jsonl"
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        StreamingCampaign(
+            events_for(dataset, spec),
+            experts_for(dataset, spec),
+            budget,
+            spec=spec,
+            journal_path=path,
+            k=k,
+        )
+    assert not path.exists()
+
+
 def test_every_delivery_slot_is_accounted_for(dataset):
     campaign = _run_campaign(dataset, build_spec())
     stats = campaign.stats()

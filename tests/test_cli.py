@@ -88,6 +88,22 @@ class TestStream:
                 "--theta", "0.85", "--budget", "10", flag, "nan",
             ])
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--budget", "nan", "budget"), ("--k", "0", "k")],
+    )
+    def test_bad_budget_or_k_is_refused_before_any_journal(
+        self, data_dir, tmp_path, flag, value, field
+    ):
+        journal = tmp_path / "stream.jsonl"
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            main([
+                "stream", "--data", str(data_dir), "--group-size", "4",
+                "--theta", "0.85", "--journal", str(journal),
+                flag, value,
+            ])
+        assert not journal.exists()
+
 
 class TestSession:
     def test_prints_trajectory(self, data_dir, capsys):

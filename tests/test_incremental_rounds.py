@@ -6,9 +6,12 @@ Three caches make that so, and each must be invisible:
   history record's ``quality`` and ``accuracy`` equal a memo-free
   recomputation of ``total_quality`` / ``labeling_accuracy`` from the
   belief, bit for bit, in every runtime that writes records;
-* the CELF seed cache (``LazyGreedySelector``): picks, gains and heap
-  pops equal those of a selector whose caches are dropped before every
-  round, also across a crowd change;
+* the CELF seed cache and the heap kept across rounds
+  (``LazyGreedySelector``): picks, gains and heap pops equal those of a
+  selector whose caches are dropped before every round, also across a
+  crowd change, a belief with fewer groups, partial and abandoned
+  rounds and groups added mid-campaign, and the heap stays within twice
+  its live entries plus one round's pushes;
 * the ``BeliefState`` memos of ``H(O)`` and the MAP labels: pickles are
   the same bytes memoized or not, and a ``from_normalized`` state's
   memoized entropy is the entropy of its stored bits.
@@ -23,11 +26,13 @@ import pytest
 
 from repro.aggregation.registry import make_aggregator
 from repro.core import (
+    AnswerSet,
     BeliefState,
     Crowd,
     FactoredBelief,
     FactSet,
     LazyGreedySelector,
+    PartialAnswerFamily,
 )
 from repro.core.entropy import observation_entropy, shannon_entropy
 from repro.core.hc import (
@@ -322,6 +327,161 @@ def test_seed_cache_matches_across_a_trust_quarantine():
     )
     assert any(event.kind == "quarantine" for event in result.incidents)
     assert len(selector.crowds) > 1, "the panel never changed"
+
+
+# The heap outlives the round: a group the round queried is retired and
+# re-seeded next round, from its cached gain vector when its state did
+# not change; a group past the end of the belief is retired.
+
+
+def _pairs(marginals) -> FactoredBelief:
+    """One two-fact group per marginal pair: group g holds facts 2g, 2g+1."""
+    return FactoredBelief(
+        BeliefState.from_marginals(FactSet.from_ids([2 * g, 2 * g + 1]), pair)
+        for g, pair in enumerate(marginals)
+    )
+
+
+_PANEL = Crowd.from_accuracies([0.9, 0.85, 0.8], prefix="e")
+
+
+def test_heap_follows_a_belief_with_fewer_groups():
+    """Entries of groups the new belief lacks must never be picked: a
+    selector that kept them live returns fact 10 here."""
+    six = _pairs([(0.5, 0.5), (0.9, 0.9), (0.9, 0.9), (0.9, 0.9),
+                  (0.9, 0.9), (0.52, 0.52)])
+    two = _pairs([(0.5, 0.6), (0.85, 0.55)])
+    selector = LazyGreedySelector()
+    assert selector.select(six, _PANEL, 1) == [0]
+    assert LazyGreedySelector().select(two, _PANEL, 3) == [0, 3, 1]
+    assert selector.select(two, _PANEL, 3) == [0, 3, 1]
+    # and back to six groups: the retired groups are seeded afresh
+    assert selector.select(six, _PANEL, 3) == LazyGreedySelector().select(
+        six, _PANEL, 3
+    )
+
+
+def _session(selector, budget=40.0, k=2, marginals=None):
+    marginals = marginals or [(0.55, 0.95), (0.6, 0.9), (0.7, 0.97),
+                              (0.8, 0.65), (0.75, 0.9), (0.95, 0.85)]
+    belief = _pairs(marginals)
+    truth = {fact_id: fact_id % 3 != 0 for fact_id in range(2 * len(belief))}
+    session = OnlineCheckingSession(
+        belief, _PANEL, budget, selector=selector, k=k, ground_truth=truth
+    )
+    return session, SimulatedExpertPanel(truth, rng=3), truth
+
+
+def _finish(session, panel) -> None:
+    while (queries := session.next_queries()) is not None:
+        session.submit(panel.collect(queries, _PANEL))
+
+
+def test_heap_reseeds_the_group_a_partial_round_left_unanswered():
+    selector = _ShadowedSelector()
+    session, panel, _truth = _session(selector)
+    queries = session.next_queries()
+    groups = [session.belief.group_index_of(fact_id) for fact_id in queries]
+    assert len(set(groups)) == 2, "the round must query two groups"
+    answered = queries[0]
+    full = panel.collect(queries, _PANEL)
+    session.submit_partial(PartialAnswerFamily(
+        intended_query_fact_ids=tuple(queries),
+        intended_worker_ids=tuple(w.worker_id for w in _PANEL),
+        answer_sets=tuple(
+            AnswerSet(worker=answer_set.worker,
+                      answers={answered: answer_set.answers[answered]})
+            for answer_set in full.answer_sets
+        ),
+    ))
+    evaluations = selector.stats.batch_evaluations
+    session.next_queries()
+    # only the answered group's state changed
+    assert selector.stats.batch_evaluations == evaluations + 1
+    session.abandon_pending()
+    _finish(session, panel)
+    assert selector.rounds > 3
+
+
+def test_heap_selects_the_same_facts_after_an_abandoned_round():
+    selector = _ShadowedSelector()
+    session, panel, _truth = _session(selector)
+    first = session.next_queries()
+    evaluations = selector.stats.batch_evaluations
+    session.abandon_pending()
+    assert session.next_queries() == first
+    assert selector.stats.batch_evaluations == evaluations
+    session.submit(panel.collect(first, _PANEL))
+    _finish(session, panel)
+
+
+def test_heap_seeds_groups_added_mid_campaign():
+    selector = _ShadowedSelector()
+    session, panel, truth = _session(selector, budget=60.0)
+    for _ in range(3):
+        session.submit(panel.collect(session.next_queries(), _PANEL))
+    new_states = [
+        BeliefState.from_marginals(
+            FactSet.from_ids([100 + 2 * g, 101 + 2 * g]), [0.5, 0.9]
+        )
+        for g in range(2)
+    ]
+    new_truth = {
+        fact.fact_id: True for state in new_states for fact in state.facts
+    }
+    session.add_groups(new_states, ground_truth=new_truth)
+    panel = SimulatedExpertPanel({**truth, **new_truth}, rng=4)
+    queries = session.next_queries()
+    assert 100 in queries, "the new, most uncertain fact is picked"
+    session.submit(panel.collect(queries, _PANEL))
+    _finish(session, panel)
+    assert selector.rounds > 5
+
+
+class _HeapWatch(_ShadowedSelector):
+    """Records, each round, the heap's size once seeded, its live entries
+    and how many entries the round's seeding pushed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[tuple[int, int, int]] = []
+
+    def _seed_heap(self, belief, experts):
+        epoch = self._epoch
+        heap = super()._seed_heap(belief, experts)
+        live = sum(
+            1 for entry in heap if self._epochs.get(entry[3]) == entry[4]
+        )
+        pushed = sum(1 for entry in heap if entry[4] > epoch)
+        self.sizes.append((len(heap), live, pushed))
+        return heap
+
+
+def test_heap_stays_bounded_over_a_paper_shaped_campaign():
+    """200 groups x 5 facts, k = 1, 300 rounds: each round retires the
+    group it picked from, so dead entries pile up until compaction."""
+    dataset = make_synthetic_dataset(
+        num_groups=200, group_size=5, answers_per_fact=8,
+        pool=WorkerPoolSpec(num_preliminary=40, num_expert=3), seed=5,
+    )
+    experts, _ = dataset.split_crowd(0.9)
+    belief, _ = initialize_belief(dataset, make_aggregator("MV"), 0.9)
+    selector = _HeapWatch()
+    session = OnlineCheckingSession(
+        belief, experts, 1e6, selector=selector, k=1,
+        ground_truth=dataset.ground_truth,
+    )
+    panel = SimulatedExpertPanel(dataset.ground_truth, rng=1)
+    for _ in range(300):
+        session.submit(panel.collect(session.next_queries(), experts))
+    assert selector.rounds == 300
+    for size, live, pushed in selector.sizes:
+        assert size <= 2 * (live - pushed) + pushed
+    # a compaction leaves no dead entry; otherwise only the cold first
+    # round has none
+    assert any(
+        size == live for size, live, _pushed in selector.sizes[1:]
+    ), "the heap was never compacted"
 
 
 # ----------------------------------------------------------------------
