@@ -431,7 +431,7 @@ class LazyGreedySelector(Selector):
         )
 
     def _retire(self, group_index: int) -> None:
-        """Kill a group's heap entries; the next round re-seeds it."""
+        """Mark a group's heap entries dead; the next round re-seeds it."""
         if self._epochs.pop(group_index, None) is not None:
             self._live -= self._first_gains[group_index][3]
             self._seeded[group_index] = None
